@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -45,7 +46,56 @@ def analysis_rows(lat: float, lon: float, city: str, variable_unit: str,
     }
 
 
+GRIDDED_NAME = "gridded_temperature.txt"
+
+
+def gridded_fixture_text() -> str:
+    """Two years of daily temperature (kelvin) on a 3x3 grid around Doha.
+
+    Cell (1, 1) is Doha's nearest cell. Every cell has scattered empty values
+    and absent rows; the Doha cell also misses a 30-day run in its third
+    90-day window, which therefore falls below the default completeness.
+    """
+    rng = random.Random(20230415)
+    start = date(2022, 1, 1)
+    days = 730
+    lats = (25.2, 25.3, 25.4)
+    lons = (51.4, 51.5, 51.6)
+    lines = [
+        "# gridded-fixture v1",
+        "variable: temperature",
+        "unit: K",
+        "cadence: daily",
+        "source: fixture-grid",
+        "retrieved: 2024-01-15T00:00:00Z",
+        "lats: " + ",".join(repr(v) for v in lats),
+        "lons: " + ",".join(repr(v) for v in lons),
+        "resolution_deg: 0.1",
+        "---",
+    ]
+    for i in range(len(lats)):
+        for j in range(len(lons)):
+            base = 300.0 + i - j
+            for d in range(days):
+                # The first and last days stay present so every span is fixed.
+                interior = 0 < d < days - 1
+                if interior and (d % 53 == 7 or ((i, j) == (1, 1) and 200 <= d < 230)):
+                    continue
+                day = (start + timedelta(days=d)).isoformat()
+                if interior and d % 37 == 11:
+                    lines.append(f"{day},{i},{j},")
+                    continue
+                value = base + 8.0 * math.sin(2 * math.pi * d / 365.25) + rng.gauss(0.0, 0.8)
+                lines.append(f"{day},{i},{j},{value:.2f}")
+    return "\n".join(lines) + "\n"
+
+
 def main() -> None:
+    # Gridded product for the visual forge -------------------------------------
+    FIXTURES.mkdir(exist_ok=True)
+    (FIXTURES / GRIDDED_NAME).write_text(gridded_fixture_text(), encoding="utf-8")
+    print(f"wrote {FIXTURES / GRIDDED_NAME}")
+
     # Point inquiries -------------------------------------------------------
     write("rain_inquiry.json", {"version": 1, "rows": [
         {"lat": DOHA[0], "lon": DOHA[1], "date": "2023-04-15", "value": 12.0, "unit": "mm"},

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from ..textforge.qa import QAItem, parse_qa_emission, validate_items
 from .charts import ChartArtifact, chart_for_series, metadata_to_jsonable
 
 CATEGORIES = ("anomaly", "forecasting", "imputation", "reasoning")
+BACKEND_CATEGORIES = ("forecasting", "reasoning")
 
 DEFAULT_SPIKE_SIGMA = 5.0
 DEFAULT_MASK_FRACTION = 0.1
@@ -142,115 +144,129 @@ def _date_options(series: CanonicalSeries, gold: str, rng: random.Random,
     return options
 
 
-def synthesize_visual_qa(artifact: ChartArtifact, category: str, format: str,
-                         backend=None, *, seed: int = 0,
+def check_categories(categories: Sequence[str], backend=None) -> None:
+    """Reject an unknown category, or a backend category without a backend."""
+    for category in categories:
+        if category not in CATEGORIES:
+            raise VisualQAError(f"unknown category {category!r}")
+        if category in BACKEND_CATEGORIES and backend is None:
+            raise VisualQAError(f"category {category!r} requires a backend")
+
+
+def synthesize_visual_qa(artifact: ChartArtifact, category: str,
+                         formats: str | Sequence[str], backend=None, *, seed: int = 0,
+                         series: CanonicalSeries | None = None,
                          chart_store: dict | None = None,
                          counters: Counter | None = None,
                          evidence_store: dict | None = None) -> list[QAItem]:
-    """Generate QA items for one chart window.
+    """Generate QA items for one chart window, format by format.
 
-    ``anomaly`` and ``imputation`` run deterministically (seeded) with gold
-    answers known by construction; ``forecasting`` and ``reasoning`` require a
-    backend. New perturbed charts land in ``chart_store`` keyed by chart id;
-    evidence facts/chunks land in ``evidence_store``.
+    ``formats`` is one format or a sequence of them. ``anomaly`` and
+    ``imputation`` run deterministically (seeded) with gold answers known by
+    construction: the window is perturbed and charted once, and each format
+    draws from a fresh ``random.Random(seed + 1)``. ``forecasting`` and
+    ``reasoning`` make one backend call per format, in order. ``series`` is
+    the window slice the artifact was charted from; without it the slice is
+    parsed back from ``artifact.data_csv``. New perturbed charts land in
+    ``chart_store`` keyed by chart id; evidence facts/chunks land in
+    ``evidence_store``.
     """
-    if category not in CATEGORIES:
-        raise VisualQAError(f"unknown category {category!r}")
+    check_categories((category,), backend)
+    formats = (formats,) if isinstance(formats, str) else tuple(formats)
+    if category not in BACKEND_CATEGORIES:
+        if series is None:
+            series = series_from_csv(artifact.data_csv)
+        return _perturbed_items(artifact, series, category, formats, seed,
+                                chart_store, evidence_store)
+
     counters = counters if counters is not None else Counter()
-    base_series = series_from_csv(artifact.data_csv)
-
-    if category == "anomaly":
-        return _anomaly_items(artifact, base_series, format, seed,
-                              chart_store, evidence_store)
-    if category == "imputation":
-        return _imputation_items(artifact, base_series, format, seed,
-                                 chart_store, evidence_store)
-
-    if backend is None:
-        raise VisualQAError(f"category {category!r} requires a backend")
     fact, chunk = _chart_fact(artifact)
     _remember(evidence_store, fact, chunk, artifact, chart_store)
-    prompt = (
-        f"Write {format} questions of category '{category}' about this chart. "
-        f"Chart metadata: {json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)}\n"
-        f"Reply with a JSON array in the documented shape."
-    )
-    emission = backend.complete([{"role": "user", "content": prompt}])
-    items = parse_qa_emission(emission, format, evidence=(fact.fact_id,), split="visual")
-    valid = validate_items(items, counters=counters)
-    return [_with_chart(item, artifact.chart_id) for item in valid]
+    metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)
+    items = []
+    for fmt in formats:
+        prompt = (
+            f"Write {fmt} questions of category '{category}' about this chart. "
+            f"Chart metadata: {metadata}\n"
+            f"Reply with a JSON array in the documented shape."
+        )
+        emission = backend.complete([{"role": "user", "content": prompt}])
+        parsed = parse_qa_emission(emission, fmt, evidence=(fact.fact_id,), split="visual")
+        items += [replace(item, chart_ref=artifact.chart_id)
+                  for item in validate_items(parsed, counters=counters)]
+    return items
 
 
-def _anomaly_items(artifact, base_series, fmt, seed, chart_store, evidence_store):
-    perturbed, injection = inject_spike(base_series, seed=seed)
-    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_anomaly_s{seed}",
+def _perturbed_items(artifact, base_series, category, formats, seed, chart_store,
+                     evidence_store):
+    """Perturb and chart the window once, then build every format's items."""
+    perturb, make_items = ((inject_spike, _anomaly_items) if category == "anomaly"
+                           else (mask_span, _imputation_items))
+    perturbed, truth = perturb(base_series, seed=seed)
+    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_{category}_s{seed}",
                              provenance=artifact.provenance)
     fact, chunk = _chart_fact(chart)
     _remember(evidence_store, fact, chunk, chart, chart_store)
-    rng = random.Random(seed + 1)
+    return [replace(item, chart_ref=chart.chart_id)
+            for fmt in formats
+            for item in make_items(artifact, perturbed, truth, fmt,
+                                   random.Random(seed + 1), (fact.fact_id,))]
+
+
+def _anomaly_items(artifact, perturbed, injection, fmt, rng, evidence):
     gold = injection.timestamp
     question = (f"The chart shows {artifact.metadata.variable} for "
                 f"{artifact.metadata.city or 'the selected location'}. On which date does "
                 f"the series show an abnormal {injection.direction} spike?")
     if fmt == "mcq":
         options = _date_options(perturbed, gold, rng)
-        items = [QAItem(format="mcq", question=question, answer=gold,
-                        options=tuple(options), evidence=(fact.fact_id,),
-                        split="visual")]
-    elif fmt == "open":
-        items = [QAItem(format="open", question=question, answer=gold,
-                        evidence=(fact.fact_id,), split="visual")]
-    else:  # tf pair: entailed + contradicted
-        wrong = _date_options(perturbed, gold, rng, n_options=2)
-        distractor = next(d for d in wrong if d != gold)
-        stem = f"The series shows an abnormal {injection.direction} spike on {{}}."
-        items = [
-            QAItem(format="tf", question=stem.format(gold), answer="true",
-                   evidence=(fact.fact_id,), split="visual"),
-            QAItem(format="tf", question=stem.format(distractor), answer="false",
-                   evidence=(fact.fact_id,), split="visual"),
-        ]
-    return [_with_chart(item, chart.chart_id) for item in items]
+        return [QAItem(format="mcq", question=question, answer=gold,
+                       options=tuple(options), evidence=evidence, split="visual")]
+    if fmt == "open":
+        return [QAItem(format="open", question=question, answer=gold,
+                       evidence=evidence, split="visual")]
+    # tf pair: entailed + contradicted
+    wrong = _date_options(perturbed, gold, rng, n_options=2)
+    distractor = next(d for d in wrong if d != gold)
+    stem = f"The series shows an abnormal {injection.direction} spike on {{}}."
+    return [
+        QAItem(format="tf", question=stem.format(gold), answer="true",
+               evidence=evidence, split="visual"),
+        QAItem(format="tf", question=stem.format(distractor), answer="false",
+               evidence=evidence, split="visual"),
+    ]
 
 
-def _imputation_items(artifact, base_series, fmt, seed, chart_store, evidence_store):
-    perturbed, span = mask_span(base_series, seed=seed)
-    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_imputation_s{seed}",
-                             provenance=artifact.provenance)
-    fact, chunk = _chart_fact(chart)
-    _remember(evidence_store, fact, chunk, chart, chart_store)
+def _imputation_items(artifact, perturbed, span, fmt, rng, evidence):
     gold = repr(span.true_mean)
     unit = artifact.metadata.unit
     question = (f"The chart is missing values between {span.start} and {span.end}. "
                 f"Based on the surrounding data, estimate the mean "
                 f"{artifact.metadata.variable} ({unit}) over the missing segment.")
     if fmt == "mcq":
-        rng = random.Random(seed + 1)
         spread = max(4.0 * span.tolerance, 1.0, abs(span.true_mean) * 0.05)
         distractors = [repr(span.true_mean + spread * o) for o in (1.0, -1.0, 2.0)]
         options = [gold] + distractors
         rng.shuffle(options)
-        items = [QAItem(format="mcq", question=question, answer=gold,
-                        options=tuple(options), evidence=(fact.fact_id,),
-                        split="visual", answer_tolerance=span.tolerance)]
-    elif fmt == "open":
-        items = [QAItem(format="open", question=question, answer=gold,
-                        evidence=(fact.fact_id,), split="visual",
-                        answer_tolerance=span.tolerance)]
-    else:
-        items = [
-            QAItem(format="tf",
-                   question=(f"The mean {artifact.metadata.variable} over the missing "
-                             f"segment is approximately {span.true_mean:.6g} {unit}."),
-                   answer="true", evidence=(fact.fact_id,), split="visual",
-                   answer_tolerance=span.tolerance),
-            QAItem(format="tf",
-                   question=(f"The mean {artifact.metadata.variable} over the missing "
-                             f"segment is approximately {span.true_mean + max(10 * span.tolerance, 5.0):.6g} {unit}."),
-                   answer="false", evidence=(fact.fact_id,), split="visual",
-                   answer_tolerance=span.tolerance),
-        ]
-    return [_with_chart(item, chart.chart_id) for item in items]
+        return [QAItem(format="mcq", question=question, answer=gold,
+                       options=tuple(options), evidence=evidence,
+                       split="visual", answer_tolerance=span.tolerance)]
+    if fmt == "open":
+        return [QAItem(format="open", question=question, answer=gold,
+                       evidence=evidence, split="visual",
+                       answer_tolerance=span.tolerance)]
+    return [
+        QAItem(format="tf",
+               question=(f"The mean {artifact.metadata.variable} over the missing "
+                         f"segment is approximately {span.true_mean:.6g} {unit}."),
+               answer="true", evidence=evidence, split="visual",
+               answer_tolerance=span.tolerance),
+        QAItem(format="tf",
+               question=(f"The mean {artifact.metadata.variable} over the missing "
+                         f"segment is approximately {span.true_mean + max(10 * span.tolerance, 5.0):.6g} {unit}."),
+               answer="false", evidence=evidence, split="visual",
+               answer_tolerance=span.tolerance),
+    ]
 
 
 def _remember(evidence_store, fact, chunk, chart, chart_store):
@@ -258,10 +274,3 @@ def _remember(evidence_store, fact, chunk, chart, chart_store):
         chart_store[chart.chart_id] = chart
     if evidence_store is not None:
         evidence_store[fact.fact_id] = (fact, chunk)
-
-
-def _with_chart(item: QAItem, chart_id: str) -> QAItem:
-    return QAItem(format=item.format, question=item.question, answer=item.answer,
-                  options=item.options, evidence=item.evidence, split=item.split,
-                  chart_ref=chart_id, answer_tolerance=item.answer_tolerance,
-                  review_flag=item.review_flag)

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import accumulate
+from operator import attrgetter
 
-from ..core import CanonicalSeries, modal_cadence_seconds
+from ..core import CanonicalRecord, CanonicalSeries, modal_cadence_seconds
 from ..errors import GulfClimateError
 
 DEFAULT_DELTA_DAYS = 90
 DEFAULT_RHO = 0.8
 TRAILING_SPAN_DAYS = 3650  # ten years
+
+_timestamp = attrgetter("timestamp")
 
 
 class WindowingError(GulfClimateError, ValueError):
@@ -54,18 +59,26 @@ def segment_windows(series: CanonicalSeries, delta_days: int = DEFAULT_DELTA_DAY
     if delta_days <= 0:
         raise WindowingError(f"delta_days must be positive: {delta_days}")
 
-    last = series.records[-1].timestamp
+    records = series.records
+    last = records[-1].timestamp
     horizon_start = last - timedelta(days=TRAILING_SPAN_DAYS)
-    anchor = next(r.timestamp for r in series if r.timestamp >= horizon_start)
-    span_end = last + _cadence(series)
+    anchor = records[bisect_left(records, horizon_start, key=_timestamp)].timestamp
+    cadence = _cadence(series)
+    span_end = last + cadence
 
     delta = timedelta(days=delta_days)
+    expected = int(delta / cadence)
+    if expected <= 0:  # cadence coarser than a window: nothing can be complete
+        return []
+    # present_before[k]: non-missing records among records[:k].
+    present_before = list(accumulate((not r.missing for r in records), initial=0))
     kept: list[WindowSpec] = []
     t = 0
     while anchor + (t + 1) * delta <= span_end:
         start = anchor + t * delta
         end = start + delta
-        completeness = _completeness(series, start, end)
+        lo, hi = _bounds(records, start, end)
+        completeness = min(1.0, (present_before[hi] - present_before[lo]) / expected)
         if completeness >= rho:
             kept.append(WindowSpec(index=t, start=start, end=end,
                                    delta_days=delta_days, completeness=completeness,
@@ -81,18 +94,14 @@ def _cadence(series: CanonicalSeries) -> timedelta:
     return timedelta(seconds=seconds)
 
 
-def _completeness(series: CanonicalSeries, start: datetime, end: datetime) -> float:
-    cadence = _cadence(series)
-    expected = int((end - start) / cadence)
-    if expected <= 0:
-        return 0.0
-    observed = sum(
-        1 for r in series
-        if start <= r.timestamp < end and not r.missing
-    )
-    return min(1.0, observed / expected)
+def _bounds(records: tuple[CanonicalRecord, ...], start: datetime,
+            end: datetime) -> tuple[int, int]:
+    """Index range of the records with ``start <= timestamp < end``."""
+    lo = bisect_left(records, start, key=_timestamp)
+    return lo, bisect_left(records, end, lo=lo, key=_timestamp)
 
 
 def window_slice(series: CanonicalSeries, window: WindowSpec) -> CanonicalSeries:
     """The records of ``series`` falling inside ``window`` (missing included)."""
-    return CanonicalSeries(tuple(r for r in series if window.contains(r.timestamp)))
+    lo, hi = _bounds(series.records, window.start, window.end)
+    return CanonicalSeries(series.records[lo:hi])

@@ -1,9 +1,16 @@
 """End-to-end dataset forges wiring the stage modules together.
 
-Emission consumption order for scripted replays is fixed and documented in
-``docs/replay-formats.md``: keyword expansion (one emission per constraint),
-retrieval refinements (one per off-domain round), fact induction (one per
-chunk), then QA synthesis (one per requested format per document).
+A scripted replay backend hands out its emissions in call order, so each
+forge fixes the order in which it calls the backend:
+
+- ``forge_text``: keyword expansion (one emission per constraint), then
+  keyword by keyword the retrieval refinements (one per off-domain round),
+  then document by document fact induction (one per chunk) and QA synthesis
+  (one per requested format).
+- ``forge_visual``: window by window, then category by category, one
+  emission per requested format, in order, for the backend categories
+  (``forecasting``, ``reasoning``). ``anomaly`` and ``imputation`` items are
+  built without the backend.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from pathlib import Path
 
 from .core import GeoPoint
 from .errors import ConfigError
-from .geoforge.charts import metadata_to_jsonable
+from .geoforge.charts import EmptySlice, build_chart, metadata_to_jsonable
 from .geoforge.gridded import GriddedProduct, extract_series
 from .geoforge.gridmatch import nearest_grid_cell
 from .geoforge.inventory import CityInventory
-from .geoforge.visualqa import synthesize_visual_qa
+from .geoforge.visualqa import VisualQAError, check_categories, synthesize_visual_qa
 from .geoforge.windows import segment_windows, window_slice
 from .textforge.chunking import chunk, tokenize
 from .textforge.facts import induce_facts
@@ -132,39 +139,45 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     """Run the visual-temporal pipeline over one gridded product.
 
     Writes charts (SVG + CSV + a colocated metadata CSV) and
-    ``qa_visual.jsonl`` under ``out_dir``; returns summary counts.
+    ``qa_visual.jsonl`` under ``out_dir``; returns summary counts. A window
+    whose items for one category cannot be made (too few values to perturb,
+    nothing left to chart) counts under ``dropped`` as
+    ``<category>_windows_dropped`` and the job goes on.
     """
+    check_categories(categories, backend)
     inventory = inventory or CityInventory.default()
     entry = inventory.lookup(city)
     product = GriddedProduct.from_file(gridded_path)
     cell = nearest_grid_cell(entry.location, product.grid)
     series = extract_series(product, cell, variable, city=entry.city)
     windows = segment_windows(series, delta_days=delta_days, rho=rho)
+    provenance = product.provenance(cell)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     charts_dir = out_dir / "charts"
     charts_dir.mkdir(exist_ok=True)
-
-    from .geoforge.charts import build_chart
 
     counters: Counter = Counter()
     chart_store: dict = {}
     evidence_store: dict = {}
     items = []
     for window in windows:
-        window_slice_series = window_slice(series, window)
-        artifact = build_chart(window_slice_series, window, entry.city, variable,
-                               provenance=product.provenance(cell))
+        window_series = window_slice(series, window)
+        artifact = build_chart(window_series, window, entry.city, variable,
+                               provenance=provenance)
         chart_store[artifact.chart_id] = artifact
         for category in categories:
-            for fmt in formats:
+            try:
                 items.extend(synthesize_visual_qa(
-                    artifact, category, fmt, backend,
+                    artifact, category, formats, backend,
                     seed=seed + window.index,
+                    series=window_series,
                     chart_store=chart_store,
                     evidence_store=evidence_store,
                     counters=counters,
                 ))
+            except (VisualQAError, EmptySlice):
+                counters[f"{category}_windows_dropped"] += 1
 
     metadata_rows = []
     for chart_id in sorted(chart_store):

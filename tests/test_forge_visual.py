@@ -1,0 +1,66 @@
+"""End-to-end tests of the visual forge on the checked-in gridded fixture."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+from gulfclimate.pipelines import forge_visual
+
+ROOT = Path(__file__).resolve().parent.parent
+GRIDDED = ROOT / "fixtures" / "gridded_temperature.txt"
+# SHA-256 of every output file of the golden run below, keyed by path
+# relative to the output directory.
+GOLDEN = json.loads((ROOT / "tests" / "data" / "forge_visual_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_golden_outputs_are_byte_identical(tmp_path):
+    result = forge_visual(GRIDDED, "Doha", "temperature", tmp_path,
+                          categories=("anomaly", "imputation"),
+                          formats=("mcq", "tf", "open"), seed=5)
+    assert result["windows_kept"] == 7
+    assert result["charts"] == 21
+    assert result["items_written"] == 56
+    assert result["dropped"] == {}
+    assert _digests(tmp_path) == GOLDEN
+
+
+def test_fixture_regenerates_byte_identically():
+    spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                  ROOT / "scripts" / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.gridded_fixture_text().encode("utf-8") == GRIDDED.read_bytes()
+
+
+def test_failing_window_is_dropped_and_the_job_goes_on(tmp_path):
+    # Window 0 holds 30 daily values; window 1 only two, too few to inject a
+    # spike or mask a span, but enough to pass a rho of 0.01.
+    rows = [f"2023-01-{d:02d},0,0,{290.0 + d % 7}" for d in range(1, 31)]
+    rows += ["2023-04-15,0,0,291.5", "2023-06-29,0,0,292.5"]
+    grid = tmp_path / "sparse.txt"
+    grid.write_text("\n".join([
+        "# gridded-fixture v1", "variable: temperature", "unit: K", "cadence: daily",
+        "source: sparse", "lats: 25.3", "lons: 51.5", "---", *rows]) + "\n",
+        encoding="utf-8")
+    out = tmp_path / "out"
+    result = forge_visual(grid, "Doha", "temperature", out,
+                          categories=("anomaly", "imputation"),
+                          formats=("mcq", "open"), seed=1, rho=0.01)
+    assert result["windows_kept"] == 2
+    assert result["dropped"] == {"anomaly_windows_dropped": 1,
+                                 "imputation_windows_dropped": 1}
+    # Both windows are charted; window 0 alone adds two perturbed charts and
+    # four items.
+    assert result["charts"] == 4
+    assert result["items_written"] == 4
+    items = [json.loads(line) for line in
+             (out / "qa_visual.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {item["chart_ref"].rsplit("_", 2)[0] for item in items} == {
+        "Doha_temperature_2023-01-01_2023-04-01"}
