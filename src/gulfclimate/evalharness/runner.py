@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from time import perf_counter
+from typing import Callable, Sequence, TypeVar
 
 from ..agent.backend import BackendFailure, LLMBackend
 from ..agent.runner import AgentSettings, run as agent_run
@@ -15,6 +17,9 @@ from .model import BenchmarkInstance, GoldStep, InstanceError
 from .scoring import PredictedStep, StepScore, classify_error, score_step
 
 BackendFactory = Callable[[BenchmarkInstance], LLMBackend]
+R = TypeVar("R")
+
+MAX_WORKERS = 8  # the most instances in flight when the backend wait justifies threads
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,55 @@ class MetricReport:
     instance_rows: list[InstanceRow] = field(default_factory=list)
 
 
-def _as_factory(backend) -> BackendFactory:
-    if callable(backend) and not hasattr(backend, "complete"):
-        return backend
-    return lambda _instance: backend
+class _TimedBackend:
+    """Forwards to ``inner`` and adds the time spent in ``complete`` to ``clock``."""
+
+    def __init__(self, inner: LLMBackend, clock: list[float]):
+        self.inner = inner
+        self.clock = clock
+
+    def complete(self, messages) -> str:
+        t0 = perf_counter()
+        try:
+            return self.inner.complete(messages)
+        finally:
+            self.clock[0] += perf_counter() - t0
+
+
+def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
+                   run: Callable[[BenchmarkInstance, LLMBackend], R]) -> list[R | Exception]:
+    """``run(instance, factory(instance))`` for every instance, in instance order.
+
+    An exception from the factory or the run takes the place of the
+    instance's result. Instances run on the calling thread while the backend
+    wait measured so far stays under a third of the elapsed time. Once it is
+    more, the instances left run on ``round(elapsed / (elapsed - waited))``
+    threads, at most ``MAX_WORKERS`` and at most one per instance left, which
+    keeps about that many backend calls in flight; a backend that never
+    waits never starts a thread.
+    """
+    waited = [0.0]
+
+    def attempt(instance: BenchmarkInstance, make: BackendFactory) -> R | Exception:
+        try:
+            return run(instance, make(instance))
+        except Exception as exc:  # instance-level isolation
+            return exc
+
+    results: list[R | Exception] = []
+    start = perf_counter()
+    for instance in instances:
+        results.append(attempt(instance, lambda inst: _TimedBackend(factory(inst), waited)))
+        elapsed = perf_counter() - start
+        busy = elapsed - waited[0]
+        width = round(elapsed / busy) if busy > 0 else MAX_WORKERS
+        workers = min(MAX_WORKERS, width, len(instances) - len(results))
+        if workers >= 2:
+            with ThreadPoolExecutor(workers) as pool:
+                results += pool.map(lambda inst: attempt(inst, factory),
+                                    instances[len(results):])
+            break
+    return results
 
 
 def aggregate_step_rows(rows: Sequence[StepRow]) -> dict[str, float]:
@@ -91,7 +141,7 @@ def aggregate_instance_rows(rows: Sequence[InstanceRow]) -> dict[str, float]:
     return out
 
 
-def run_step_mode(instances: Sequence[BenchmarkInstance], backend,
+def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
                   registry: ToolRegistry) -> MetricReport:
     """Teacher-forced evaluation of every gold step.
 
@@ -99,20 +149,25 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], backend,
     tool outputs); the backend emits the step action and, after seeing the
     real output, a one-line step summary. Per-instance failures are recorded,
     never raised.
+
+    ``factory`` is called once per instance, and the backend it returns
+    serves that instance alone. Once the measured backend wait is a third of
+    wall time or more, instances run on worker threads, so factories,
+    backends and tool executors may be called from several threads at once.
+    Rows come out in instance order whatever order instances finish in.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")
-    factory = _as_factory(backend)
     report = MetricReport(mode="step")
-    for instance in instances:
-        try:
-            rows = _step_mode_instance(instance, factory(instance), registry)
-        except Exception as exc:  # instance-level isolation
+    outcomes = _map_instances(instances, factory, lambda instance, backend:
+                              _step_mode_instance(instance, backend, registry))
+    for instance, rows in zip(instances, outcomes):
+        if isinstance(rows, Exception):
+            report.instance_rows.append(InstanceRow(instance_id=instance.id,
+                                                    failure=f"{type(rows).__name__}: {rows}"))
             rows = [StepRow(instance_id=instance.id, step_index=i,
                             inst=0, tool=0, arg=0, summ=0, error_class="na")
                     for i in range(len(instance.gold_trace))]
-            report.instance_rows.append(InstanceRow(instance_id=instance.id,
-                                                    failure=f"{type(exc).__name__}: {exc}"))
         report.step_rows.extend(rows)
     for key, value in aggregate_step_rows(report.step_rows).items():
         setattr(report, key, value)
@@ -168,7 +223,7 @@ def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int) -
             + render_observation(observation, index + 1))
 
 
-def run_e2e_mode(instances: Sequence[BenchmarkInstance], backend,
+def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
                  registry: ToolRegistry, images_enabled: bool = False,
                  budget: int = 8) -> MetricReport:
     """Free-running evaluation of the full execution outcome.
@@ -176,19 +231,21 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], backend,
     An instance scores 1 iff every gold answer fact holds in the final
     answer; with images enabled, chart-requiring instances additionally need
     an emitted chart whose metadata variable matches a gold fact label.
+
+    Concurrency is as in :func:`run_step_mode`: one ``factory`` call per
+    instance, backends possibly used from worker threads, and rows in
+    instance order.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")
-    factory = _as_factory(backend)
     report = MetricReport(mode="e2e")
-    for instance in instances:
-        try:
-            row = _e2e_instance(instance, factory(instance), registry,
-                                images_enabled, budget)
-        except Exception as exc:
+    outcomes = _map_instances(instances, factory, lambda instance, backend:
+                              _e2e_instance(instance, backend, registry, images_enabled, budget))
+    for instance, row in zip(instances, outcomes):
+        if isinstance(row, Exception):
             row = InstanceRow(instance_id=instance.id, answered=0,
                               answered_with_images=0 if images_enabled else None,
-                              failure=f"{type(exc).__name__}: {exc}")
+                              failure=f"{type(row).__name__}: {row}")
         report.instance_rows.append(row)
     for key, value in aggregate_instance_rows(report.instance_rows).items():
         setattr(report, key, value)

@@ -16,7 +16,7 @@ import numpy as np
 from ..core import CanonicalSeries, Provenance, format_timestamp, parse_utc
 from ..core.csvio import series_from_csv, series_to_csv
 from ..errors import GulfClimateError
-from .windows import WindowSpec, window_slice
+from .windows import WindowSpec
 
 CANVAS_W = 800
 CANVAS_H = 400

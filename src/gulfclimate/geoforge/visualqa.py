@@ -165,7 +165,10 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
     ``imputation`` run deterministically (seeded) with gold answers known by
     construction: the window is perturbed and charted once, and each format
     draws from a fresh ``random.Random(seed + 1)``. ``forecasting`` and
-    ``reasoning`` make one backend call per format, in order. ``series`` is
+    ``reasoning`` make one backend call per format, in order, and parse the
+    emissions only after the last call, so a malformed one raises
+    ``QASynthesisError`` with every emission of the window consumed and
+    nothing stored or counted. ``series`` is
     the window slice the artifact was charted from; without it the slice is
     parsed back from ``artifact.data_csv``. New perturbed charts land in
     ``chart_store`` keyed by chart id; evidence facts/chunks land in
@@ -181,20 +184,16 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
 
     counters = counters if counters is not None else Counter()
     fact, chunk = _chart_fact(artifact)
-    _remember(evidence_store, fact, chunk, artifact, chart_store)
     metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)
-    items = []
-    for fmt in formats:
-        prompt = (
-            f"Write {fmt} questions of category '{category}' about this chart. "
-            f"Chart metadata: {metadata}\n"
-            f"Reply with a JSON array in the documented shape."
-        )
-        emission = backend.complete([{"role": "user", "content": prompt}])
-        parsed = parse_qa_emission(emission, fmt, evidence=(fact.fact_id,), split="visual")
-        items += [replace(item, chart_ref=artifact.chart_id)
-                  for item in validate_items(parsed, counters=counters)]
-    return items
+    prompts = [f"Write {fmt} questions of category '{category}' about this chart. "
+               f"Chart metadata: {metadata}\n"
+               f"Reply with a JSON array in the documented shape." for fmt in formats]
+    emissions = [backend.complete([{"role": "user", "content": prompt}]) for prompt in prompts]
+    parsed = [parse_qa_emission(emission, fmt, evidence=(fact.fact_id,), split="visual")
+              for fmt, emission in zip(formats, emissions)]
+    _remember(evidence_store, fact, chunk, artifact, chart_store)
+    return [replace(item, chart_ref=artifact.chart_id)
+            for batch in parsed for item in validate_items(batch, counters=counters)]
 
 
 def _perturbed_items(artifact, base_series, category, formats, seed, chart_store,

@@ -9,7 +9,8 @@ forge fixes the order in which it calls the backend:
   (one per requested format).
 - ``forge_visual``: window by window, then category by category, one
   emission per requested format, in order, for the backend categories
-  (``forecasting``, ``reasoning``). ``anomaly`` and ``imputation`` items are
+  (``forecasting``, ``reasoning``); a window with a malformed emission still
+  consumes all of its emissions. ``anomaly`` and ``imputation`` items are
   built without the backend.
 """
 
@@ -32,7 +33,7 @@ from .textforge.chunking import chunk, tokenize
 from .textforge.facts import induce_facts
 from .textforge.keywords import KeywordIndex, expand_keywords
 from .textforge.parsing import parse_document
-from .textforge.qa import synthesize_qa, write_dataset
+from .textforge.qa import QASynthesisError, synthesize_qa, write_dataset
 from .textforge.retrieval import DomainPolicy, NoRelevantResults, retrieve_documents
 from .tools.providers import FixtureStore
 from .tools.web import FixtureSearch
@@ -141,8 +142,8 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     Writes charts (SVG + CSV + a colocated metadata CSV) and
     ``qa_visual.jsonl`` under ``out_dir``; returns summary counts. A window
     whose items for one category cannot be made (too few values to perturb,
-    nothing left to chart) counts under ``dropped`` as
-    ``<category>_windows_dropped`` and the job goes on.
+    nothing left to chart, a malformed backend emission) counts under
+    ``dropped`` as ``<category>_windows_dropped`` and the job goes on.
     """
     check_categories(categories, backend)
     inventory = inventory or CityInventory.default()
@@ -176,7 +177,7 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
                     evidence_store=evidence_store,
                     counters=counters,
                 ))
-            except (VisualQAError, EmptySlice):
+            except (VisualQAError, EmptySlice, QASynthesisError):
                 counters[f"{category}_windows_dropped"] += 1
 
     metadata_rows = []

@@ -43,11 +43,15 @@ class ToolExecutionError(GulfClimateError):
 
 @dataclass(frozen=True)
 class Binding:
-    """An executor bound to a signature, with per-tool execution policy."""
+    """An executor bound to a signature, with per-tool execution policy.
+
+    The benchmark harness runs instances on several threads once the backend
+    wait dominates, so an executor may be called from several threads at
+    once and must not keep per-call state on shared objects.
+    """
 
     executor: Callable[..., ToolResult]
     timeout_s: float = 30.0
-    serialized: bool = False
 
 
 class ToolRegistry:

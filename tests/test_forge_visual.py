@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from gulfclimate.agent import ScriptedBackend
 from gulfclimate.pipelines import forge_visual
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +65,44 @@ def test_failing_window_is_dropped_and_the_job_goes_on(tmp_path):
              (out / "qa_visual.jsonl").read_text(encoding="utf-8").splitlines()]
     assert {item["chart_ref"].rsplit("_", 2)[0] for item in items} == {
         "Doha_temperature_2023-01-01_2023-04-01"}
+
+
+def _forecast_emission(fmt: str, n: int) -> str:
+    if fmt == "mcq":
+        return json.dumps([{"question": f"Question {n}?", "answer": "a",
+                            "options": ["a", "b", "c"]}])
+    return json.dumps([{"question": f"Question {n}?", "answer": f"answer {n}"}])
+
+
+def _items(out: Path) -> list[dict]:
+    return [json.loads(line) for line in
+            (out / "qa_visual.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def test_malformed_emission_drops_only_its_window(tmp_path):
+    formats = ("mcq", "open")
+    baseline = forge_visual(GRIDDED, "Doha", "temperature", tmp_path / "anomaly",
+                            categories=("anomaly",), formats=formats, seed=5)
+    windows = baseline["windows_kept"]
+
+    garbage = ScriptedBackend(["not json"] * (windows * len(formats)))
+    result = forge_visual(GRIDDED, "Doha", "temperature", tmp_path / "garbage",
+                          categories=("anomaly", "forecasting"), formats=formats,
+                          backend=garbage, seed=5)
+    assert garbage.remaining == 0
+    assert result["dropped"] == {"forecasting_windows_dropped": windows}
+    assert result["items_written"] == baseline["items_written"]
+    assert _items(tmp_path / "garbage") == _items(tmp_path / "anomaly")
+
+    # One malformed emission in the first window: that window's other
+    # emission is still consumed, so every later window gets its own.
+    emissions = [_forecast_emission(fmt, w) for w in range(windows) for fmt in formats]
+    emissions[0] = "not json"
+    backend = ScriptedBackend(emissions)
+    result = forge_visual(GRIDDED, "Doha", "temperature", tmp_path / "one",
+                          categories=("forecasting",), formats=formats,
+                          backend=backend, seed=5)
+    assert backend.remaining == 0
+    assert result["dropped"] == {"forecasting_windows_dropped": 1}
+    questions = [item["question"] for item in _items(tmp_path / "one")]
+    assert questions == [f"Question {w}?" for w in range(1, windows) for _fmt in formats]
