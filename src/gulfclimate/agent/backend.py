@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from time import sleep
 from typing import Mapping, Protocol, Sequence
 
 import requests
@@ -12,6 +13,9 @@ import requests
 from ..errors import ConfigError, GulfClimateError
 
 Message = Mapping[str, str]
+
+RETRY_TRIES = 4  # tries per remote call before a retryable failure is final
+RETRY_BACKOFF_S = 1.0  # sleep before the second try, doubled before each further one
 
 
 class BackendFailure(GulfClimateError):
@@ -61,17 +65,27 @@ class ScriptedBackend:
 
 
 class RemoteChatBackend:
-    """A chat-completion HTTP endpoint (OpenAI-style request/response shape)."""
+    """A chat-completion HTTP endpoint (OpenAI-style request/response shape).
+
+    A timeout, a connection error, an HTTP 429 or a 5xx response is retried,
+    up to ``RETRY_TRIES`` tries in all, after sleeping ``RETRY_BACKOFF_S`` and
+    then twice as long before each further try; any other failure, or the
+    last try's, raises ``BackendFailure``. ``session`` is anything with
+    requests' ``post``; the default, the ``requests`` module, opens a
+    connection per call, so one backend may serve several harness threads
+    at once.
+    """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "",
-                 temperature: float = 0.0, timeout_s: float = 60.0):
+                 temperature: float = 0.0, timeout_s: float = 60.0, session=requests):
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.temperature = temperature
         self.timeout_s = timeout_s
+        self.session = session
 
-    def complete(self, messages: Sequence[Message]) -> str:  # pragma: no cover - network
+    def complete(self, messages: Sequence[Message]) -> str:
         headers = {"Content-Type": "application/json"}
         if self.api_key_env:
             key = os.environ.get(self.api_key_env)
@@ -83,13 +97,23 @@ class RemoteChatBackend:
             "temperature": self.temperature,
             "messages": [dict(m) for m in messages],
         }
-        try:
-            resp = requests.post(self.endpoint, json=body, headers=headers,
-                                 timeout=self.timeout_s)
-            resp.raise_for_status()
-            data = resp.json()
-            return data["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
-            raise BackendFailure(f"backend request failed: {exc}") from exc
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendFailure(f"malformed backend response: {exc}") from exc
+        delay = RETRY_BACKOFF_S
+        for attempt in range(1, RETRY_TRIES + 1):
+            try:
+                resp = self.session.post(self.endpoint, json=body, headers=headers,
+                                         timeout=self.timeout_s)
+                if resp.status_code != 429 and resp.status_code < 500:
+                    resp.raise_for_status()
+                    data = resp.json()
+                    return data["choices"][0]["message"]["content"]
+                failure = f"HTTP {resp.status_code}"
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                failure = str(exc)
+            except requests.RequestException as exc:
+                raise BackendFailure(f"backend request failed: {exc}") from exc
+            except (KeyError, IndexError, TypeError) as exc:
+                raise BackendFailure(f"malformed backend response: {exc}") from exc
+            if attempt < RETRY_TRIES:
+                sleep(delay)
+                delay *= 2
+        raise BackendFailure(f"backend request failed after {RETRY_TRIES} tries: {failure}")

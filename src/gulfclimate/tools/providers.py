@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -73,15 +74,26 @@ class FixtureStore:
 
 
 class HttpSession:
-    """Thin wrapper so live providers share timeout and error mapping."""
+    """Thin wrapper so live providers share timeout and error mapping.
+
+    Each thread gets its own ``requests.Session`` (requests does not promise
+    that one session is safe across threads), so a live tool may be executed
+    from several harness threads at once.
+    """
 
     def __init__(self, config: ProviderConfig):
         self.config = config
-        self._session = requests.Session()
+        self._local = threading.local()
+
+    def session(self) -> requests.Session:
+        """The calling thread's session, opened on its first request."""
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def get_json(self, url: str, params: dict | None = None) -> Any:
         try:
-            resp = self._session.get(url, params=params, timeout=self.config.timeout_s)
+            resp = self.session().get(url, params=params, timeout=self.config.timeout_s)
             resp.raise_for_status()
             return resp.json()
         except requests.Timeout as exc:
