@@ -10,14 +10,12 @@ from .keywords import (
     Keyword,
     KeywordIndex,
     expand_keywords,
-    filter_keyword,
 )
 from .parsing import DocumentMeta, EmptyAfterCleaning, UnsupportedFormat, parse_document
 from .qa import (
     BrokenEvidenceChain,
     QAItem,
     QASynthesisError,
-    item_to_jsonable,
     parse_qa_emission,
     resolve_evidence,
     synthesize_qa,
@@ -50,9 +48,7 @@ __all__ = [
     "chunk_starts",
     "cosine",
     "expand_keywords",
-    "filter_keyword",
     "induce_facts",
-    "item_to_jsonable",
     "parse_document",
     "parse_qa_emission",
     "passes_structural_checks",

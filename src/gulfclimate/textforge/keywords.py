@@ -136,11 +136,6 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def filter_keyword(candidate: Keyword, index: KeywordIndex) -> FilterVerdict:
-    """Module-level convenience for :meth:`KeywordIndex.filter`."""
-    return index.filter(candidate)
-
-
 _EXPANSION_PROMPT = (
     "Propose search keywords for the topics below, one per line, targeted at "
     "{where}. Cover policies, reports, academic work, and event coverage.\n"

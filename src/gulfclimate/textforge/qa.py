@@ -212,30 +212,41 @@ def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact],
     return resolved
 
 
-def item_to_jsonable(item: QAItem, facts_by_id: dict[str, AtomicFact],
-                     chunks_by_id: dict[str, Chunk]) -> dict:
-    doc = {
-        "id": item.item_id,
-        "format": item.format,
-        "split": item.split,
-        "question": item.question,
-        "answer": item.answer,
-        "evidence": resolve_evidence(item, facts_by_id, chunks_by_id),
-        "review_flag": item.review_flag,
-    }
-    if item.options:
-        doc["options"] = list(item.options)
-    if item.chart_ref is not None:
-        doc["chart_ref"] = item.chart_ref
-    if item.answer_tolerance is not None:
-        doc["answer_tolerance"] = item.answer_tolerance
-    return doc
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
                   chunks_by_id: dict[str, Chunk], path: str | Path) -> int:
-    """Write items as line-delimited JSON with embedded provenance."""
-    lines = [json.dumps(item_to_jsonable(i, facts_by_id, chunks_by_id),
-                        sort_keys=True, ensure_ascii=False) for i in items]
+    """Write items as line-delimited JSON with embedded provenance.
+
+    Each line is one item as ``json.dumps(doc, sort_keys=True,
+    ensure_ascii=False)`` would write it: keys in sorted order, ``", "`` and
+    ``": "`` separators, non-ASCII characters as themselves. The keys are
+    ``answer``, ``answer_tolerance`` and ``chart_ref`` (when set),
+    ``evidence`` (the records of :func:`resolve_evidence`), ``format``,
+    ``id``, ``options`` (when non-empty), ``question``, ``review_flag`` and
+    ``split``. Items often share an evidence tuple (every item of a document
+    cites all its facts), so each distinct tuple is resolved and encoded
+    once per call. The first item whose chain is broken raises
+    :class:`BrokenEvidenceChain`, and then no file is written.
+    """
+    evidence_json: dict[tuple[str, ...], str] = {}
+    lines = []
+    for item in items:
+        evidence = evidence_json.get(item.evidence)
+        if evidence is None:
+            evidence = evidence_json[item.evidence] = _encode(
+                resolve_evidence(item, facts_by_id, chunks_by_id))
+        # The keys that sort before "evidence", then those that sort after it.
+        head = {"answer": item.answer}
+        if item.answer_tolerance is not None:
+            head["answer_tolerance"] = item.answer_tolerance
+        if item.chart_ref is not None:
+            head["chart_ref"] = item.chart_ref
+        tail = {"format": item.format, "id": item.item_id, "question": item.question,
+                "review_flag": item.review_flag, "split": item.split}
+        if item.options:
+            tail["options"] = list(item.options)
+        lines.append(f'{_encode(head)[:-1]}, "evidence": {evidence}, {_encode(tail)[1:]}')
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return len(lines)

@@ -4,7 +4,22 @@ A call is a fenced block whose info string is ``tool_call``, containing one
 JSON object with exactly the fields ``tool`` (string) and ``args`` (object of
 scalar values). One call per emission. Anything with a call fence that does
 not parse is a format error; an emission with no call fence is a final
-answer. The grammar is specified in ``docs/call-grammar.md``.
+answer. In full, as :func:`parse_call` applies it:
+
+- The emission is split into lines on LF only (a U+2028 inside a JSON string
+  does not end a line). A line that is ```` ```tool_call ```` once stripped
+  opens the block; the first later line that is ```` ``` ```` once stripped
+  closes it. Text outside the block is ignored.
+- No opening line: the whole emission is a final answer. Two or more opening
+  lines, an opening line with no closing line, or an empty block is a format
+  error.
+- The block is one JSON object whose keys are exactly ``tool`` and ``args``.
+  ``tool`` is a non-empty string; ``args`` is an object whose values are
+  strings, numbers or booleans (no null, array or object).
+
+:func:`serialize_call` writes the canonical form: the opening line, the
+object on one line with sorted keys and non-ASCII characters as themselves,
+and the closing line.
 """
 
 from __future__ import annotations

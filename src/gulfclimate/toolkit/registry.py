@@ -43,7 +43,7 @@ class ToolExecutionError(GulfClimateError):
 
 @dataclass(frozen=True)
 class Binding:
-    """An executor bound to a signature, with per-tool execution policy.
+    """An executor bound to a signature.
 
     The benchmark harness runs instances on several threads once the backend
     wait dominates, so an executor may be called from several threads at
@@ -51,7 +51,6 @@ class Binding:
     """
 
     executor: Callable[..., ToolResult]
-    timeout_s: float = 30.0
 
 
 class ToolRegistry:

@@ -1,8 +1,34 @@
 """Provider abstraction: deterministic fixture files or live HTTP services.
 
 Fixture layout: one JSON document per tool under the fixture root, named
-``<tool>.json``, each holding keyed rows (see ``docs/fixture-formats.md``).
-Fixture providers are pure reads and fully deterministic.
+``<tool>.json``. Fixture providers are pure reads and fully deterministic.
+Most documents are ``{"version": 1, "rows": [...]}``; a row holds the keys a
+query is matched on, then its data:
+
+- point inquiries (``rain_inquiry``, ``weather_inquiry``, ``aqi_inquiry``):
+  ``lat``, ``lon`` and an ISO ``date``, then ``value`` and ``unit``;
+  ``values`` and ``units`` keyed by variable; or ``aqi``, ``pollutants`` and
+  ``pollutant_unit``;
+- forecasts (``*_forecast``, ``*_prediction``): ``lat``, ``lon``, ``city``,
+  ``start`` (the first ISO date), ``unit`` and one entry of ``values`` per day;
+- range analyses (``*_analysis``): ``lat``, ``lon``, ``city``, ``unit`` and
+  ``records`` of ``{"date", "value"}``, where ``value`` may be null;
+- ``river_discharge_check``: a ``grid`` (``lats``, ``lons``,
+  ``resolution_deg`` and a 0/1 ``river_mask``) beside rows of ``i``, ``j``,
+  ``date``, ``value`` and ``unit`` for one grid cell;
+- ``get_satellite_image``: ``lat``, ``lon``, ``date``, ``width``, ``height``,
+  ``pixel_size_m`` and ``bands`` (``red``, ``green``, ``nir``, each a list of
+  pixel rows);
+- ``detect_bird``, ``detect_species``: ``ref`` and ``candidates`` as
+  ``[name, confidence]`` pairs.
+
+Climate rows answer the query point through :func:`nearest_row` (at most
+0.25 degrees away), imagery rows the point rounded to 0.01 degrees.
+``online_search.json`` has no rows: ``queries`` maps the ``query_key`` of a
+query to ``{"query", "results", "retrieved_at"}`` (each result a ``title``,
+``url`` and ``snippet``), and ``pages`` maps a URL to ``{"content_type",
+"text"}``. ``carbon_factors.csv`` (``country,industry,year,factor``) holds
+the emission factors.
 """
 
 from __future__ import annotations

@@ -129,7 +129,6 @@ class ToolSettings:
     forecast_default_horizon: int = 3
     search_top_k: int = 5
     summary_word_budget: int = 60
-    timeout_s: float = 30.0
 
 
 def make_geocode_executor(inventory: CityInventory):
@@ -213,8 +212,7 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
     if unknown:
         raise ConfigError(f"manifest enables unknown tools: {sorted(unknown)}")
     entries = {
-        sig: Binding(executor=executors[sig.name], timeout_s=settings.timeout_s)
-        for sig in SIGNATURES if sig.name in wanted
+        sig: Binding(executor=executors[sig.name]) for sig in SIGNATURES if sig.name in wanted
     }
     return ToolRegistry(entries)
 
@@ -231,7 +229,16 @@ class Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Read a tool manifest config file (see ``docs/fixture-formats.md``)."""
+    """Read a tool manifest: a JSON object whose keys are all optional.
+
+    - ``provider``: ``kind`` (``fixture``, the default, or ``live_http``),
+      ``fixture_root`` (relative to the manifest's directory), ``endpoint``
+      (for ``live_http`` the Open-Meteo API by default), ``api_key_env`` and
+      ``timeout_s`` (30 by default);
+    - ``tools``: the names of the enabled tools, or ``"all"`` (the default);
+    - ``settings``: :class:`ToolSettings` fields by name; an unknown name
+      raises ``TypeError``.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
