@@ -1,10 +1,10 @@
-"""Run configuration: one JSON file plus flag overrides."""
+"""Run configuration: one JSON file (see :func:`load_config`)."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
@@ -53,14 +53,36 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+def _typed(doc: dict, key: str, default, kind: type):
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {doc[key]!r}") from None
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read a run config: a JSON object whose keys are all optional.
+
+    - ``provider``: ``mode`` or ``kind`` (``fixture``, the default, or
+      ``live_http``), ``fixture_root`` (relative to the config's directory)
+      and ``timeout_s`` (30 by default);
+    - ``backend``: ``kind`` (``scripted``, the default, or ``remote``),
+      ``replay`` (relative to the config's directory), ``endpoint``,
+      ``model`` and ``api_key_env``; without it there is no backend;
+    - ``output_dir`` (``out`` by default, relative to the config's directory);
+    - ``seed`` (0) and ``budget`` (8), integers;
+    - ``route_intent`` (true);
+    - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
+      name.
+
+    A malformed value or an unknown ``tool_settings`` field raises
+    :class:`ConfigError`.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if overrides:
-        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
     base = path.parent
 
     provider_doc = doc.get("provider", {})
@@ -70,11 +92,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     provider = ProviderConfig(
         kind=provider_doc.get("mode", provider_doc.get("kind", "fixture")),
         fixture_root=Path(fixture_root) if fixture_root else None,
-        endpoint=provider_doc.get("endpoint",
-                                  "https://api.open-meteo.com"
-                                  if provider_doc.get("mode") == "live_http" else None),
-        api_key_env=provider_doc.get("api_key_env"),
-        timeout_s=float(provider_doc.get("timeout_s", 30.0)),
+        timeout_s=_typed(provider_doc, "timeout_s", 30.0, float),
     )
 
     backend = None
@@ -95,16 +113,18 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if not output_dir.is_absolute():
         output_dir = (base / output_dir).resolve()
 
-    settings_doc = doc.get("tool_settings", {})
-    settings = ToolSettings(**settings_doc) if settings_doc else ToolSettings()
+    settings_doc = doc.get("tool_settings") or {}
+    unknown = sorted(set(settings_doc) - {f.name for f in fields(ToolSettings)})
+    if unknown:
+        raise ConfigError(f"unknown tool_settings: {', '.join(unknown)}")
 
     return RunConfig(
         provider=provider,
         backend=backend,
         output_dir=output_dir,
-        seed=int(doc.get("seed", 0)),
-        budget=int(doc.get("budget", 8)),
+        seed=_typed(doc, "seed", 0, int),
+        budget=_typed(doc, "budget", 8, int),
         route_intent=bool(doc.get("route_intent", True)),
-        settings=settings,
+        settings=ToolSettings(**settings_doc),
         raw=doc,
     )

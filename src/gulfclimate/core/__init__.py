@@ -17,6 +17,7 @@ from .records import (
     RecordValidationError,
     modal_cadence_seconds,
 )
+from .stats import summary_stats
 from .timeutil import UTC, UnparseableTimestamp, format_timestamp, normalize_timestamp, parse_utc
 from .units import (
     UnitTable,
@@ -53,5 +54,6 @@ __all__ = [
     "series_from_csv",
     "series_to_csv",
     "set_default_table",
+    "summary_stats",
     "write_canonical_csv",
 ]

@@ -1,0 +1,38 @@
+"""Summary statistics of a canonical series, shared by range analysis and charts."""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .records import CanonicalSeries
+
+
+class SummaryStats(NamedTuple):
+    count: int
+    vmin: float
+    vmax: float
+    mean: float
+    std: float
+    slope_per_day: float
+
+
+def summary_stats(present: CanonicalSeries) -> SummaryStats:
+    """Statistics of a non-empty series with no missing records.
+
+    Pass ``series.present()``: the records are not filtered again. ``std`` is
+    the population std (ddof=0); ``slope_per_day`` is the least-squares slope
+    against days since the first record, 0 for a single instant.
+    """
+    values = np.asarray([r.value for r in present], dtype=np.float64)
+    timestamps = present.timestamps()
+    days = np.asarray([(t - timestamps[0]).total_seconds() / 86400.0 for t in timestamps])
+    mean = float(values.mean())
+    if values.size >= 2 and float(np.ptp(days)) > 0.0:
+        centered = days - days.mean()
+        slope = float(np.dot(centered, values - mean) / np.dot(centered, centered))
+    else:
+        slope = 0.0
+    return SummaryStats(int(values.size), float(values.min()), float(values.max()),
+                        mean, float(values.std()), slope)

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-import numpy as np
-
-from ..core import CanonicalSeries, Provenance, format_timestamp, parse_utc
+from ..core import CanonicalSeries, Provenance, format_timestamp, parse_utc, summary_stats
 from ..core.csvio import series_from_csv, series_to_csv
 from ..errors import GulfClimateError
 from .windows import WindowSpec
@@ -57,30 +55,16 @@ class ChartArtifact:
 
     def verify_metadata(self, tol: float = METADATA_STAT_TOL) -> bool:
         """Recompute the statistics from the stored CSV and compare."""
-        recomputed = _stats_for(series_from_csv(self.data_csv))
+        present = series_from_csv(self.data_csv).present()
+        if len(present) == 0:
+            raise EmptySlice("no valid values to chart")
+        recomputed = summary_stats(present)
         stored = (self.metadata.count, self.metadata.vmin, self.metadata.vmax,
                   self.metadata.mean, self.metadata.std, self.metadata.slope_per_day)
         if recomputed[0] != stored[0]:
             return False
         return all(abs(r - s) <= tol * max(1.0, abs(s))
                    for r, s in zip(recomputed[1:], stored[1:]))
-
-
-def _stats_for(series: CanonicalSeries) -> tuple[int, float, float, float, float, float]:
-    present = series.present()
-    values = np.asarray([r.value for r in present], dtype=np.float64)
-    if values.size == 0:
-        raise EmptySlice("no valid values to chart")
-    timestamps = present.timestamps()
-    days = np.asarray([(t - timestamps[0]).total_seconds() / 86400.0 for t in timestamps])
-    mean = float(values.mean())
-    if values.size >= 2 and float(np.ptp(days)) > 0.0:
-        centered = days - days.mean()
-        slope = float(np.dot(centered, values - mean) / np.dot(centered, centered))
-    else:
-        slope = 0.0
-    return (int(values.size), float(values.min()), float(values.max()),
-            mean, float(values.std()), slope)
 
 
 def _f(x: float) -> str:
@@ -92,8 +76,8 @@ def _fmt_value(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _render_svg(series: CanonicalSeries, title: str, y_label: str) -> str:
-    present = series.present()
+def _render_svg(series: CanonicalSeries, present: CanonicalSeries,
+                title: str, y_label: str) -> str:
     values = [r.value for r in present.records]
     times = [r.timestamp for r in present.records]
     t0 = times[0]
@@ -181,9 +165,10 @@ def build_chart(series_slice: CanonicalSeries, window: WindowSpec,
             raise EmptySlice(
                 f"record at {rec.timestamp} lies outside window [{window.start}, {window.end})"
             )
-    if len(series_slice.present()) == 0:
+    present = series_slice.present()
+    if len(present) == 0:
         raise EmptySlice("window slice has no valid values")
-    return _build(series_slice, city=city, variable=variable,
+    return _build(series_slice, present, city=city, variable=variable,
                   span=(window.start, window.end), provenance=provenance,
                   chart_id=chart_id)
 
@@ -195,25 +180,22 @@ def chart_for_series(series: CanonicalSeries, chart_id: str | None = None,
     if len(present) == 0:
         raise EmptySlice("series has no valid values")
     span = present.span()
-    return _build(series, city=series.city or "", variable=series.variable or "",
+    return _build(series, present, city=series.city or "", variable=series.variable or "",
                   span=span, provenance=provenance, chart_id=chart_id)
 
 
-def _build(series_slice: CanonicalSeries, city: str, variable: str,
-           span: tuple[datetime, datetime],
+def _build(series_slice: CanonicalSeries, present: CanonicalSeries, city: str,
+           variable: str, span: tuple[datetime, datetime],
            provenance: Provenance | None, chart_id: str | None) -> ChartArtifact:
-    count, vmin, vmax, mean, std, slope = _stats_for(series_slice)
     unit = series_slice.unit or ""
     span_text = f"{format_timestamp(span[0])[:10]}..{format_timestamp(span[1])[:10]}"
     title_city = city or "unknown location"
     title = f"{title_city} · {variable} · {span_text}"
     y_label = f"{variable} ({unit})" if unit else variable
-    svg = _render_svg(series_slice, title=title, y_label=y_label)
-    metadata = ChartMetadata(
-        city=city, variable=variable, unit=unit,
-        span_start=span[0], span_end=span[1],
-        count=count, vmin=vmin, vmax=vmax, mean=mean, std=std, slope_per_day=slope,
-    )
+    svg = _render_svg(series_slice, present, title=title, y_label=y_label)
+    metadata = ChartMetadata(city=city, variable=variable, unit=unit,
+                             span_start=span[0], span_end=span[1],
+                             **summary_stats(present)._asdict())
     if provenance is None:
         provenance = Provenance(
             retrieved_at=span[1],

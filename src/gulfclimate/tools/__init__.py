@@ -1,45 +1,6 @@
 """Implementations of the 22-tool climate suite behind provider abstractions."""
 
-from .analysis import AnalysisReport, FlaggedPoint, analyze_range
-from .carbon import EmissionFactorTable, carbon_footprint
-from .providers import FixtureStore, ProviderConfig
-from .raster import (
-    ChangeReport,
-    IndexMap,
-    IndexStats,
-    RasterImage,
-    calculate_ndvi,
-    calculate_ndwi,
-    desertification_analysis,
-)
-from .suite import (
-    SIGNATURES,
-    Manifest,
-    ToolSettings,
-    build_registry,
-    load_manifest,
-    registry_from_manifest,
-)
+from .providers import ProviderConfig
+from .suite import SIGNATURES, ToolSettings, build_registry
 
-__all__ = [
-    "AnalysisReport",
-    "ChangeReport",
-    "EmissionFactorTable",
-    "FixtureStore",
-    "FlaggedPoint",
-    "IndexMap",
-    "IndexStats",
-    "Manifest",
-    "ProviderConfig",
-    "RasterImage",
-    "SIGNATURES",
-    "ToolSettings",
-    "analyze_range",
-    "build_registry",
-    "calculate_ndvi",
-    "calculate_ndwi",
-    "carbon_footprint",
-    "desertification_analysis",
-    "load_manifest",
-    "registry_from_manifest",
-]
+__all__ = ["ProviderConfig", "SIGNATURES", "ToolSettings", "build_registry"]

@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 
-import numpy as np
-
-from ..core import CanonicalSeries
+from ..core import CanonicalSeries, summary_stats
 from .errors import EmptyRange
 
 DEFAULT_Z_THRESHOLD = 3.0
@@ -62,53 +60,37 @@ def analyze_range(series: CanonicalSeries, kind: str,
     present = series.present()
     if len(present) == 0:
         raise EmptyRange("no valid observations in range")
-    timestamps = present.timestamps()
-    values = np.asarray([r.value for r in present], dtype=np.float64)
-    start = timestamps[0]
-    days = np.asarray([(t - start).total_seconds() / 86400.0 for t in timestamps])
-
-    mean = float(values.mean())
-    std = float(values.std())
-    if len(values) >= 2 and float(np.ptp(days)) > 0.0:
-        centered = days - days.mean()
-        slope = float(np.dot(centered, values - mean) / np.dot(centered, centered))
-    else:
-        slope = 0.0
-    if slope > TREND_EPS:
+    stats = summary_stats(present)
+    if stats.slope_per_day > TREND_EPS:
         trend = "increasing"
-    elif slope < -TREND_EPS:
+    elif stats.slope_per_day < -TREND_EPS:
         trend = "decreasing"
     else:
         trend = "stable"
 
     anomalies: list[FlaggedPoint] = []
-    if std > 0.0:
-        z = (values - mean) / std
-        for ts, v, score in zip(timestamps, values, z):
+    if stats.std > 0.0:
+        for r in present:
+            score = (r.value - stats.mean) / stats.std
             if abs(score) > z_threshold:
-                anomalies.append(FlaggedPoint(timestamp=ts, value=float(v), score=float(score)))
+                anomalies.append(FlaggedPoint(timestamp=r.timestamp, value=r.value, score=score))
 
     exceedances: list[FlaggedPoint] = []
     events: list[FlaggedPoint] = []
     if kind == "aqi":
-        exceedances = [FlaggedPoint(ts, float(v), float(v))
-                       for ts, v in zip(timestamps, values) if v > aqi_exceedance]
+        exceedances = [FlaggedPoint(r.timestamp, r.value, r.value)
+                       for r in present if r.value > aqi_exceedance]
     elif kind == "rain":
-        events = [FlaggedPoint(ts, float(v), float(v))
-                  for ts, v in zip(timestamps, values) if v > rain_event_mm]
+        events = [FlaggedPoint(r.timestamp, r.value, r.value)
+                  for r in present if r.value > rain_event_mm]
 
     return AnalysisReport(
         kind=kind,
         variable=present.variable or "",
         unit=present.unit or "",
-        start=timestamps[0],
-        end=timestamps[-1],
-        count=len(values),
-        vmin=float(values.min()),
-        vmax=float(values.max()),
-        mean=mean,
-        std=std,
-        slope_per_day=slope,
+        start=present.records[0].timestamp,
+        end=present.records[-1].timestamp,
+        **stats._asdict(),
         trend=trend,
         anomalies=tuple(anomalies),
         exceedances=tuple(exceedances),

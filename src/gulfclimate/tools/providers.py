@@ -34,7 +34,6 @@ the emission factors.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,10 +49,12 @@ PROVIDER_KINDS = ("fixture", "live_http")
 
 @dataclass(frozen=True)
 class ProviderConfig:
+    """Where tool data comes from: fixture files under ``fixture_root``, or the
+    public HTTP services ``LiveClimateSource`` calls, each request bounded by
+    ``timeout_s``."""
+
     kind: str = "fixture"
     fixture_root: Path | None = None
-    endpoint: str | None = None
-    api_key_env: str | None = None
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -61,14 +62,6 @@ class ProviderConfig:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "fixture" and self.fixture_root is None:
             raise ConfigError("fixture provider requires fixture_root")
-        if self.kind == "live_http" and not self.endpoint:
-            raise ConfigError("live provider requires an endpoint")
-
-    @property
-    def api_key(self) -> str | None:
-        if self.api_key_env:
-            return os.environ.get(self.api_key_env)
-        return None
 
 
 class FixtureStore:

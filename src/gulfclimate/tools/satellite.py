@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import date
-
 from ..core import GeoPoint, normalize_timestamp
 from ..toolkit.types import ToolResult
 from .errors import NoImagery, UnresolvableReference
@@ -16,28 +14,24 @@ from .raster import (
 )
 
 
-def _as_date(d) -> date:
-    return d if isinstance(d, date) else date.fromisoformat(str(d))
-
-
 def make_satellite_executor(store: FixtureStore):
     """Fixture imagery keyed by (point rounded to 0.01 degrees, date)."""
     def run(lat: float, lon: float, date) -> ToolResult:
-        when = _as_date(date)
+        when = date.isoformat()
         key = (round(lat, 2), round(lon, 2))
         for row in store.rows("get_satellite_image"):
             row_key = (round(float(row["lat"]), 2), round(float(row["lon"]), 2))
-            if row_key == key and str(row["date"]) == when.isoformat():
+            if row_key == key and str(row["date"]) == when:
                 image = RasterImage(
                     width=int(row["width"]), height=int(row["height"]),
                     bands={name: arr for name, arr in row["bands"].items()},
-                    acquired=normalize_timestamp(when),
+                    acquired=normalize_timestamp(date),
                     location=GeoPoint(float(row["lat"]), float(row["lon"])),
                     pixel_size_m=float(row.get("pixel_size_m", 10.0)),
                 )
                 return ToolResult(payload=image, timestamps=(image.acquired, image.acquired),
                                   location=image.location)
-        raise NoImagery(f"no imagery for ({lat}, {lon}) on {when.isoformat()}")
+        raise NoImagery(f"no imagery for ({lat}, {lon}) on {when}")
     return run
 
 

@@ -1,12 +1,10 @@
-"""The full tool suite: signatures, default bindings, manifest loading."""
+"""The full tool suite: signatures and their provider-backed bindings."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ConfigError
 from ..geoforge.inventory import CityInventory, UnknownRegion
 from ..toolkit.registry import Binding, ToolRegistry
 from ..toolkit.types import ParamSpec, ToolResult, ToolSignature
@@ -18,7 +16,9 @@ from .providers import FixtureStore, ProviderConfig
 from .raster import DEFAULT_DEGRADATION_DELTA
 from .satellite import make_change_executor, make_satellite_executor, ndvi_executor, ndwi_executor
 from .weather import (
-    AnalysisThresholds,
+    ANALYSIS_KINDS,
+    FORECAST_VARIABLES,
+    POINT_METHODS,
     FixtureClimateSource,
     LiveClimateSource,
     make_analysis_executor,
@@ -112,11 +112,6 @@ SIGNATURES: tuple[ToolSignature, ...] = (
                   "Resolve a region or city name to coordinates."),
 )
 
-POINT_TOOLS = ("weather_inquiry", "rain_inquiry", "aqi_inquiry", "river_discharge_check")
-FORECAST_TOOLS = ("weather_forecast", "rain_prediction", "aqi_prediction",
-                  "uv_index_forecast", "pollen_forecast")
-ANALYSIS_TOOLS = ("weather_analysis", "rain_analysis", "aqi_analysis")
-
 
 @dataclass(frozen=True)
 class ToolSettings:
@@ -154,124 +149,42 @@ def _unavailable(tool: str):
 
 
 def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettings(),
-                   inventory: CityInventory | None = None,
-                   factor_table: EmissionFactorTable | None = None,
-                   backend=None,
-                   enabled: tuple[str, ...] | None = None) -> ToolRegistry:
-    """Bind every enabled tool to its provider-backed executor.
+                   backend=None) -> ToolRegistry:
+    """Bind all 22 tools to their provider-backed executors.
 
-    ``backend`` is the optional LLM backend used by ``summarize``;
-    ``enabled`` restricts the suite (defaults to all 22 tools).
+    ``backend`` is the optional LLM backend used by ``summarize``.
     """
-    inventory = inventory or CityInventory.default()
-    thresholds = AnalysisThresholds(z=settings.z_threshold, aqi=settings.aqi_exceedance,
-                                    rain_mm=settings.rain_event_mm)
+    executors = {tool: _unavailable(tool) for tool in (
+        "get_satellite_image", "detect_bird", "detect_species", "carbon_footprint_calculation")}
     if provider.kind == "fixture":
         store = FixtureStore(provider.fixture_root)
         climate = FixtureClimateSource(store)
         search = FixtureSearch(store)
-        if factor_table is None:
-            factors_path = Path(provider.fixture_root) / "carbon_factors.csv"
-            if factors_path.is_file():
-                factor_table = EmissionFactorTable.from_file(factors_path)
-        sat_executor = make_satellite_executor(store)
-        bird_executor = make_detect_bird(store)
-        species_executor = make_detect_species(store)
+        executors["get_satellite_image"] = make_satellite_executor(store)
+        executors["detect_bird"] = make_detect_bird(store)
+        executors["detect_species"] = make_detect_species(store)
+        factors_path = Path(provider.fixture_root) / "carbon_factors.csv"
+        if factors_path.is_file():
+            executors["carbon_footprint_calculation"] = make_carbon_executor(
+                EmissionFactorTable.from_file(factors_path))
     else:
         climate = LiveClimateSource(provider)
         search = LiveSearchNotConfigured()
-        sat_executor = _unavailable("get_satellite_image")
-        bird_executor = _unavailable("detect_bird")
-        species_executor = _unavailable("detect_species")
 
-    executors = {
-        "get_satellite_image": sat_executor,
+    executors.update({
         "calculate_ndvi": ndvi_executor,
         "calculate_ndwi": ndwi_executor,
         "desertification_analysis": make_change_executor(settings.degradation_delta),
-        "detect_bird": bird_executor,
-        "detect_species": species_executor,
         "online_search": make_search_executor(search, top_k=settings.search_top_k),
         "summarize": make_summarize_executor(backend, word_budget=settings.summary_word_budget),
-        "carbon_footprint_calculation": (
-            make_carbon_executor(factor_table) if factor_table is not None
-            else _unavailable("carbon_footprint_calculation")
-        ),
-        "geocode_mapping": make_geocode_executor(inventory),
-    }
-    for tool in POINT_TOOLS:
-        executors[tool] = make_point_executor(climate, tool)
-    for tool in FORECAST_TOOLS:
-        executors[tool] = make_forecast_executor(climate, tool,
-                                                 settings.forecast_default_horizon)
-    for tool in ANALYSIS_TOOLS:
-        executors[tool] = make_analysis_executor(climate, tool, thresholds)
-
-    wanted = set(enabled) if enabled is not None else {s.name for s in SIGNATURES}
-    unknown = wanted - {s.name for s in SIGNATURES}
-    if unknown:
-        raise ConfigError(f"manifest enables unknown tools: {sorted(unknown)}")
-    entries = {
-        sig: Binding(executor=executors[sig.name]) for sig in SIGNATURES if sig.name in wanted
-    }
-    return ToolRegistry(entries)
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Parsed tool manifest: which tools are enabled and how they bind."""
-
-    provider: ProviderConfig
-    enabled: tuple[str, ...] | None = None
-    settings: ToolSettings = field(default_factory=ToolSettings)
-    factor_table_path: Path | None = None
-    inventory_path: Path | None = None
-
-
-def load_manifest(path: str | Path) -> Manifest:
-    """Read a tool manifest: a JSON object whose keys are all optional.
-
-    - ``provider``: ``kind`` (``fixture``, the default, or ``live_http``),
-      ``fixture_root`` (relative to the manifest's directory), ``endpoint``
-      (for ``live_http`` the Open-Meteo API by default), ``api_key_env`` and
-      ``timeout_s`` (30 by default);
-    - ``tools``: the names of the enabled tools, or ``"all"`` (the default);
-    - ``settings``: :class:`ToolSettings` fields by name; an unknown name
-      raises ``TypeError``.
-    """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    provider_doc = doc.get("provider", {})
-    kind = provider_doc.get("kind", "fixture")
-    fixture_root = provider_doc.get("fixture_root")
-    if fixture_root is not None:
-        fixture_root = (path.parent / fixture_root).resolve() \
-            if not Path(fixture_root).is_absolute() else Path(fixture_root)
-    provider = ProviderConfig(
-        kind=kind,
-        fixture_root=fixture_root,
-        endpoint=provider_doc.get("endpoint", "https://api.open-meteo.com" if kind == "live_http" else None),
-        api_key_env=provider_doc.get("api_key_env"),
-        timeout_s=float(provider_doc.get("timeout_s", 30.0)),
-    )
-    enabled = doc.get("tools")
-    if enabled is not None and enabled != "all":
-        enabled = tuple(enabled)
-    else:
-        enabled = None
-    settings_doc = doc.get("settings", {})
-    settings = ToolSettings(**settings_doc) if settings_doc else ToolSettings()
-    return Manifest(provider=provider, enabled=enabled, settings=settings)
-
-
-def registry_from_manifest(manifest: Manifest, backend=None) -> ToolRegistry:
-    inventory = (CityInventory.from_file(manifest.inventory_path)
-                 if manifest.inventory_path else None)
-    factor_table = (EmissionFactorTable.from_file(manifest.factor_table_path)
-                    if manifest.factor_table_path else None)
-    return build_registry(manifest.provider, settings=manifest.settings,
-                          inventory=inventory, factor_table=factor_table,
-                          backend=backend, enabled=manifest.enabled)
+        "geocode_mapping": make_geocode_executor(CityInventory.default()),
+    })
+    for sig in SIGNATURES:
+        if sig.name in POINT_METHODS:
+            executors[sig.name] = make_point_executor(climate, sig.name)
+        elif sig.name in FORECAST_VARIABLES:
+            executors[sig.name] = make_forecast_executor(climate, sig,
+                                                         settings.forecast_default_horizon)
+        elif sig.name in ANALYSIS_KINDS:
+            executors[sig.name] = make_analysis_executor(climate, sig.name, settings)
+    return ToolRegistry({sig: Binding(executor=executors[sig.name]) for sig in SIGNATURES})

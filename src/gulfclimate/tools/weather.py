@@ -8,7 +8,6 @@ timestamp machinery before leaving an executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -23,17 +22,19 @@ from ..core import (
 )
 from ..geoforge.gridmatch import nearest_grid_cell
 from ..core.geo import GridSpec
-from ..toolkit.types import ToolResult
-from .analysis import (
-    DEFAULT_AQI_EXCEEDANCE,
-    DEFAULT_RAIN_EVENT_MM,
-    DEFAULT_Z_THRESHOLD,
-    analyze_range,
-)
-from .errors import EmptyRange, HorizonTooLong, NoDataForDate, ProviderFailure
+from ..toolkit.types import ToolResult, ToolSignature
+from .analysis import analyze_range
+from .errors import EmptyRange, HorizonTooLong, NoDataForDate
 from .providers import FixtureStore, HttpSession, ProviderConfig, nearest_row
 
-# tool name -> (canonical variable, analysis kind)
+# point-inquiry tool -> the climate-source method that answers it
+POINT_METHODS = {
+    "weather_inquiry": "weather_inquiry",
+    "rain_inquiry": "rain_inquiry",
+    "aqi_inquiry": "aqi_inquiry",
+    "river_discharge_check": "river_discharge",
+}
+# forecast tool -> canonical variable
 FORECAST_VARIABLES = {
     "weather_forecast": "temperature",
     "rain_prediction": "precipitation",
@@ -41,6 +42,7 @@ FORECAST_VARIABLES = {
     "uv_index_forecast": "uv_index",
     "pollen_forecast": "pollen",
 }
+# range-analysis tool -> (canonical variable, analysis kind)
 ANALYSIS_KINDS = {
     "weather_analysis": ("temperature", "weather"),
     "rain_analysis": ("precipitation", "rain"),
@@ -48,15 +50,9 @@ ANALYSIS_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisThresholds:
-    z: float = DEFAULT_Z_THRESHOLD
-    aqi: float = DEFAULT_AQI_EXCEEDANCE
-    rain_mm: float = DEFAULT_RAIN_EVENT_MM
-
-
-def _as_date(d: date | str) -> date:
-    return d if isinstance(d, date) else date.fromisoformat(str(d))
+def _row_date(text: str) -> date:
+    """The date of an ISO string in a fixture row."""
+    return date.fromisoformat(text)
 
 
 def _day_span(d: date) -> tuple[datetime, datetime]:
@@ -160,7 +156,7 @@ class FixtureClimateSource:
             raise HorizonTooLong(f"horizon {horizon} exceeds provider max {len(values)}")
         series = _daily_series(
             values[:horizon], row.get("unit", ""), variable,
-            _as_date(row["start"]), GeoPoint(float(row["lat"]), float(row["lon"])),
+            _row_date(row["start"]), GeoPoint(float(row["lat"]), float(row["lon"])),
             row.get("city"), source=f"fixture:{tool}",
         )
         return ToolResult(payload=series, units=series.unit,
@@ -177,7 +173,7 @@ class FixtureClimateSource:
         row = rows[0]
         records = []
         for item in row["records"]:
-            d = _as_date(item["date"])
+            d = _row_date(item["date"])
             if not (start <= d <= end):
                 continue
             raw = item.get("value")
@@ -317,49 +313,45 @@ class LiveClimateSource:
 
 
 def make_point_executor(source, tool: str):
-    """Executor for the point-inquiry family."""
+    """Executor for the point-inquiry family.
+
+    The method is looked up by name on every call, so a wrapper installed on
+    the source class after binding (a profiler's) still sees the call.
+    """
+    method = POINT_METHODS[tool]
+
     def run(lat: float, lon: float, date: date) -> ToolResult:
-        if tool == "rain_inquiry":
-            return source.rain_inquiry(lat, lon, _as_date(date))
-        if tool == "weather_inquiry":
-            return source.weather_inquiry(lat, lon, _as_date(date))
-        if tool == "aqi_inquiry":
-            return source.aqi_inquiry(lat, lon, _as_date(date))
-        if tool == "river_discharge_check":
-            return source.river_discharge(lat, lon, _as_date(date))
-        raise ProviderFailure(f"unknown point tool {tool}")
+        return getattr(source, method)(lat, lon, date)
     return run
 
 
-def make_forecast_executor(source, tool: str, default_horizon: int = 3):
-    """Executor for the forecast family; horizon defaults per tool config."""
-    if tool in ("weather_forecast",):
-        def run(lat: float, lon: float, days: int) -> ToolResult:
-            return source.forecast(tool, lat, lon, days)
-        return run
+def make_forecast_executor(source, signature: ToolSignature, default_horizon: int):
+    """Executor for the forecast family.
 
-    if tool in ("rain_prediction", "aqi_prediction"):
-        def run(lat: float, lon: float, horizon: int) -> ToolResult:
-            return source.forecast(tool, lat, lon, horizon)
-        return run
+    The horizon argument is the signature's integer parameter (``days`` or
+    ``horizon``); an optional one that the call leaves out is
+    ``default_horizon``.
+    """
+    tool = signature.name
+    param = next(p.name for p in signature.params if p.type == "integer")
 
-    def run(lat: float, lon: float, horizon: int | None = None) -> ToolResult:
-        return source.forecast(tool, lat, lon, horizon or default_horizon)
+    def run(lat: float, lon: float, **horizon: int) -> ToolResult:
+        return source.forecast(tool, lat, lon, horizon.get(param, default_horizon))
     return run
 
 
-def make_analysis_executor(source, tool: str, thresholds: AnalysisThresholds):
-    """Executor for the range-analysis family."""
+def make_analysis_executor(source, tool: str, settings):
+    """Executor for the range-analysis family; thresholds come from the
+    ``ToolSettings`` in ``settings``."""
     _, kind = ANALYSIS_KINDS[tool]
 
     def run(lat: float, lon: float, start: date, end: date) -> ToolResult:
-        start_d, end_d = _as_date(start), _as_date(end)
-        if not start_d < end_d:
-            raise EmptyRange(f"start {start_d} must precede end {end_d}")
-        series = source.analysis_series(tool, lat, lon, start_d, end_d)
-        report = analyze_range(series, kind, z_threshold=thresholds.z,
-                               aqi_exceedance=thresholds.aqi,
-                               rain_event_mm=thresholds.rain_mm)
+        if not start < end:
+            raise EmptyRange(f"start {start} must precede end {end}")
+        series = source.analysis_series(tool, lat, lon, start, end)
+        report = analyze_range(series, kind, z_threshold=settings.z_threshold,
+                               aqi_exceedance=settings.aqi_exceedance,
+                               rain_event_mm=settings.rain_event_mm)
         return ToolResult(payload=report, units=report.unit or None,
                           timestamps=(report.start, report.end),
                           location=series.location)

@@ -1,0 +1,51 @@
+"""Run-config loading, driven through ``gulfclimate tools list``."""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from gulfclimate.cli.config import load_config
+from gulfclimate.cli.main import EXIT_CONFIG, EXIT_OK, main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _tools_list(tmp_path, doc) -> int:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["tools", "list", "--config", str(config)])
+
+
+@pytest.mark.parametrize("key", ["kind", "mode"])
+def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
+    assert _tools_list(tmp_path, {"provider": {key: "live_http"}}) == EXIT_OK
+    assert capsys.readouterr().out.endswith("22 tools in 7 categories\n")
+    assert load_config(tmp_path / "config.json").provider.kind == "live_http"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"tool_settings": {"timeout_s": 5}}, "unknown tool_settings: timeout_s"),
+    ({"seed": "seven"}, "seed: expected int, got 'seven'"),
+    ({"budget": [8]}, "budget: expected int, got [8]"),
+    ({"provider": {"timeout_s": "soon"}}, "timeout_s: expected float, got 'soon'"),
+])
+def test_malformed_values_are_configuration_errors(tmp_path, capsys, doc, message):
+    doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)}, **doc}
+    assert _tools_list(tmp_path, doc) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_relative_fixture_root_resolves_against_the_config_directory(
+        tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "data")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert _tools_list(tmp_path, {"provider": {"mode": "fixture",
+                                               "fixture_root": "data"}}) == EXIT_OK
+    assert capsys.readouterr().out.endswith("22 tools in 7 categories\n")
+    config = load_config(tmp_path / "config.json")
+    assert config.provider.fixture_root == (tmp_path / "data").resolve()
+    assert config.settings.forecast_default_horizon == 3

@@ -107,7 +107,7 @@ def test_missing_key_fails_before_any_request(monkeypatch, sleeps):
 
 
 def test_http_session_keeps_one_session_per_thread():
-    http = HttpSession(ProviderConfig(kind="live_http", endpoint="http://climate.invalid"))
+    http = HttpSession(ProviderConfig(kind="live_http"))
     seen = {}
 
     def grab(name):

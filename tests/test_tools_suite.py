@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gulfclimate.tools import ProviderConfig, SIGNATURES, build_registry, load_manifest
+from gulfclimate.tools import ProviderConfig, SIGNATURES, build_registry
 from gulfclimate.tools.carbon import EmissionFactorTable, carbon_footprint
 from gulfclimate.toolkit import ToolCall, execute
 
@@ -218,14 +218,3 @@ def test_fixture_determinism_byte_for_byte(registry):
         second = ser.observation_to_jsonable(execute(call, registry))
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-
-def test_manifest_round_trip(tmp_path):
-    manifest_path = tmp_path / "manifest.json"
-    manifest_path.write_text(json.dumps({
-        "provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
-        "tools": ["geocode_mapping", "rain_inquiry"],
-    }))
-    manifest = load_manifest(manifest_path)
-    from gulfclimate.tools import registry_from_manifest
-    registry = registry_from_manifest(manifest)
-    assert registry.names() == ("geocode_mapping", "rain_inquiry")
