@@ -10,7 +10,7 @@ from typing import Any, Sequence
 from ..toolkit.grammar import FENCE_CLOSE, FENCE_OPEN, parse_call
 from ..toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
 from ..toolkit.types import CallFormatError, FinalAnswer, Observation, ObservationStatus, ToolCall
-from ..core.records import CanonicalSeries
+from ..core import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
 from .intent import Intent, route_intent
 from .serialization import observation_to_jsonable, render_observation

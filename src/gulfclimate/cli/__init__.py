@@ -1,6 +1,1 @@
-"""Command-line operator surface."""
-
-from .config import BackendConfig, RunConfig, load_config
-from .main import main
-
-__all__ = ["BackendConfig", "RunConfig", "load_config", "main"]
+"""Command-line operator surface: ``gulfclimate`` (see :mod:`.main`)."""

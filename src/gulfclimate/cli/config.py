@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
 from ..errors import ConfigError
@@ -60,6 +61,14 @@ def _typed(doc: dict, key: str, default, kind: type):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {doc[key]!r}") from None
 
 
+def _matches(value, kind: type) -> bool:
+    """A JSON value has the annotated type; an int passes for a float, and a
+    bool only for a bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read a run config: a JSON object whose keys are all optional.
 
@@ -75,8 +84,8 @@ def load_config(path: str | Path) -> RunConfig:
     - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
       name.
 
-    A malformed value or an unknown ``tool_settings`` field raises
-    :class:`ConfigError`.
+    A malformed value, an unknown ``tool_settings`` field or one whose value
+    does not have the field's type raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
@@ -114,9 +123,14 @@ def load_config(path: str | Path) -> RunConfig:
         output_dir = (base / output_dir).resolve()
 
     settings_doc = doc.get("tool_settings") or {}
-    unknown = sorted(set(settings_doc) - {f.name for f in fields(ToolSettings)})
+    setting_types = get_type_hints(ToolSettings)
+    unknown = sorted(set(settings_doc) - set(setting_types))
     if unknown:
         raise ConfigError(f"unknown tool_settings: {', '.join(unknown)}")
+    for name, value in settings_doc.items():
+        if not _matches(value, setting_types[name]):
+            raise ConfigError(f"tool_settings.{name}: expected "
+                              f"{setting_types[name].__name__}, got {value!r}")
 
     return RunConfig(
         provider=provider,

@@ -11,14 +11,25 @@ from .csvio import (
 )
 from .geo import GeoPoint, GeoValidationError, GridSpec
 from .records import (
-    CanonicalRecord,
+    TIMESTAMP_DTYPE,
     CanonicalSeries,
     Provenance,
     RecordValidationError,
-    modal_cadence_seconds,
+    elapsed_seconds,
+    timestamp_column,
+    to_datetime64,
+    to_datetimes,
+    value_column,
 )
 from .stats import summary_stats
-from .timeutil import UTC, UnparseableTimestamp, format_timestamp, normalize_timestamp, parse_utc
+from .timeutil import (
+    UTC,
+    UnparseableTimestamp,
+    format_timestamp,
+    format_timestamps,
+    normalize_timestamp,
+    parse_utc,
+)
 from .units import (
     UnitTable,
     UnknownUnit,
@@ -30,7 +41,6 @@ from .units import (
 
 __all__ = [
     "CSV_HEADER",
-    "CanonicalRecord",
     "CanonicalSeries",
     "CsvSchemaError",
     "GeoPoint",
@@ -39,14 +49,16 @@ __all__ = [
     "Provenance",
     "RecordValidationError",
     "SinkFailure",
+    "TIMESTAMP_DTYPE",
     "UTC",
     "UnitTable",
     "UnknownUnit",
     "UnknownVariable",
     "UnparseableTimestamp",
     "default_table",
+    "elapsed_seconds",
     "format_timestamp",
-    "modal_cadence_seconds",
+    "format_timestamps",
     "normalize_timestamp",
     "normalize_unit",
     "parse_utc",
@@ -55,5 +67,9 @@ __all__ = [
     "series_to_csv",
     "set_default_table",
     "summary_stats",
+    "timestamp_column",
+    "to_datetime64",
+    "to_datetimes",
+    "value_column",
     "write_canonical_csv",
 ]

@@ -1,20 +1,47 @@
-"""Canonical observation records, series, and provenance."""
+"""Canonical observation series and provenance.
+
+A :class:`CanonicalSeries` is columnar. It holds two arrays of equal length:
+
+- ``timestamps``: ``datetime64[us]`` UTC instants, strictly increasing;
+- ``values``: float64 values in the canonical unit of the variable, where NaN
+  marks an explicitly missing observation.
+
+``variable``, ``unit``, ``location``, ``city`` and ``source`` are stored once
+for the whole series.
+
+The invariants are checked once per series, when it is built: the two columns
+have the same length, no timestamp is NaT, the timestamps strictly increase
+(``np.diff > 0``), every value is finite or NaN, and ``unit`` is the canonical
+unit of ``variable``. A non-empty series must name its variable and location.
+Both columns are stored as read-only copies, so a built series stays valid;
+a derived series (:meth:`CanonicalSeries.select`,
+:meth:`CanonicalSeries.with_values`) is checked again.
+
+NaN is the only marker of a missing value, so a NaN sent by a source must not
+reach a series as if it were one. Producers turn raw source values into a
+column with :func:`value_column`: an explicit ``None`` becomes NaN, and a NaN
+in the raw values raises :class:`RecordValidationError` (as ±inf does when
+the series is built).
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass, replace
+from datetime import datetime, timedelta
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..errors import GulfClimateError
 from .geo import GeoPoint
 from .timeutil import UTC
 from .units import default_table
 
+TIMESTAMP_DTYPE = np.dtype("datetime64[us]")
+
 
 class RecordValidationError(GulfClimateError, ValueError):
-    """A record or series violates the canonical-schema invariants."""
+    """A series violates the canonical-schema invariants."""
 
 
 @dataclass(frozen=True)
@@ -35,107 +62,121 @@ class Provenance:
             raise RecordValidationError("provenance needs at least one of url/title")
 
 
-@dataclass(frozen=True)
-class CanonicalRecord:
-    """One unit- and time-normalized observation.
+def _frozen(data, dtype) -> np.ndarray:
+    column = np.array(data, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
-    ``value`` is a finite real, or ``None`` for an explicitly missing
-    observation. ``unit`` must be the canonical unit for ``variable``.
-    """
 
-    timestamp: datetime
-    variable: str
-    value: float | None
-    unit: str
-    location: GeoPoint
+@dataclass(frozen=True, eq=False)
+class CanonicalSeries:
+    """A time-ordered column of one variable at one location (see the module
+    docstring for the layout and the invariants)."""
+
+    timestamps: np.ndarray = ()
+    values: np.ndarray = ()
+    variable: str | None = None
+    unit: str | None = None
+    location: GeoPoint | None = None
     city: str | None = None
     source: str = ""
 
     def __post_init__(self) -> None:
-        ts = self.timestamp
-        if ts.tzinfo is None or ts.utcoffset().total_seconds() != 0.0:
-            raise RecordValidationError(f"timestamp must be UTC: {ts!r}")
-        if self.value is not None:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise RecordValidationError(f"non-finite value: {self.value}")
-            object.__setattr__(self, "value", v)
-        canonical = default_table().canonical_unit(self.variable)
-        if self.unit != canonical:
+        timestamps = _frozen(self.timestamps, TIMESTAMP_DTYPE)
+        values = _frozen(self.values, np.float64)
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "values", values)
+        if timestamps.ndim != 1 or values.shape != timestamps.shape:
             raise RecordValidationError(
-                f"unit {self.unit!r} is not canonical for {self.variable!r} (expected {canonical!r})"
+                f"columns differ in shape: {timestamps.shape} timestamps, {values.shape} values"
             )
-
-    @property
-    def missing(self) -> bool:
-        return self.value is None
-
-
-@dataclass(frozen=True)
-class CanonicalSeries:
-    """A time-ordered run of records sharing variable, unit, and location."""
-
-    records: tuple[CanonicalRecord, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        for a, b in zip(records, records[1:]):
-            if not b.timestamp > a.timestamp:
+        if np.isnat(timestamps).any():
+            raise RecordValidationError("timestamp is NaT")
+        steps = np.diff(timestamps)
+        if (steps <= np.timedelta64(0)).any():
+            k = int(np.argmax(steps <= np.timedelta64(0)))
+            a, b = to_datetimes(timestamps[k:k + 2])
+            raise RecordValidationError(f"timestamps not strictly increasing at {a} -> {b}")
+        if np.isinf(values).any():
+            raise RecordValidationError(f"non-finite value: {values[np.isinf(values)][0]}")
+        if len(values) and (self.variable is None or self.location is None):
+            raise RecordValidationError("a non-empty series needs a variable and a location")
+        if self.variable is not None:
+            canonical = default_table().canonical_unit(self.variable)
+            if self.unit != canonical:
                 raise RecordValidationError(
-                    f"timestamps not strictly increasing at {a.timestamp} -> {b.timestamp}"
+                    f"unit {self.unit!r} is not canonical for {self.variable!r} "
+                    f"(expected {canonical!r})"
                 )
-            if (a.variable, a.unit, a.location) != (b.variable, b.unit, b.location):
-                raise RecordValidationError("series mixes variable/unit/location")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.values)
 
-    def __iter__(self):
-        return iter(self.records)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CanonicalSeries):
+            return NotImplemented
+        return ((self.variable, self.unit, self.location, self.city, self.source)
+                == (other.variable, other.unit, other.location, other.city, other.source)
+                and np.array_equal(self.timestamps, other.timestamps)
+                and np.array_equal(self.values, other.values, equal_nan=True))
 
-    @property
-    def variable(self) -> str | None:
-        return self.records[0].variable if self.records else None
+    def select(self, index: slice | np.ndarray) -> "CanonicalSeries":
+        """The rows picked by ``index`` (a slice or a boolean mask),
+        with this series' variable, unit, location, city and source."""
+        return replace(self, timestamps=self.timestamps[index], values=self.values[index])
 
-    @property
-    def unit(self) -> str | None:
-        return self.records[0].unit if self.records else None
-
-    @property
-    def location(self) -> GeoPoint | None:
-        return self.records[0].location if self.records else None
-
-    @property
-    def city(self) -> str | None:
-        return self.records[0].city if self.records else None
-
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(r.timestamp for r in self.records)
-
-    def values(self) -> tuple[float | None, ...]:
-        return tuple(r.value for r in self.records)
+    def with_values(self, values: np.ndarray) -> "CanonicalSeries":
+        """This series with another value column of the same length."""
+        return replace(self, values=values)
 
     def present(self) -> "CanonicalSeries":
-        """The sub-series with all explicit-missing records removed."""
-        return CanonicalSeries(tuple(r for r in self.records if not r.missing))
+        """The sub-series with every explicitly missing (NaN) row removed."""
+        return self.select(~np.isnan(self.values))
 
     def span(self) -> tuple[datetime, datetime] | None:
-        if not self.records:
+        if not len(self):
             return None
-        return (self.records[0].timestamp, self.records[-1].timestamp)
-
-    @classmethod
-    def build(cls, records: Iterable[CanonicalRecord]) -> "CanonicalSeries":
-        return cls(tuple(records))
+        first, last = to_datetimes(self.timestamps[[0, -1]])
+        return (first, last)
 
 
-def modal_cadence_seconds(timestamps: Sequence[datetime]) -> float | None:
-    """The most common inter-record gap, used as the series cadence."""
-    if len(timestamps) < 2:
-        return None
-    gaps: dict[float, int] = {}
-    for a, b in zip(timestamps, timestamps[1:]):
-        g = (b - a).total_seconds()
-        gaps[g] = gaps.get(g, 0) + 1
-    return max(sorted(gaps), key=lambda g: gaps[g])
+def value_column(raw: Sequence[float | None]) -> np.ndarray:
+    """A float64 column from raw source values.
+
+    ``None`` becomes NaN, the explicit-missing marker; a NaN among the raw
+    values raises :class:`RecordValidationError`, since it would otherwise
+    pass for a missing value. (±inf is left to the series check.)
+    """
+    values = np.array(raw, dtype=np.float64)
+    if np.count_nonzero(np.isnan(values)) != list(raw).count(None):
+        raise RecordValidationError("non-finite value: nan (only None marks a missing value)")
+    return values
+
+
+def timestamp_column(instants: Iterable[datetime]) -> np.ndarray:
+    """A ``datetime64[us]`` column from timezone-aware UTC datetimes."""
+    naive = []
+    for ts in instants:
+        if ts.tzinfo is None or ts.utcoffset() != timedelta(0):
+            raise RecordValidationError(f"timestamp must be UTC: {ts!r}")
+        naive.append(ts.replace(tzinfo=None))
+    return np.array(naive, dtype=TIMESTAMP_DTYPE)
+
+
+def to_datetime64(instant: datetime) -> np.datetime64:
+    """One timezone-aware datetime as a ``datetime64[us]`` UTC instant."""
+    return np.datetime64(instant.astimezone(UTC).replace(tzinfo=None), "us")
+
+
+def to_datetimes(column: np.ndarray) -> list[datetime]:
+    """The instants of a ``datetime64`` column as aware UTC datetimes."""
+    return [ts.replace(tzinfo=UTC) for ts in column.astype(TIMESTAMP_DTYPE).tolist()]
+
+
+def elapsed_seconds(timestamps: np.ndarray) -> np.ndarray:
+    """Seconds from the first instant to each instant, as float64.
+
+    Each is the microsecond count divided by 1e6, which is what
+    ``timedelta.total_seconds()`` returns for spans under 2**53 µs (285 years).
+    """
+    return (timestamps - timestamps[0]).astype(np.int64) / 1e6

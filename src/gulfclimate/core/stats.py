@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import CanonicalSeries
+from .records import CanonicalSeries, elapsed_seconds
 
 
 class SummaryStats(NamedTuple):
@@ -19,15 +19,14 @@ class SummaryStats(NamedTuple):
 
 
 def summary_stats(present: CanonicalSeries) -> SummaryStats:
-    """Statistics of a non-empty series with no missing records.
+    """Statistics of a non-empty series with no missing values.
 
-    Pass ``series.present()``: the records are not filtered again. ``std`` is
+    Pass ``series.present()``: the values are not filtered again. ``std`` is
     the population std (ddof=0); ``slope_per_day`` is the least-squares slope
-    against days since the first record, 0 for a single instant.
+    against days since the first timestamp, 0 for a single instant.
     """
-    values = np.asarray([r.value for r in present], dtype=np.float64)
-    timestamps = present.timestamps()
-    days = np.asarray([(t - timestamps[0]).total_seconds() / 86400.0 for t in timestamps])
+    values = present.values
+    days = elapsed_seconds(present.timestamps) / 86400.0
     mean = float(values.mean())
     if values.size >= 2 and float(np.ptp(days)) > 0.0:
         centered = days - days.mean()

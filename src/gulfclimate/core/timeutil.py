@@ -6,12 +6,16 @@ import re
 from datetime import date, datetime, timezone
 from zoneinfo import ZoneInfo
 
+import numpy as np
+
 from ..errors import GulfClimateError
 
 UTC = timezone.utc
 
 _EPOCH_RE = re.compile(r"^[+-]?\d{9,12}(\.\d+)?$")
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# numpy zero-pads a year below 1000 to four digits; strftime does not.
+_FIRST_FOUR_DIGIT_YEAR = np.datetime64("1000-01-01T00:00:00", "s")
 
 
 class UnparseableTimestamp(GulfClimateError, ValueError):
@@ -71,6 +75,19 @@ def format_timestamp(dt: datetime) -> str:
     if dt.microsecond:
         return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def format_timestamps(column: np.ndarray) -> list[str]:
+    """:func:`format_timestamp` of each instant of a ``datetime64`` column.
+
+    Whole seconds from the year 1000 on, the common case, are formatted in
+    one vectorized call.
+    """
+    seconds = column.astype("datetime64[s]")
+    if np.array_equal(seconds, column) and (seconds >= _FIRST_FOUR_DIGIT_YEAR).all():
+        return [text + "Z" for text in np.datetime_as_string(seconds).tolist()]
+    return [format_timestamp(ts.replace(tzinfo=UTC))
+            for ts in column.astype("datetime64[us]").tolist()]
 
 
 def parse_utc(text: str) -> datetime:

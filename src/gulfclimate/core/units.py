@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import GulfClimateError
 
 
@@ -94,24 +96,32 @@ class UnitTable:
             raise UnknownVariable(variable)
         return tuple(self._conversions[variable])
 
-    def normalize(self, value: float, from_unit: str, variable: str) -> tuple[float, str]:
-        """Convert ``value`` from ``from_unit`` into the variable's canonical unit."""
+    def _conversion(self, unit: str, variable: str) -> _Conversion:
         if variable not in self._conversions:
             raise UnknownVariable(variable)
         try:
-            conv = self._conversions[variable][from_unit]
+            return self._conversions[variable][unit]
         except KeyError:
-            raise UnknownUnit(f"{from_unit!r} for variable {variable!r}") from None
+            raise UnknownUnit(f"{unit!r} for variable {variable!r}") from None
+
+    def normalize(self, value: float, from_unit: str, variable: str) -> tuple[float, str]:
+        """Convert ``value`` from ``from_unit`` into the variable's canonical unit."""
+        conv = self._conversion(from_unit, variable)
         return value * conv.factor + conv.offset, self._canonical[variable]
+
+    def normalize_column(self, values: np.ndarray, from_unit: str,
+                         variable: str) -> tuple[np.ndarray, str]:
+        """:meth:`normalize` over a float64 column: one ``values * factor +
+        offset``, which leaves NaN (missing) as NaN. A column with no value
+        is returned as it is, without looking ``from_unit`` up."""
+        if np.isnan(values).all():
+            return values, self.canonical_unit(variable)
+        conv = self._conversion(from_unit, variable)
+        return values * conv.factor + conv.offset, self._canonical[variable]
 
     def denormalize(self, value: float, to_unit: str, variable: str) -> float:
         """Convert a canonical value back into ``to_unit`` (inverse affine map)."""
-        if variable not in self._conversions:
-            raise UnknownVariable(variable)
-        try:
-            conv = self._conversions[variable][to_unit]
-        except KeyError:
-            raise UnknownUnit(f"{to_unit!r} for variable {variable!r}") from None
+        conv = self._conversion(to_unit, variable)
         return (value - conv.offset) / conv.factor
 
 

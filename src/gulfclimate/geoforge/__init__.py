@@ -1,58 +1,1 @@
 """Visual-temporal pipeline: geocoding, grid retrieval, windowing, charts, QA."""
-
-from .charts import (
-    ChartArtifact,
-    ChartMetadata,
-    EmptySlice,
-    build_chart,
-    chart_for_series,
-    metadata_from_jsonable,
-    metadata_to_jsonable,
-)
-from .gridded import GriddedProduct, VariableAbsent, extract_series
-from .gridmatch import (
-    EARTH_RADIUS_KM,
-    EmptyGrid,
-    equirectangular_km,
-    haversine_km,
-    nearest_grid_cell,
-)
-from .inventory import GULF_COUNTRIES, CityEntry, CityInventory, UnknownRegion
-from .visualqa import (
-    SpanMask,
-    SpikeInjection,
-    inject_spike,
-    mask_span,
-    synthesize_visual_qa,
-)
-from .windows import WindowSpec, segment_windows, window_slice
-
-__all__ = [
-    "ChartArtifact",
-    "ChartMetadata",
-    "CityEntry",
-    "CityInventory",
-    "EARTH_RADIUS_KM",
-    "EmptyGrid",
-    "EmptySlice",
-    "GULF_COUNTRIES",
-    "GriddedProduct",
-    "SpanMask",
-    "SpikeInjection",
-    "UnknownRegion",
-    "VariableAbsent",
-    "WindowSpec",
-    "build_chart",
-    "chart_for_series",
-    "equirectangular_km",
-    "extract_series",
-    "haversine_km",
-    "inject_spike",
-    "mask_span",
-    "metadata_from_jsonable",
-    "metadata_to_jsonable",
-    "nearest_grid_cell",
-    "segment_windows",
-    "synthesize_visual_qa",
-    "window_slice",
-]

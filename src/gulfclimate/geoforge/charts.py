@@ -11,7 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from ..core import CanonicalSeries, Provenance, format_timestamp, parse_utc, summary_stats
+import numpy as np
+
+from ..core import (
+    CanonicalSeries,
+    Provenance,
+    elapsed_seconds,
+    format_timestamp,
+    parse_utc,
+    summary_stats,
+    to_datetime64,
+    to_datetimes,
+)
 from ..core.csvio import series_from_csv, series_to_csv
 from ..errors import GulfClimateError
 from .windows import WindowSpec
@@ -78,13 +89,14 @@ def _fmt_value(x: float) -> str:
 
 def _render_svg(series: CanonicalSeries, present: CanonicalSeries,
                 title: str, y_label: str) -> str:
-    values = [r.value for r in present.records]
-    times = [r.timestamp for r in present.records]
-    t0 = times[0]
-    t1 = times[-1]
-    t_span = max((t1 - t0).total_seconds(), 1.0)
-    vmin = min(values)
-    vmax = max(values)
+    """``present`` is ``series.present()``: a dot per present value, and a
+    polyline per run of two or more present values that no missing value
+    interrupts."""
+    t0, t1 = present.span()
+    seconds = elapsed_seconds(present.timestamps)
+    t_span = max(float(seconds[-1]), 1.0)
+    vmin = float(present.values.min())
+    vmax = float(present.values.max())
     v_span = vmax - vmin
     if v_span == 0.0:
         vmin -= 1.0
@@ -94,29 +106,22 @@ def _render_svg(series: CanonicalSeries, present: CanonicalSeries,
     plot_w = CANVAS_W - MARGIN_L - MARGIN_R
     plot_h = CANVAS_H - MARGIN_T - MARGIN_B
 
-    def sx(t: datetime) -> float:
-        return MARGIN_L + plot_w * ((t - t0).total_seconds() / t_span)
-
     def sy(v: float) -> float:
         return MARGIN_T + plot_h * (1.0 - (v - vmin) / v_span)
 
-    # Missing records split the polyline into segments.
-    segments: list[list[str]] = [[]]
-    for rec in series.records:
-        if rec.timestamp < t0 or rec.timestamp > t1:
-            continue
-        if rec.missing:
-            if segments[-1]:
-                segments.append([])
-            continue
-        segments[-1].append(f"{_f(sx(rec.timestamp))},{_f(sy(rec.value))}")
+    xs = [_f(x) for x in (MARGIN_L + plot_w * (seconds / t_span)).tolist()]
+    ys = [_f(y) for y in sy(present.values).tolist()]
+    points = [f"{x},{y}" for x, y in zip(xs, ys)]
+    # A missing value between two present ones ends a run.
+    rows = np.flatnonzero(~np.isnan(series.values))
+    bounds = [0, *(np.flatnonzero(np.diff(rows) > 1) + 1).tolist(), len(rows)]
     polylines = "\n".join(
-        f'  <polyline fill="none" stroke="#1f6f8b" stroke-width="1.5" points="{" ".join(seg)}"/>'
-        for seg in segments if len(seg) >= 2
+        f'  <polyline fill="none" stroke="#1f6f8b" stroke-width="1.5" points="{" ".join(points[a:b])}"/>'
+        for a, b in zip(bounds, bounds[1:]) if b - a >= 2
     )
     dots = "\n".join(
-        f'  <circle cx="{_f(sx(t))}" cy="{_f(sy(v))}" r="1.6" fill="#1f6f8b"/>'
-        for t, v in zip(times, values)
+        f'  <circle cx="{x}" cy="{y}" r="1.6" fill="#1f6f8b"/>'
+        for x, y in zip(xs, ys)
     )
 
     y_ticks = []
@@ -156,15 +161,18 @@ def build_chart(series_slice: CanonicalSeries, window: WindowSpec,
                 chart_id: str | None = None) -> ChartArtifact:
     """Render one window of a series into a chart artifact.
 
-    Records outside the window are rejected; missing records render as line
+    Rows outside the window are rejected; missing values render as line
     breaks. Metadata statistics are computed from the slice and the slice is
     stored as canonical CSV alongside the SVG.
     """
-    for rec in series_slice:
-        if not window.contains(rec.timestamp):
-            raise EmptySlice(
-                f"record at {rec.timestamp} lies outside window [{window.start}, {window.end})"
-            )
+    timestamps = series_slice.timestamps
+    outside = ((timestamps < to_datetime64(window.start))
+               | (timestamps >= to_datetime64(window.end)))
+    if outside.any():
+        (first,) = to_datetimes(timestamps[outside][:1])
+        raise EmptySlice(
+            f"record at {first} lies outside window [{window.start}, {window.end})"
+        )
     present = series_slice.present()
     if len(present) == 0:
         raise EmptySlice("window slice has no valid values")
@@ -201,7 +209,7 @@ def _build(series_slice: CanonicalSeries, present: CanonicalSeries, city: str,
             retrieved_at=span[1],
             query=f"{city}/{variable}/{span_text}",
             title=title,
-            organization=series_slice.records[0].source or None,
+            organization=series_slice.source or None,
         )
     if chart_id is None:
         chart_id = f"{title_city}_{variable}_{span_text}".replace(" ", "_").replace("..", "_")

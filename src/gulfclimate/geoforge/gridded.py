@@ -3,23 +3,27 @@
 Format (``gridded-fixture v1``): a plain-text header of ``key: value`` lines
 (variable, unit, cadence, source, retrieved, grid axes), a ``---`` separator,
 then one row per observation ``date,i,j,value`` where an empty value marks an
-explicitly missing timestep. The extraction math is identical whatever
-product the file stands in for.
+explicitly missing timestep; any other value must parse as a finite float.
+The extraction math is identical whatever product the file stands in for.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from ..core import (
-    CanonicalRecord,
+    TIMESTAMP_DTYPE,
     CanonicalSeries,
     GridSpec,
     Provenance,
     default_table,
-    normalize_timestamp,
     parse_utc,
 )
 from ..errors import GulfClimateError
@@ -27,7 +31,9 @@ from ..errors import GulfClimateError
 FORMAT_TAG = "gridded-fixture v1"
 
 # v1 rows are date-keyed, so only daily cadence is representable.
-CADENCES = {"daily": timedelta(days=1)}
+CADENCES = {"daily": np.timedelta64(1, "D")}
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 class GriddedFormatError(GulfClimateError, ValueError):
@@ -48,7 +54,9 @@ class GriddedProduct:
     grid: GridSpec
     source: str
     retrieved_at: datetime
-    cells: dict  # (i, j) -> {date: value | None}
+    # (i, j) -> (days, values): ``datetime64[D]`` days, strictly increasing,
+    # and float64 values in ``unit``, NaN where a row's value is empty.
+    cells: dict
 
     @classmethod
     def from_text(cls, text: str, source_name: str = "gridded-fixture") -> "GriddedProduct":
@@ -80,20 +88,32 @@ class GriddedProduct:
             lons=tuple(float(v) for v in header["lons"].split(",")),
             resolution_deg=float(header.get("resolution_deg", "0.1")),
         )
-        cells: dict[tuple[int, int], dict[date, float | None]] = {}
-        for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
+        # One typed column per field, so a row costs 24 bytes and no objects;
+        # the appends are bound once, as this loop runs once per row.
+        ordinals, cell_ids, raw = array("q"), array("q"), array("d")
+        add_ordinal, add_cell, add_value = ordinals.append, cell_ids.append, raw.append
+        n_lats, n_lons = len(grid.lats), len(grid.lons)
+        for lineno, line in enumerate(islice(lines, body_start, None), start=body_start + 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split(",")
             if len(parts) != 4:
                 raise GriddedFormatError(f"line {lineno}: expected date,i,j,value")
-            d = date.fromisoformat(parts[0])
+            add_ordinal(date.fromisoformat(parts[0]).toordinal())
             i, j = int(parts[1]), int(parts[2])
-            if not (0 <= i < len(grid.lats) and 0 <= j < len(grid.lons)):
+            if not (0 <= i < n_lats and 0 <= j < n_lons):
                 raise GriddedFormatError(f"line {lineno}: cell ({i}, {j}) outside grid")
-            value = None if parts[3] == "" else float(parts[3])
-            cells.setdefault((i, j), {})[d] = value
+            add_cell(i * n_lons + j)
+            if parts[3] == "":
+                add_value(math.nan)
+            elif math.isfinite(value := float(parts[3])):
+                add_value(value)
+            else:
+                raise GriddedFormatError(f"line {lineno}: non-finite value {parts[3]!r}")
+        del lines  # the columns hold the rows now; free the text lines first
+        days = (np.frombuffer(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+        cells = _cells(days, np.frombuffer(cell_ids, dtype=np.int64), np.frombuffer(raw), n_lons)
         retrieved = header.get("retrieved", "1970-01-01T00:00:00Z")
         return cls(
             variable=header["variable"], unit=header["unit"],
@@ -117,43 +137,50 @@ class GriddedProduct:
         )
 
 
+def _cells(days: np.ndarray, cell_ids: np.ndarray, values: np.ndarray, n_lons: int) -> dict:
+    """Group rows, given as columns, into day and value columns per cell.
+
+    ``cell_ids`` holds ``i * n_lons + j``. Rows may come in any order; where a
+    cell has two rows for one day, the later row in the file wins.
+    """
+    if not len(days):
+        return {}
+    order = np.lexsort((days, cell_ids))  # stable: file order among equal keys
+    days, cell_ids, values = days[order], cell_ids[order], values[order]
+    cell_end = np.append(cell_ids[1:] != cell_ids[:-1], True)
+    kept = cell_end | np.append(days[1:] != days[:-1], True)  # the last row of each day
+    splits = (np.flatnonzero(cell_end[kept]) + 1)[:-1]
+    return dict(zip((divmod(cell, n_lons) for cell in cell_ids[cell_end].tolist()),
+                    zip(np.split(days[kept], splits), np.split(values[kept], splits))))
+
+
 def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str,
                    city: str | None = None) -> CanonicalSeries:
     """The unit/time-normalized series at one grid cell.
 
     Covers the full calendar between the cell's first and last observations
     at the product cadence; timesteps without data become explicit-missing
-    records so completeness fractions stay computable.
+    (NaN) values so completeness fractions stay computable.
     """
     if variable != product.variable:
         raise VariableAbsent(
             f"product carries {product.variable!r}, not {variable!r}"
         )
-    observations = product.cells.get(tuple(cell))
-    if not observations:
+    observed = product.cells.get(tuple(cell))
+    if observed is None:
         raise VariableAbsent(f"cell {tuple(cell)} has no data")
-    location = product.grid.point(cell[0], cell[1])
-    table = default_table()
-    canonical_unit = table.canonical_unit(variable)
+    days, raw = observed
     step = CADENCES[product.cadence]
-    first = min(observations)
-    last = max(observations)
-    records = []
-    current = first
-    while current <= last:
-        raw = observations.get(current)
-        if raw is None:
-            value = None
-        else:
-            value, _ = table.normalize(raw, product.unit, variable)
-        records.append(CanonicalRecord(
-            timestamp=normalize_timestamp(current),
-            variable=variable,
-            value=value,
-            unit=canonical_unit,
-            location=location,
-            city=city,
-            source=product.source,
-        ))
-        current = current + step
-    return CanonicalSeries(tuple(records))
+    calendar = np.arange(days[0], days[-1] + step, step)
+    values = np.full(len(calendar), np.nan)
+    values[(days - days[0]) // step] = raw
+    values, canonical_unit = default_table().normalize_column(values, product.unit, variable)
+    return CanonicalSeries(
+        timestamps=calendar.astype(TIMESTAMP_DTYPE),
+        values=values,
+        variable=variable,
+        unit=canonical_unit,
+        location=product.grid.point(cell[0], cell[1]),
+        city=city,
+        source=product.source,
+    )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import CanonicalRecord, CanonicalSeries, format_timestamp
+from ..core import CanonicalSeries, format_timestamps
 from ..core.csvio import series_from_csv
 from ..errors import GulfClimateError
 from ..textforge.chunking import Chunk
@@ -38,7 +38,7 @@ class VisualQAError(GulfClimateError, ValueError):
 
 @dataclass(frozen=True)
 class SpikeInjection:
-    index: int  # position within the present records
+    index: int  # position among the present values
     timestamp: str  # ISO day
     direction: str  # "upward" | "downward"
     magnitude: float
@@ -60,63 +60,54 @@ def inject_spike(series: CanonicalSeries, seed: int,
     interior points; a zero-variance series falls back to a unit magnitude so
     the spike is still visible.
     """
-    present = [r for r in series.records if not r.missing]
-    if len(present) < 3:
+    rows = np.flatnonzero(~np.isnan(series.values))
+    if len(rows) < 3:
         raise VisualQAError("need at least 3 valid points to inject a spike")
     rng = random.Random(seed)
-    target = rng.randrange(1, len(present) - 1)
+    target = rng.randrange(1, len(rows) - 1)
     direction = rng.choice(["upward", "downward"])
-    values = np.asarray([r.value for r in present], dtype=np.float64)
-    sigma = float(values.std())
-    magnitude = k_sigma * sigma if sigma > 0 else max(1.0, abs(values.mean()) * 0.1)
+    present = series.values[rows]
+    sigma = float(present.std())
+    magnitude = k_sigma * sigma if sigma > 0 else max(1.0, abs(float(present.mean())) * 0.1)
     delta = magnitude if direction == "upward" else -magnitude
 
-    target_ts = present[target].timestamp
-    perturbed = tuple(
-        CanonicalRecord(
-            timestamp=r.timestamp, variable=r.variable,
-            value=(r.value + delta if r.timestamp == target_ts else r.value),
-            unit=r.unit, location=r.location, city=r.city, source=r.source,
-        )
-        for r in series.records
-    )
+    values = series.values.copy()
+    values[rows[target]] += delta
     injection = SpikeInjection(index=target,
-                               timestamp=format_timestamp(target_ts)[:10],
+                               timestamp=_day(series, rows[target]),
                                direction=direction, magnitude=magnitude)
-    return CanonicalSeries(perturbed), injection
+    return series.with_values(values), injection
 
 
 def mask_span(series: CanonicalSeries, seed: int,
               fraction: float = DEFAULT_MASK_FRACTION) -> tuple[CanonicalSeries, SpanMask]:
-    """Copy the series with a contiguous span replaced by missing records.
+    """Copy the series with a contiguous span of present values made missing.
 
     The gold answer is the true mean over the masked values; the matching
     tolerance is the std of the surrounding (unmasked) values.
     """
-    present = [r for r in series.records if not r.missing]
-    length = max(1, int(round(len(present) * fraction)))
-    if len(present) <= length + 2:
+    rows = np.flatnonzero(~np.isnan(series.values))
+    length = max(1, int(round(len(rows) * fraction)))
+    if len(rows) <= length + 2:
         raise VisualQAError("series too short to mask a span")
     rng = random.Random(seed)
-    start = rng.randrange(1, len(present) - length)
-    masked = present[start:start + length]
-    masked_ts = {r.timestamp for r in masked}
-    true_mean = float(np.mean([r.value for r in masked]))
-    surrounding = [r.value for r in present if r.timestamp not in masked_ts]
+    start = rng.randrange(1, len(rows) - length)
+    masked = rows[start:start + length]
+    present = series.values[rows]
+    true_mean = float(np.mean(present[start:start + length]))
+    surrounding = np.concatenate((present[:start], present[start + length:]))
     tolerance = max(float(np.std(surrounding)), 1e-9)
 
-    perturbed = tuple(
-        CanonicalRecord(
-            timestamp=r.timestamp, variable=r.variable,
-            value=None if r.timestamp in masked_ts else r.value,
-            unit=r.unit, location=r.location, city=r.city, source=r.source,
-        )
-        for r in series.records
-    )
-    span = SpanMask(start=format_timestamp(masked[0].timestamp)[:10],
-                    end=format_timestamp(masked[-1].timestamp)[:10],
+    values = series.values.copy()
+    values[masked] = np.nan
+    span = SpanMask(start=_day(series, masked[0]), end=_day(series, masked[-1]),
                     true_mean=true_mean, tolerance=tolerance)
-    return CanonicalSeries(perturbed), span
+    return series.with_values(values), span
+
+
+def _day(series: CanonicalSeries, row: int) -> str:
+    """The ISO day of one row."""
+    return format_timestamps(series.timestamps[row:row + 1])[0][:10]
 
 
 def _chart_fact(artifact: ChartArtifact) -> tuple[AtomicFact, Chunk]:
@@ -135,8 +126,7 @@ def _chart_fact(artifact: ChartArtifact) -> tuple[AtomicFact, Chunk]:
 
 def _date_options(series: CanonicalSeries, gold: str, rng: random.Random,
                   n_options: int = 4) -> list[str]:
-    days = sorted({format_timestamp(r.timestamp)[:10]
-                   for r in series.records if not r.missing})
+    days = sorted({ts[:10] for ts in format_timestamps(series.present().timestamps)})
     distractors = [d for d in days if d != gold]
     rng.shuffle(distractors)
     options = [gold] + distractors[:n_options - 1]

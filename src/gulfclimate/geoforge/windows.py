@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from itertools import accumulate
-from operator import attrgetter
+from datetime import datetime
 
-from ..core import CanonicalRecord, CanonicalSeries, modal_cadence_seconds
+import numpy as np
+
+from ..core import CanonicalSeries, to_datetime64, to_datetimes
 from ..errors import GulfClimateError
 
 DEFAULT_DELTA_DAYS = 90
 DEFAULT_RHO = 0.8
 TRAILING_SPAN_DAYS = 3650  # ten years
-
-_timestamp = attrgetter("timestamp")
 
 
 class WindowingError(GulfClimateError, ValueError):
@@ -46,11 +43,11 @@ def segment_windows(series: CanonicalSeries, delta_days: int = DEFAULT_DELTA_DAY
     """Segment a series into consecutive non-overlapping windows.
 
     The anchor is the first timestamp inside the trailing ten-year span that
-    ends at the last record. Windows are ``[anchor + t*delta, anchor +
+    ends at the last timestamp. Windows are ``[anchor + t*delta, anchor +
     (t+1)*delta)``; a trailing remainder shorter than ``delta`` is discarded.
     Completeness is observed non-missing timesteps over the count expected at
-    the series cadence (the modal inter-record gap); windows below ``rho``
-    are dropped.
+    the series cadence (the modal gap between timestamps); windows below
+    ``rho`` are dropped.
     """
     if len(series) == 0:
         raise WindowingError("series is empty")
@@ -59,49 +56,44 @@ def segment_windows(series: CanonicalSeries, delta_days: int = DEFAULT_DELTA_DAY
     if delta_days <= 0:
         raise WindowingError(f"delta_days must be positive: {delta_days}")
 
-    records = series.records
-    last = records[-1].timestamp
-    horizon_start = last - timedelta(days=TRAILING_SPAN_DAYS)
-    anchor = records[bisect_left(records, horizon_start, key=_timestamp)].timestamp
-    cadence = _cadence(series)
-    span_end = last + cadence
-
-    delta = timedelta(days=delta_days)
+    timestamps = series.timestamps
+    last = timestamps[-1]
+    horizon_start = last - np.timedelta64(TRAILING_SPAN_DAYS, "D")
+    anchor = timestamps[np.searchsorted(timestamps, horizon_start)]
+    cadence = _cadence(timestamps)
+    delta = np.timedelta64(delta_days, "D")
     expected = int(delta / cadence)
     if expected <= 0:  # cadence coarser than a window: nothing can be complete
         return []
-    # present_before[k]: non-missing records among records[:k].
-    present_before = list(accumulate((not r.missing for r in records), initial=0))
-    kept: list[WindowSpec] = []
-    t = 0
-    while anchor + (t + 1) * delta <= span_end:
-        start = anchor + t * delta
-        end = start + delta
-        lo, hi = _bounds(records, start, end)
-        completeness = min(1.0, (present_before[hi] - present_before[lo]) / expected)
-        if completeness >= rho:
-            kept.append(WindowSpec(index=t, start=start, end=end,
-                                   delta_days=delta_days, completeness=completeness,
-                                   rho=rho))
-        t += 1
-    return kept
+    # Window t is [anchor + t*delta, anchor + (t+1)*delta); it is scanned
+    # while its end is at most one cadence past the last timestamp.
+    starts = anchor + np.arange((last + cadence - anchor) // delta) * delta
+    lo = np.searchsorted(timestamps, starts)
+    hi = np.searchsorted(timestamps, starts + delta)
+    # present_before[k]: non-missing values among values[:k].
+    present_before = np.append(0, np.cumsum(~np.isnan(series.values)))
+    completeness = np.minimum(1.0, (present_before[hi] - present_before[lo]) / expected)
+    kept = np.flatnonzero(completeness >= rho)
+    return [
+        WindowSpec(index=t, start=start, end=end, delta_days=delta_days,
+                   completeness=c, rho=rho)
+        for t, start, end, c in zip(kept.tolist(), to_datetimes(starts[kept]),
+                                    to_datetimes(starts[kept] + delta),
+                                    completeness[kept].tolist())
+    ]
 
 
-def _cadence(series: CanonicalSeries) -> timedelta:
-    seconds = modal_cadence_seconds(series.timestamps())
-    if seconds is None or seconds <= 0:
-        return timedelta(days=1)
-    return timedelta(seconds=seconds)
-
-
-def _bounds(records: tuple[CanonicalRecord, ...], start: datetime,
-            end: datetime) -> tuple[int, int]:
-    """Index range of the records with ``start <= timestamp < end``."""
-    lo = bisect_left(records, start, key=_timestamp)
-    return lo, bisect_left(records, end, lo=lo, key=_timestamp)
+def _cadence(timestamps: np.ndarray) -> np.timedelta64:
+    """The most common gap between timestamps (the smallest of equally
+    common ones), or one day for a single timestamp."""
+    if len(timestamps) < 2:
+        return np.timedelta64(1, "D")
+    gaps, counts = np.unique(np.diff(timestamps), return_counts=True)
+    return gaps[np.argmax(counts)]
 
 
 def window_slice(series: CanonicalSeries, window: WindowSpec) -> CanonicalSeries:
-    """The records of ``series`` falling inside ``window`` (missing included)."""
-    lo, hi = _bounds(series.records, window.start, window.end)
-    return CanonicalSeries(series.records[lo:hi])
+    """The rows of ``series`` falling inside ``window`` (missing included)."""
+    lo, hi = np.searchsorted(series.timestamps,
+                             [to_datetime64(window.start), to_datetime64(window.end)])
+    return series.select(slice(lo, hi))

@@ -8,7 +8,7 @@ from datetime import date
 from typing import Any, Callable, Collection, Mapping
 
 from ..core import GeoPoint, default_table
-from ..core.records import CanonicalSeries
+from ..core import CanonicalSeries
 from ..errors import GulfClimateError
 from .types import (
     CATEGORIES,

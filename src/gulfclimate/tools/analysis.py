@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from ..core import CanonicalSeries, summary_stats
+import numpy as np
+
+from ..core import CanonicalSeries, summary_stats, to_datetimes
 from .errors import EmptyRange
 
 DEFAULT_Z_THRESHOLD = 3.0
@@ -51,7 +53,7 @@ def analyze_range(series: CanonicalSeries, kind: str,
     """Analyze the valid points of a series over its span.
 
     Statistics use the population std (ddof=0). The trend slope is the
-    least-squares line against days since the first valid record. Anomalies
+    least-squares line against days since the first valid point. Anomalies
     are points with |z| > ``z_threshold`` against the range mean/std; a
     zero-std range has no anomalies. ``aqi`` ranges also flag exceedances
     above ``aqi_exceedance``; ``rain`` ranges flag heavy-rain events above
@@ -68,32 +70,41 @@ def analyze_range(series: CanonicalSeries, kind: str,
     else:
         trend = "stable"
 
-    anomalies: list[FlaggedPoint] = []
+    values = present.values
+    anomalies: tuple[FlaggedPoint, ...] = ()
     if stats.std > 0.0:
-        for r in present:
-            score = (r.value - stats.mean) / stats.std
-            if abs(score) > z_threshold:
-                anomalies.append(FlaggedPoint(timestamp=r.timestamp, value=r.value, score=score))
+        scores = (values - stats.mean) / stats.std
+        anomalies = _flagged(present, np.abs(scores) > z_threshold, scores)
 
-    exceedances: list[FlaggedPoint] = []
-    events: list[FlaggedPoint] = []
+    exceedances: tuple[FlaggedPoint, ...] = ()
+    events: tuple[FlaggedPoint, ...] = ()
     if kind == "aqi":
-        exceedances = [FlaggedPoint(r.timestamp, r.value, r.value)
-                       for r in present if r.value > aqi_exceedance]
+        exceedances = _flagged(present, values > aqi_exceedance, values)
     elif kind == "rain":
-        events = [FlaggedPoint(r.timestamp, r.value, r.value)
-                  for r in present if r.value > rain_event_mm]
+        events = _flagged(present, values > rain_event_mm, values)
 
+    start, end = present.span()
     return AnalysisReport(
         kind=kind,
         variable=present.variable or "",
         unit=present.unit or "",
-        start=present.records[0].timestamp,
-        end=present.records[-1].timestamp,
+        start=start,
+        end=end,
         **stats._asdict(),
         trend=trend,
-        anomalies=tuple(anomalies),
-        exceedances=tuple(exceedances),
-        events=tuple(events),
+        anomalies=anomalies,
+        exceedances=exceedances,
+        events=events,
         thresholds={"z": z_threshold, "aqi": aqi_exceedance, "rain_mm": rain_event_mm},
+    )
+
+
+def _flagged(present: CanonicalSeries, mask: np.ndarray,
+             scores: np.ndarray) -> tuple[FlaggedPoint, ...]:
+    """The points of ``present`` where ``mask`` holds, with their scores."""
+    rows = np.flatnonzero(mask)
+    return tuple(
+        FlaggedPoint(timestamp=t, value=v, score=s)
+        for t, v, s in zip(to_datetimes(present.timestamps[rows]),
+                           present.values[rows].tolist(), scores[rows].tolist())
     )

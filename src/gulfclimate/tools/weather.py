@@ -12,14 +12,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from ..core import (
-    CanonicalRecord,
-    CanonicalSeries,
-    GeoPoint,
-    UTC,
-    default_table,
-    normalize_timestamp,
-)
+from ..core import TIMESTAMP_DTYPE, UTC, CanonicalSeries, GeoPoint, default_table, value_column
 from ..geoforge.gridmatch import nearest_grid_cell
 from ..core.geo import GridSpec
 from ..toolkit.types import ToolResult, ToolSignature
@@ -64,21 +57,20 @@ def _normalize(value: float, unit: str, variable: str) -> tuple[float, str]:
     return default_table().normalize(value, unit, variable)
 
 
+def _series(days: np.ndarray, raw: list, unit: str, variable: str,
+            location: GeoPoint, city: str | None, source: str) -> CanonicalSeries:
+    """The canonical series of raw values on ``datetime64[D]`` days; a ``None``
+    value is an explicit missing one."""
+    values, canonical = default_table().normalize_column(value_column(raw), unit, variable)
+    return CanonicalSeries(days.astype(TIMESTAMP_DTYPE), values, variable, canonical,
+                           location, city, source)
+
+
 def _daily_series(values: list[float | None], unit: str, variable: str,
                   start: date, location: GeoPoint, city: str | None,
                   source: str) -> CanonicalSeries:
-    records = []
-    for i, raw in enumerate(values):
-        if raw is None:
-            value, canonical = None, default_table().canonical_unit(variable)
-        else:
-            value, canonical = _normalize(float(raw), unit, variable)
-        records.append(CanonicalRecord(
-            timestamp=normalize_timestamp(start) + timedelta(days=i),
-            variable=variable, value=value, unit=canonical,
-            location=location, city=city, source=source,
-        ))
-    return CanonicalSeries(tuple(records))
+    days = np.datetime64(start, "D") + np.arange(len(values))
+    return _series(days, values, unit, variable, location, city, source)
 
 
 class FixtureClimateSource:
@@ -171,22 +163,13 @@ class FixtureClimateSource:
         if not rows:
             raise EmptyRange(f"no {tool} fixture near ({lat}, {lon})")
         row = rows[0]
-        records = []
-        for item in row["records"]:
-            d = _row_date(item["date"])
-            if not (start <= d <= end):
-                continue
-            raw = item.get("value")
-            if raw is None:
-                value, unit = None, default_table().canonical_unit(variable)
-            else:
-                value, unit = _normalize(float(raw), row.get("unit", ""), variable)
-            records.append(CanonicalRecord(
-                timestamp=normalize_timestamp(d), variable=variable, value=value,
-                unit=unit, location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                city=row.get("city"), source=f"fixture:{tool}",
-            ))
-        return CanonicalSeries(tuple(records))
+        items = row["records"]
+        days = np.array([item["date"] for item in items], dtype="datetime64[D]")
+        keep = (days >= np.datetime64(start, "D")) & (days <= np.datetime64(end, "D"))
+        raw = [item.get("value") for item, kept in zip(items, keep.tolist()) if kept]
+        return _series(days[keep], raw, row.get("unit", ""), variable,
+                       GeoPoint(float(row["lat"]), float(row["lon"])),
+                       row.get("city"), f"fixture:{tool}")
 
 
 class LiveClimateSource:

@@ -2,16 +2,19 @@ import io
 import random
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from gulfclimate.core import (
-    CanonicalRecord,
     CanonicalSeries,
     GeoPoint,
     RecordValidationError,
+    UnknownVariable,
     read_canonical_csv,
     series_from_csv,
     series_to_csv,
+    timestamp_column,
+    value_column,
     write_canonical_csv,
 )
 
@@ -21,19 +24,17 @@ DOHA = GeoPoint(25.2854, 51.5310)
 def _series(n, variable="temperature", unit="°C", missing_every=None, seed=7):
     rng = random.Random(seed)
     start = datetime(2020, 1, 1, tzinfo=timezone.utc)
-    records = []
-    for i in range(n):
-        missing = missing_every is not None and i % missing_every == 0
-        records.append(CanonicalRecord(
-            timestamp=start + timedelta(days=i),
-            variable=variable,
-            value=None if missing else rng.uniform(-40.0, 55.0),
-            unit=unit,
-            location=DOHA,
-            city="Doha",
-            source="unit-test",
-        ))
-    return CanonicalSeries(tuple(records))
+    raw = [None if missing_every is not None and i % missing_every == 0
+           else rng.uniform(-40.0, 55.0) for i in range(n)]
+    return CanonicalSeries(
+        timestamps=timestamp_column(start + timedelta(days=i) for i in range(n)),
+        values=value_column(raw), variable=variable, unit=unit,
+        location=DOHA, city="Doha", source="unit-test",
+    )
+
+
+def _two(t0, t1, values=(1.0, 2.0), unit="°C"):
+    return CanonicalSeries(timestamp_column([t0, t1]), values, "temperature", unit, DOHA)
 
 
 def test_empty_series_header_only():
@@ -75,36 +76,71 @@ def test_round_trip_via_file(tmp_path):
 
 def test_reject_out_of_order_timestamps():
     t = datetime(2020, 1, 2, tzinfo=timezone.utc)
-    recs = [
-        CanonicalRecord(t, "temperature", 1.0, "°C", DOHA),
-        CanonicalRecord(t - timedelta(days=1), "temperature", 2.0, "°C", DOHA),
-    ]
-    with pytest.raises(RecordValidationError):
-        CanonicalSeries(tuple(recs))
+    with pytest.raises(RecordValidationError, match="not strictly increasing"):
+        _two(t, t - timedelta(days=1))
 
 
 def test_reject_duplicate_timestamps():
     t = datetime(2020, 1, 2, tzinfo=timezone.utc)
-    recs = [
-        CanonicalRecord(t, "temperature", 1.0, "°C", DOHA),
-        CanonicalRecord(t, "temperature", 2.0, "°C", DOHA),
-    ]
-    with pytest.raises(RecordValidationError):
-        CanonicalSeries(tuple(recs))
+    with pytest.raises(RecordValidationError, match="not strictly increasing"):
+        _two(t, t)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_reject_infinite_values(bad):
+    t = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    with pytest.raises(RecordValidationError, match="non-finite"):
+        _two(t, t + timedelta(days=1), values=(1.0, bad))
+    with pytest.raises(RecordValidationError, match="non-finite"):
+        series_from_csv(_csv_with_first_value(repr(bad)))
+
+
+def _csv_with_first_value(field):
+    text = series_to_csv(_series(2))
+    return text.replace(text.splitlines()[1].split(",")[2], field, 1)
+
+
+def test_raw_nan_is_not_a_missing_value():
+    assert np.isnan(value_column([1.0, None])[1])
+    assert np.isnan(series_from_csv(_csv_with_first_value("")).values[0])
+    with pytest.raises(RecordValidationError, match="non-finite value: nan"):
+        value_column([1.0, float("nan")])
+    with pytest.raises(RecordValidationError, match="non-finite value: nan"):
+        series_from_csv(_csv_with_first_value("nan"))
 
 
 def test_reject_non_canonical_unit():
-    with pytest.raises(RecordValidationError):
-        CanonicalRecord(
-            datetime(2020, 1, 1, tzinfo=timezone.utc), "temperature", 300.0, "K", DOHA
-        )
+    t = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    with pytest.raises(RecordValidationError, match="not canonical"):
+        _two(t, t + timedelta(days=1), values=(300.0, 301.0), unit="K")
+    with pytest.raises(RecordValidationError, match="not canonical"):
+        CanonicalSeries(variable="temperature", unit="K")
+    with pytest.raises(UnknownVariable):
+        CanonicalSeries(variable="no-such-variable", unit="K")
+
+
+def test_reject_non_utc_and_unlabelled_series():
+    with pytest.raises(RecordValidationError, match="must be UTC"):
+        timestamp_column([datetime(2020, 1, 1)])
+    with pytest.raises(RecordValidationError, match="needs a variable and a location"):
+        CanonicalSeries(timestamp_column([datetime(2020, 1, 1, tzinfo=timezone.utc)]), [1.0])
+    with pytest.raises(RecordValidationError, match="shape"):
+        CanonicalSeries(timestamp_column([datetime(2020, 1, 1, tzinfo=timezone.utc)]),
+                        [1.0, 2.0], "temperature", "°C", DOHA)
 
 
 def test_reject_mixed_variables():
+    lines = series_to_csv(_series(2)).splitlines()
+    lines[2] = lines[2].replace(",temperature,", ",precipitation,").replace(",°C,", ",mm,")
+    with pytest.raises(RecordValidationError, match="mixes"):
+        series_from_csv("\n".join(lines) + "\n")
+
+
+def test_columns_are_read_only_copies():
+    values = np.array([1.0, 2.0])
     t = datetime(2020, 1, 1, tzinfo=timezone.utc)
-    recs = [
-        CanonicalRecord(t, "temperature", 1.0, "°C", DOHA),
-        CanonicalRecord(t + timedelta(days=1), "precipitation", 2.0, "mm", DOHA),
-    ]
-    with pytest.raises(RecordValidationError):
-        CanonicalSeries(tuple(recs))
+    series = _two(t, t + timedelta(days=1), values=values)
+    values[0] = 99.0
+    assert series.values[0] == 1.0
+    with pytest.raises(ValueError):
+        series.values[0] = 5.0

@@ -32,7 +32,7 @@ def charted_windows():
 
 def test_window_slice_equals_its_chart_csv(charted_windows):
     for _index, window_series, artifact in charted_windows:
-        assert series_from_csv(artifact.data_csv).records == window_series.records
+        assert series_from_csv(artifact.data_csv) == window_series
 
 
 @pytest.mark.parametrize("category", ["anomaly", "imputation"])

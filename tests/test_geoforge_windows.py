@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.core import CanonicalRecord, CanonicalSeries, GeoPoint, modal_cadence_seconds
+from gulfclimate.core import (
+    CanonicalSeries,
+    GeoPoint,
+    RecordValidationError,
+    timestamp_column,
+    to_datetimes,
+    value_column,
+)
 from gulfclimate.geoforge.windows import (
     TRAILING_SPAN_DAYS,
     WindowingError,
@@ -21,34 +28,44 @@ WHERE = GeoPoint(25.3, 51.5)
 
 
 # -- the reference: rescan the series for every window -------------------------
+# It works on (timestamp, value) rows: aware datetimes, and Python floats or None.
 
-def reference_cadence(series):
-    seconds = modal_cadence_seconds(series.timestamps())
-    if seconds is None or seconds <= 0:
+def rows(series):
+    return [(ts, None if v != v else v)
+            for ts, v in zip(to_datetimes(series.timestamps), series.values.tolist())]
+
+
+def reference_cadence(table):
+    timestamps = [ts for ts, _ in table]
+    if len(timestamps) < 2:
         return timedelta(days=1)
-    return timedelta(seconds=seconds)
+    gaps = {}
+    for a, b in zip(timestamps, timestamps[1:]):
+        gaps[b - a] = gaps.get(b - a, 0) + 1
+    return max(sorted(gaps), key=lambda g: gaps[g])
 
 
-def reference_completeness(series, start, end):
-    expected = int((end - start) / reference_cadence(series))
+def reference_completeness(table, start, end):
+    expected = int((end - start) / reference_cadence(table))
     if expected <= 0:
         return 0.0
-    observed = sum(1 for r in series if start <= r.timestamp < end and not r.missing)
+    observed = sum(1 for ts, v in table if start <= ts < end and v is not None)
     return min(1.0, observed / expected)
 
 
 def reference_windows(series, delta_days, rho):
-    last = series.records[-1].timestamp
+    table = rows(series)
+    last = table[-1][0]
     horizon_start = last - timedelta(days=TRAILING_SPAN_DAYS)
-    anchor = next(r.timestamp for r in series if r.timestamp >= horizon_start)
-    span_end = last + reference_cadence(series)
+    anchor = next(ts for ts, _ in table if ts >= horizon_start)
+    span_end = last + reference_cadence(table)
     delta = timedelta(days=delta_days)
     kept = []
     t = 0
     while anchor + (t + 1) * delta <= span_end:
         start = anchor + t * delta
         end = start + delta
-        completeness = reference_completeness(series, start, end)
+        completeness = reference_completeness(table, start, end)
         if completeness >= rho:
             kept.append(WindowSpec(index=t, start=start, end=end, delta_days=delta_days,
                                    completeness=completeness, rho=rho))
@@ -57,7 +74,7 @@ def reference_windows(series, delta_days, rho):
 
 
 def reference_slice(series, window):
-    return CanonicalSeries(tuple(r for r in series if window.contains(r.timestamp)))
+    return [(ts, v) for ts, v in rows(series) if window.contains(ts)]
 
 
 # -- random series ---------------------------------------------------------------
@@ -66,14 +83,14 @@ def make_series(layout_seed, n, cadence, absent_p, missing_p):
     """``n`` records at a modal ``cadence``; a share of steps is skipped (absent
     timesteps) and a share of records carries no value (explicit missing)."""
     rng = random.Random(layout_seed)
-    records = []
+    timestamps, values = [], []
     ts = START
     for _ in range(n):
-        value = None if rng.random() < missing_p else round(rng.uniform(10.0, 45.0), 2)
-        records.append(CanonicalRecord(timestamp=ts, variable="temperature", value=value,
-                                       unit="°C", location=WHERE, source="test"))
+        values.append(None if rng.random() < missing_p else round(rng.uniform(10.0, 45.0), 2))
+        timestamps.append(ts)
         ts += cadence * (1 + (rng.random() < absent_p) * rng.randint(1, 5))
-    return CanonicalSeries(tuple(records))
+    return CanonicalSeries(timestamp_column(timestamps), value_column(values),
+                           variable="temperature", unit="°C", location=WHERE, source="test")
 
 
 series_args = st.tuples(
@@ -119,14 +136,17 @@ def test_window_slice_matches_reference(args, delta_days, data):
         windows.append(WindowSpec(index=0, start=start, end=start + timedelta(days=delta_days),
                                   delta_days=delta_days, completeness=0.0, rho=1.0))
     for window in windows:
-        assert window_slice(series, window).records == reference_slice(series, window).records
+        sliced = window_slice(series, window)
+        assert rows(sliced) == reference_slice(series, window)
+        assert (sliced.variable, sliced.unit, sliced.location, sliced.source) == (
+            "temperature", "°C", WHERE, "test")
 
 
 def test_long_series_keeps_only_the_trailing_ten_years():
     series = make_series(4, 4000, timedelta(days=1), 0.05, 0.05)
     windows = segment_windows(series, delta_days=90, rho=0.5)
     assert windows == reference_windows(series, 90, 0.5)
-    assert windows[0].start > series.records[0].timestamp
+    assert windows[0].start > series.span()[0]
 
 
 def test_series_shorter_than_one_window_has_no_windows():
@@ -142,8 +162,23 @@ def test_cadence_coarser_than_a_window_has_no_windows():
 def test_invalid_arguments():
     series = make_series(3, 10, timedelta(days=1), 0.0, 0.0)
     with pytest.raises(WindowingError):
-        segment_windows(CanonicalSeries(()))
+        segment_windows(CanonicalSeries())
     with pytest.raises(WindowingError):
         segment_windows(series, rho=0.0)
     with pytest.raises(WindowingError):
         segment_windows(series, delta_days=0)
+
+
+def test_series_rejects_unordered_or_non_finite_rows():
+    t = [START, START + timedelta(days=1)]
+    with pytest.raises(RecordValidationError, match="not strictly increasing"):
+        CanonicalSeries(timestamp_column(t[::-1]), [1.0, 2.0], "temperature", "°C", WHERE)
+    with pytest.raises(RecordValidationError, match="not strictly increasing"):
+        CanonicalSeries(timestamp_column([START, START]), [1.0, 2.0], "temperature", "°C",
+                        WHERE)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(RecordValidationError, match="non-finite"):
+            CanonicalSeries(timestamp_column(t), value_column([1.0, bad]), "temperature",
+                            "°C", WHERE)
+    with pytest.raises(RecordValidationError, match="not canonical"):
+        CanonicalSeries(timestamp_column(t), [1.0, 2.0], "temperature", "K", WHERE)

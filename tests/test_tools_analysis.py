@@ -3,7 +3,14 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from gulfclimate.core import CanonicalRecord, CanonicalSeries, GeoPoint
+from gulfclimate.core import (
+    CanonicalSeries,
+    GeoPoint,
+    RecordValidationError,
+    timestamp_column,
+    to_datetimes,
+    value_column,
+)
 from gulfclimate.tools.analysis import analyze_range
 from gulfclimate.tools.errors import EmptyRange
 
@@ -12,11 +19,10 @@ DOHA = GeoPoint(25.2854, 51.5310)
 
 def daily_series(values, variable="temperature", unit="°C"):
     start = datetime(2023, 1, 1, tzinfo=timezone.utc)
-    records = tuple(
-        CanonicalRecord(start + timedelta(days=i), variable, v, unit, DOHA, "Doha", "test")
-        for i, v in enumerate(values)
+    return CanonicalSeries(
+        timestamp_column(start + timedelta(days=i) for i in range(len(values))),
+        value_column(values), variable, unit, DOHA, "Doha", "test",
     )
-    return CanonicalSeries(records)
 
 
 def brute_force_anomalies(values, threshold=3.0):
@@ -52,7 +58,7 @@ def test_injected_spike_matches_brute_force():
     flagged = [a.timestamp for a in report.anomalies]
     oracle = brute_force_anomalies(values)
     assert oracle == [40]
-    assert flagged == [daily_series(values).records[40].timestamp]
+    assert flagged == to_datetimes(daily_series(values).timestamps[[40]])
 
 
 def test_anomalies_equal_brute_force_on_random_series():
@@ -64,7 +70,7 @@ def test_anomalies_equal_brute_force_on_random_series():
         report = analyze_range(daily_series(values), kind="weather")
         series = daily_series(values)
         flagged = {a.timestamp for a in report.anomalies}
-        oracle = {series.records[i].timestamp for i in brute_force_anomalies(values)}
+        oracle = set(to_datetimes(series.timestamps[brute_force_anomalies(values)]))
         assert flagged == oracle
 
 
@@ -81,19 +87,19 @@ def test_rain_events_threshold():
 
 
 def test_stats_over_valid_points_only():
-    start = datetime(2023, 1, 1, tzinfo=timezone.utc)
-    records = [
-        CanonicalRecord(start, "temperature", 10.0, "°C", DOHA),
-        CanonicalRecord(start + timedelta(days=1), "temperature", None, "°C", DOHA),
-        CanonicalRecord(start + timedelta(days=2), "temperature", 30.0, "°C", DOHA),
-    ]
-    report = analyze_range(CanonicalSeries(tuple(records)), kind="weather")
+    report = analyze_range(daily_series([10.0, None, 30.0]), kind="weather")
     assert report.count == 2
     assert report.mean == pytest.approx(20.0)
 
 
 def test_empty_range_raises():
-    start = datetime(2023, 1, 1, tzinfo=timezone.utc)
-    records = (CanonicalRecord(start, "temperature", None, "°C", DOHA),)
     with pytest.raises(EmptyRange):
-        analyze_range(CanonicalSeries(records), kind="weather")
+        analyze_range(daily_series([None]), kind="weather")
+    with pytest.raises(EmptyRange):
+        analyze_range(daily_series([]), kind="weather")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_source_values_are_rejected(bad):
+    with pytest.raises(RecordValidationError, match="non-finite"):
+        daily_series([10.0, bad, 30.0])

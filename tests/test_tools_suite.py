@@ -53,8 +53,8 @@ def test_forecast_cardinality_matches_horizon(registry):
 
 def test_forecast_echoes_planted_sequence(registry):
     obs = run(registry, "aqi_prediction", lat=25.2854, lon=51.5310, horizon=3)
-    assert [r.value for r in obs.payload] == [90.0, 95.0, 88.0]
-    timestamps = obs.payload.timestamps()
+    assert obs.payload.values.tolist() == [90.0, 95.0, 88.0]
+    timestamps = obs.payload.timestamps
     assert all(b > a for a, b in zip(timestamps, timestamps[1:]))
 
 
