@@ -1,24 +1,6 @@
 """Act-observe-reason agent: routing, control loop, grounded synthesis."""
 
-from .backend import BackendFailure, LLMBackend, RemoteChatBackend, ScriptedBackend
-from .intent import INTENT_CATEGORIES, INTENT_LABELS, Intent, route_intent
-from .runner import AgentAnswer, AgentSettings, run, synthesize
-from .trajectory import Trajectory, TrajectoryError, TrajectoryStep
+from .backend import ScriptedBackend
+from .runner import AgentSettings, run
 
-__all__ = [
-    "AgentAnswer",
-    "AgentSettings",
-    "BackendFailure",
-    "INTENT_CATEGORIES",
-    "INTENT_LABELS",
-    "Intent",
-    "LLMBackend",
-    "RemoteChatBackend",
-    "ScriptedBackend",
-    "Trajectory",
-    "TrajectoryError",
-    "TrajectoryStep",
-    "route_intent",
-    "run",
-    "synthesize",
-]
+__all__ = ["AgentSettings", "ScriptedBackend", "run"]

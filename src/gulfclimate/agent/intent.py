@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from ..toolkit.types import CATEGORIES
 from .backend import BackendFailure, LLMBackend
 
-INTENT_LABELS = ("textual", "numerical", "geospatial", "health_environmental")
-
 # Minimal category sets per dominant intent. Routing is advisory: it trims the
 # rendered tool prompt, it does not sandbox execution.
 INTENT_CATEGORIES: dict[str, tuple[str, ...]] = {

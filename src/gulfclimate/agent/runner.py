@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from ..toolkit.grammar import FENCE_CLOSE, FENCE_OPEN, parse_call
-from ..toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
+from ..toolkit.registry import INVALID_CALL_CODES, ToolRegistry, execute, render_tool_prompt
 from ..toolkit.types import CallFormatError, FinalAnswer, Observation, ObservationStatus, ToolCall
 from ..core import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
 from .intent import Intent, route_intent
-from .serialization import observation_to_jsonable, render_observation
+from .serialization import observation_message, render_observation
 from .trajectory import Trajectory
 
 _CITATION_RE = re.compile(r"\[step\s+(\d+)\]")
@@ -23,6 +22,7 @@ GROUNDING_REL_TOL = 1e-6
 
 # Two consecutive invalid emissions are tolerated; a third ends the run.
 MAX_CONSECUTIVE_FAILURES = 2
+_INVALID_EMISSION_CODES = INVALID_CALL_CODES | {"format_error"}
 
 DEFAULT_BUDGET = 8
 
@@ -32,7 +32,6 @@ class AgentSettings:
     budget: int = DEFAULT_BUDGET
     route: bool = True
     images_enabled: bool = False
-    observation_byte_cap: int = 4000
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,17 @@ def _system_prompt(registry: ToolRegistry, intent: Intent | None) -> str:
                                    tools=tools)
 
 
-def run(query: str, registry: ToolRegistry, backend: LLMBackend,
-        budget: int = DEFAULT_BUDGET, *, settings: AgentSettings | None = None
-        ) -> tuple[AgentAnswer, Trajectory]:
-    """Drive the loop: backend emits, calls validate and execute, observations
-    feed back, until a final answer or budget exhaustion.
+def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
+        settings: AgentSettings) -> tuple[AgentAnswer, Trajectory]:
+    """Drive the loop: backend emits, calls execute, observations feed back,
+    until a final answer or budget exhaustion.
 
-    Validation failures are recorded as error observations and fed back so the
-    model can retry; after ``MAX_CONSECUTIVE_FAILURES`` consecutive failures
-    the run terminates. All failure modes land in the trajectory, never as
-    exceptions.
+    Malformed emissions and calls that fail validation are recorded as error
+    observations and fed back so the model can retry; after
+    ``MAX_CONSECUTIVE_FAILURES`` consecutive ones the run terminates. An
+    executor failure resets that count. All failure modes land in the
+    trajectory, never as exceptions.
     """
-    if settings is None:
-        settings = AgentSettings(budget=budget)
     trajectory = Trajectory(query=query, budget=settings.budget)
 
     intent: Intent | None = None
@@ -96,6 +93,7 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend,
         {"role": "user", "content": query},
     ]
     refs: dict[str, Any] = {}
+    bodies: dict[int, str] = {}
     consecutive_failures = 0
 
     while len(trajectory.steps) < settings.budget:
@@ -117,40 +115,29 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend,
             break
 
         if isinstance(parsed, CallFormatError):
+            action = ToolCall(tool="", args={})
             observation = Observation(tool="", payload=None,
                                       status=ObservationStatus.error("format_error", parsed.reason))
-            step = trajectory.append(action=ToolCall(tool="", args={}),
-                                     observation=observation, emission=emission)
+        else:
+            action, observation = parsed, execute(parsed, registry, refs=refs)
+        step = trajectory.append(action=action, observation=observation, emission=emission)
+        body = render_observation(observation)
+        if observation.status.is_ok:
+            refs[f"obs_{step.index}"] = observation.payload
+            bodies[step.index] = body
+        if observation.status.code in _INVALID_EMISSION_CODES:
             consecutive_failures += 1
         else:
-            verdict = validate_call(parsed, registry)
-            if not verdict.is_ok:
-                observation = Observation(
-                    tool=parsed.tool, payload=None,
-                    status=ObservationStatus.error(verdict.kind, "; ".join(verdict.details)))
-                step = trajectory.append(action=parsed, observation=observation,
-                                         emission=emission)
-                consecutive_failures += 1
-            else:
-                observation = execute(parsed, registry, refs=refs)
-                step = trajectory.append(action=parsed, observation=observation,
-                                         emission=emission)
-                consecutive_failures = 0
-                if observation.status.is_ok:
-                    refs[f"obs_{step.index}"] = observation.payload
-        messages.append({
-            "role": "user",
-            "content": render_observation(observation, step.index,
-                                          settings.observation_byte_cap),
-        })
+            consecutive_failures = 0
+        messages.append({"role": "user", "content": observation_message(body, step.index)})
         if consecutive_failures > MAX_CONSECUTIVE_FAILURES:
             break
 
-    answer = synthesize(trajectory, images_enabled=settings.images_enabled)
+    answer = synthesize(trajectory, bodies, images_enabled=settings.images_enabled)
     return answer, trajectory
 
 
-def synthesize(trajectory: Trajectory, backend: LLMBackend | None = None, *,
+def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
                images_enabled: bool = False) -> AgentAnswer:
     """Build the grounded answer from a trajectory.
 
@@ -158,6 +145,8 @@ def synthesize(trajectory: Trajectory, backend: LLMBackend | None = None, *,
     deterministic digest of the collected observations flagged incomplete.
     Every numeric claim must appear in a cited observation; numbers that do
     not are reported in ``ungrounded`` (the answer is still returned).
+    ``bodies`` maps the index of each ok observation to its encoded body
+    (:func:`render_observation`), the text the claims are checked against.
     """
     ok_steps = trajectory.ok_observations()
     if not trajectory.finished and not ok_steps:
@@ -179,7 +168,9 @@ def synthesize(trajectory: Trajectory, backend: LLMBackend | None = None, *,
 
     cited = _citations(text, trajectory)
     pool_steps = cited if cited else tuple(s.index for s in ok_steps)
-    pool = _number_pool(trajectory, pool_steps)
+    # A cited failed call or final answer has no body and grounds nothing.
+    pool = {value for idx in pool_steps if idx in bodies
+            for _, value in numeric_claims(bodies[idx])}
     ungrounded = _ungrounded_numbers(text, pool)
 
     charts: tuple = ()
@@ -188,6 +179,15 @@ def synthesize(trajectory: Trajectory, backend: LLMBackend | None = None, *,
 
     return AgentAnswer(text=text, citations=cited, charts=charts,
                        incomplete=incomplete, ungrounded=ungrounded)
+
+
+def numeric_claims(text: str) -> list[tuple[str, float]]:
+    """Every number written in ``text`` as (token, value), in order.
+
+    A token is an optional minus sign, digits, an optional fraction and an
+    optional exponent, so the date 2023-04-15 reads as 2023, -04 and -15.
+    """
+    return [(token, float(token)) for token in _NUMBER_RE.findall(text)]
 
 
 def _citations(text: str, trajectory: Trajectory) -> tuple[int, ...]:
@@ -199,26 +199,10 @@ def _citations(text: str, trajectory: Trajectory) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def _number_pool(trajectory: Trajectory, step_indices: Sequence[int]) -> set[float]:
-    pool: set[float] = set()
-    for idx in step_indices:
-        step = trajectory.step(idx)
-        if step.observation is None or not step.observation.status.is_ok:
-            continue
-        rendered = json.dumps(observation_to_jsonable(step.observation), sort_keys=True)
-        for token in _NUMBER_RE.findall(rendered):
-            try:
-                pool.add(float(token))
-            except ValueError:
-                continue
-    return pool
-
-
 def _ungrounded_numbers(text: str, pool: set[float]) -> tuple[str, ...]:
     bare = _CITATION_RE.sub(" ", text)
     missing: list[str] = []
-    for token in _NUMBER_RE.findall(bare):
-        value = float(token)
+    for token, value in numeric_claims(bare):
         if any(_close(value, p) for p in pool):
             continue
         if token not in missing:

@@ -18,6 +18,8 @@ from ..core import CanonicalSeries, GeoPoint, format_timestamp
 from ..core.csvio import series_to_csv
 from ..toolkit.types import Observation
 
+OBSERVATION_BYTE_CAP = 4000  # bytes of one observation line shown to the model
+
 
 def to_jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
@@ -69,19 +71,26 @@ def observation_to_jsonable(obs: Observation) -> dict:
     return out
 
 
-def render_observation(obs: Observation, index: int, byte_cap: int = 4000) -> str:
-    """Compact deterministic text shown to the model as an observation.
+def render_observation(obs: Observation) -> str:
+    """The observation as compact deterministic JSON, non-ASCII kept as is.
 
-    Output above ``byte_cap`` bytes is truncated with a deterministic note so
-    the conversation state stays bounded.
+    This one encoding is both shown to the model (see
+    :func:`observation_message`) and scanned for grounding numbers.
     """
-    body = json.dumps(observation_to_jsonable(obs), sort_keys=True, ensure_ascii=False)
-    prefix = f"observation[obs_{index}] "
-    text = prefix + body
+    return json.dumps(observation_to_jsonable(obs), sort_keys=True, ensure_ascii=False)
+
+
+def observation_message(body: str, index: int) -> str:
+    """``body`` as the ``observation[obs_N]`` line shown to the model.
+
+    A line above ``OBSERVATION_BYTE_CAP`` bytes is truncated with a
+    deterministic note so the conversation state stays bounded.
+    """
+    text = f"observation[obs_{index}] {body}"
     encoded = text.encode("utf-8")
-    if len(encoded) > byte_cap:
-        keep = encoded[:byte_cap].decode("utf-8", errors="ignore")
-        text = f"{keep} …[truncated {len(encoded) - byte_cap} bytes]"
+    if len(encoded) > OBSERVATION_BYTE_CAP:
+        keep = encoded[:OBSERVATION_BYTE_CAP].decode("utf-8", errors="ignore")
+        text = f"{keep} …[truncated {len(encoded) - OBSERVATION_BYTE_CAP} bytes]"
     return text
 
 

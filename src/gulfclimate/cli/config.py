@@ -84,8 +84,9 @@ def load_config(path: str | Path) -> RunConfig:
     - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
       name.
 
-    A malformed value, an unknown ``tool_settings`` field or one whose value
-    does not have the field's type raises :class:`ConfigError`.
+    A malformed value, an unknown ``tool_settings`` field, one whose value
+    does not have the field's type or a ``forecast_default_horizon`` below 1
+    raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
@@ -131,6 +132,11 @@ def load_config(path: str | Path) -> RunConfig:
         if not _matches(value, setting_types[name]):
             raise ConfigError(f"tool_settings.{name}: expected "
                               f"{setting_types[name].__name__}, got {value!r}")
+    # The default stands in for an omitted horizon, whose minimum is 1.
+    horizon = settings_doc.get("forecast_default_horizon", 1)
+    if horizon < 1:
+        raise ConfigError(f"tool_settings.forecast_default_horizon: expected at least 1, "
+                          f"got {horizon!r}")
 
     return RunConfig(
         provider=provider,

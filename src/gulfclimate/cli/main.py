@@ -23,7 +23,8 @@ from ..evalharness import (
     write_step_rows_csv,
 )
 from ..evalharness.replay import BenchReplay
-from ..toolkit import CATEGORIES, ToolCall, execute, render_tool_prompt, validate_call
+from ..toolkit import CATEGORIES, ToolCall, execute, render_tool_prompt
+from ..toolkit.registry import INVALID_CALL_CODES
 from ..tools import build_registry
 from .config import RunConfig, load_config
 
@@ -185,16 +186,14 @@ def cmd_tools_call(args: argparse.Namespace) -> int:
         if not _:
             raise ConfigError(f"--arg expects key=value, got {pair!r}")
         call_args[key] = value
-    call = ToolCall(tool=args.tool, args=call_args)
-    verdict = validate_call(call, registry)
-    if not verdict.is_ok:
-        print(f"invalid call ({verdict.kind}): {'; '.join(verdict.details)}",
-              file=sys.stderr)
+    observation = execute(ToolCall(tool=args.tool, args=call_args), registry)
+    status = observation.status
+    if status.code in INVALID_CALL_CODES:
+        print(f"invalid call ({status.code}): {status.message}", file=sys.stderr)
         return EXIT_CONFIG
-    observation = execute(call, registry)
     print(json.dumps(observation_to_jsonable(observation), indent=1, sort_keys=True,
                      ensure_ascii=False))
-    return EXIT_OK if observation.status.is_ok else EXIT_FLAGGED
+    return EXIT_OK if status.is_ok else EXIT_FLAGGED
 
 
 def build_parser() -> argparse.ArgumentParser:

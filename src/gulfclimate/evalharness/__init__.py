@@ -1,54 +1,20 @@
 """Regression benchmark: gold-trace step scoring, e2e scoring, error taxonomy."""
 
-from .model import (
-    BenchmarkInstance,
-    GoldStep,
-    InstanceError,
-    KeyFact,
-    check_against_registry,
-    dump_instances,
-    load_instances,
-)
+from .model import check_against_registry, load_instances
 from .reporting import (
     render_report,
-    report_csv_text,
     write_instance_rows_csv,
     write_report_csv,
     write_step_rows_csv,
 )
-from .runner import (
-    InstanceRow,
-    MetricReport,
-    StepRow,
-    aggregate_instance_rows,
-    aggregate_step_rows,
-    run_e2e_mode,
-    run_step_mode,
-)
-from .scoring import ERROR_CLASSES, PredictedStep, StepScore, classify_error, score_step
+from .runner import run_e2e_mode, run_step_mode
 
 __all__ = [
-    "BenchmarkInstance",
-    "ERROR_CLASSES",
-    "GoldStep",
-    "InstanceError",
-    "InstanceRow",
-    "KeyFact",
-    "MetricReport",
-    "PredictedStep",
-    "StepRow",
-    "StepScore",
-    "aggregate_instance_rows",
-    "aggregate_step_rows",
     "check_against_registry",
-    "classify_error",
-    "dump_instances",
     "load_instances",
     "render_report",
-    "report_csv_text",
     "run_e2e_mode",
     "run_step_mode",
-    "score_step",
     "write_instance_rows_csv",
     "write_report_csv",
     "write_step_rows_csv",

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from ..agent.runner import numeric_claims
 from ..errors import GulfClimateError
 from ..toolkit.registry import ToolRegistry
 
 DEFAULT_FACT_TOLERANCE = 1e-6
-
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 class InstanceError(GulfClimateError, ValueError):
@@ -40,14 +38,8 @@ class KeyFact:
         if isinstance(self.value, str):
             return self.value.casefold() in text.casefold()
         expected = float(self.value)
-        for token in _NUMBER_RE.findall(text):
-            try:
-                got = float(token)
-            except ValueError:
-                continue
-            if abs(got - expected) <= self.tolerance * max(1.0, abs(expected)):
-                return True
-        return False
+        return any(abs(got - expected) <= self.tolerance * max(1.0, abs(expected))
+                   for _, got in numeric_claims(text))
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "KeyFact":
@@ -152,12 +144,6 @@ def load_instances(path: str | Path) -> list[BenchmarkInstance]:
     if not instances:
         raise InstanceError(f"{path}: no instances")
     return instances
-
-
-def dump_instances(instances: Iterable[BenchmarkInstance], path: str | Path) -> None:
-    lines = [json.dumps(i.to_jsonable(), sort_keys=True, ensure_ascii=False)
-             for i in instances]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def check_against_registry(instances: Iterable[BenchmarkInstance],

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 
 from ..core.csvio import SinkFailure
@@ -88,9 +87,3 @@ def write_instance_rows_csv(report: MetricReport, sink) -> None:
             "|".join(row.missed_facts),
             row.failure or "",
         ])
-
-
-def report_csv_text(report: MetricReport) -> str:
-    buf = io.StringIO()
-    write_report_csv(report, buf)
-    return buf.getvalue()

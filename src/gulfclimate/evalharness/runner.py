@@ -9,7 +9,7 @@ from typing import Callable, Sequence, TypeVar
 
 from ..agent.backend import BackendFailure, LLMBackend
 from ..agent.runner import AgentSettings, run as agent_run
-from ..agent.serialization import render_observation
+from ..agent.serialization import observation_message, render_observation
 from ..toolkit.grammar import parse_call, serialize_call
 from ..toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
 from ..toolkit.types import ToolCall
@@ -220,7 +220,7 @@ def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int) -
     call = ToolCall(tool=gold.tool, args=gold.arg_values)
     observation = execute(call, registry)
     return (f"Gold step executed: {serialize_call(call)}\n"
-            + render_observation(observation, index + 1))
+            + observation_message(render_observation(observation), index + 1))
 
 
 def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory,

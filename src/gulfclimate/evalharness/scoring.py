@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from ..toolkit.types import CallFormatError, FinalAnswer, ToolCall, ValidationVerdict
 from .model import GoldStep
 
-ERROR_CLASSES = ("none", "format_err", "arg_err", "na")
-
 
 @dataclass(frozen=True)
 class PredictedStep:

@@ -18,7 +18,6 @@ from ..core import (
     Provenance,
     elapsed_seconds,
     format_timestamp,
-    parse_utc,
     summary_stats,
     to_datetime64,
     to_datetimes,
@@ -231,13 +230,3 @@ def metadata_to_jsonable(metadata: ChartMetadata) -> dict:
         "std": metadata.std,
         "slope_per_day": metadata.slope_per_day,
     }
-
-
-def metadata_from_jsonable(doc: dict) -> ChartMetadata:
-    return ChartMetadata(
-        city=doc["city"], variable=doc["variable"], unit=doc["unit"],
-        span_start=parse_utc(doc["span"][0]), span_end=parse_utc(doc["span"][1]),
-        count=int(doc["count"]), vmin=float(doc["min"]), vmax=float(doc["max"]),
-        mean=float(doc["mean"]), std=float(doc["std"]),
-        slope_per_day=float(doc["slope_per_day"]),
-    )

@@ -10,50 +10,24 @@ from ..errors import GulfClimateError
 # Mean Earth radius in kilometres.
 EARTH_RADIUS_KM = 6371.0088
 
-METRICS = ("spherical", "equirectangular")
-
 
 class EmptyGrid(GulfClimateError, ValueError):
     """Grid has no candidate cells (empty axes or an all-false mask)."""
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points, in kilometres."""
-    lat1, lon1, lat2, lon2 = map(np.radians, (a.lat, a.lon, b.lat, b.lon))
-    dlat = abs(lat2 - lat1)
-    dlon = abs(lon2 - lon1)
-    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h)))
-
-
-def equirectangular_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Planar small-extent approximation scaled by cos of the mean latitude."""
-    lat1, lon1, lat2, lon2 = map(np.radians, (a.lat, a.lon, b.lat, b.lon))
-    mean_lat = (lat1 + lat2) / 2.0
-    x = np.cos(mean_lat) * (lon2 - lon1)
-    y = lat2 - lat1
-    return float(EARTH_RADIUS_KM * np.sqrt(x * x + y * y))
-
-
-def _distance_matrix(city: GeoPoint, grid: GridSpec, metric: str) -> np.ndarray:
+def _distance_matrix(city: GeoPoint, grid: GridSpec) -> np.ndarray:
+    """Great-circle distance in kilometres from ``city`` to every grid cell."""
     lat = np.radians(grid.lat_array())[:, None]
     lon = np.radians(grid.lon_array())[None, :]
     clat = np.radians(city.lat)
     clon = np.radians(city.lon)
-    if metric == "spherical":
-        dlat = np.abs(lat - clat)
-        dlon = np.abs(lon - clon)
-        h = np.sin(dlat / 2.0) ** 2 + np.cos(clat) * np.cos(lat) * np.sin(dlon / 2.0) ** 2
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-    if metric == "equirectangular":
-        mean_lat = (lat + clat) / 2.0
-        x = np.cos(mean_lat) * (lon - clon)
-        y = lat - clat
-        return EARTH_RADIUS_KM * np.sqrt(x * x + y * y)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    dlat = np.abs(lat - clat)
+    dlon = np.abs(lon - clon)
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(clat) * np.cos(lat) * np.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 
 
-def nearest_grid_cell(city: GeoPoint, grid: GridSpec, metric: str = "spherical",
+def nearest_grid_cell(city: GeoPoint, grid: GridSpec,
                       valid_mask: np.ndarray | None = None) -> tuple[int, int]:
     """Indices ``(i, j)`` of the grid cell nearest to ``city``.
 
@@ -63,7 +37,7 @@ def nearest_grid_cell(city: GeoPoint, grid: GridSpec, metric: str = "spherical",
     """
     if not grid.lats or not grid.lons:
         raise EmptyGrid("grid has empty axes")
-    dist = _distance_matrix(city, grid, metric)
+    dist = _distance_matrix(city, grid)
     if valid_mask is not None:
         mask = np.asarray(valid_mask, dtype=bool)
         if mask.shape != dist.shape:

@@ -22,6 +22,10 @@ from .types import (
     ValidationVerdict,
 )
 
+# The status codes :func:`execute` gives a call that fails validation. No
+# executor raises them, so they tell an invalid call from a failed one.
+INVALID_CALL_CODES = frozenset({"unknown_tool", "arg_error"})
+
 _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 

@@ -40,6 +40,10 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
      "tool_settings.forecast_default_horizon: expected int, got 2.5"),
     ({"tool_settings": {"rain_event_mm": True}},
      "tool_settings.rain_event_mm: expected float, got True"),
+    ({"tool_settings": {"forecast_default_horizon": 0}},
+     "tool_settings.forecast_default_horizon: expected at least 1, got 0"),
+    ({"tool_settings": {"forecast_default_horizon": -1}},
+     "tool_settings.forecast_default_horizon: expected at least 1, got -1"),
 ])
 def test_malformed_values_are_configuration_errors(tmp_path, capsys, doc, message):
     doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)}, **doc}
