@@ -143,8 +143,9 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
 
     The answer text is the final-answer emission when one exists, otherwise a
     deterministic digest of the collected observations flagged incomplete.
-    Every numeric claim must appear in a cited observation; numbers that do
-    not are reported in ``ungrounded`` (the answer is still returned).
+    Every numeric claim of a final answer must appear in a cited observation;
+    numbers that do not are reported in ``ungrounded`` (the answer is still
+    returned). The digest's step numbers are not claims and are not checked.
     ``bodies`` maps the index of each ok observation to its encoded body
     (:func:`render_observation`), the text the claims are checked against.
     """
@@ -168,10 +169,12 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
 
     cited = _citations(text, trajectory)
     pool_steps = cited if cited else tuple(s.index for s in ok_steps)
-    # A cited failed call or final answer has no body and grounds nothing.
-    pool = {value for idx in pool_steps if idx in bodies
-            for _, value in numeric_claims(bodies[idx])}
-    ungrounded = _ungrounded_numbers(text, pool)
+    ungrounded: tuple[str, ...] = ()
+    if not incomplete:  # the digest is the program's own text and claims no number
+        # A cited failed call or final answer has no body and grounds nothing.
+        pool = {value for idx in pool_steps if idx in bodies
+                for _, value in numeric_claims(bodies[idx])}
+        ungrounded = _ungrounded_numbers(text, pool)
 
     charts: tuple = ()
     if images_enabled:

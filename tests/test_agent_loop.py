@@ -65,6 +65,7 @@ def test_budget_exhaustion_gives_an_incomplete_digest(registry):
     assert answer.incomplete and answer.flagged
     assert answer.text == ("No final answer within the step budget. Usable observations: "
                            "step 1 (geocode_mapping); step 2 (rain_inquiry).")
+    assert answer.ungrounded == ()  # the digest's step numbers are not claims
 
 
 def test_three_consecutive_invalid_emissions_end_the_run(registry):

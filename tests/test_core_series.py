@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -299,3 +300,12 @@ def test_gridded_rows_group_by_cell_and_reject_non_finite_values():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(GriddedFormatError, match="line 9: non-finite"):
             GriddedProduct.from_text(GRID + f"2022-01-01,0,0,1.0\n2022-01-02,0,0,{bad}\n")
+    for bad_row, message in [("2022-02-30,0,0,1.0", "bad date '2022-02-30'"),
+                             ("2022-01-02,x,0,1.0", "bad cell index 'x'"),
+                             ("2022-01-02,0,1.5,1.0", "bad cell index '1.5'"),
+                             ("2022-01-02,0,0,abc", "bad value 'abc'"),
+                             ("2022-01-02,0,2,1.0", "cell (0, 2) outside grid"),
+                             ("2022-01-02,0,0", "expected date,i,j,value")]:
+        with pytest.raises(GriddedFormatError, match=re.escape(f"line 10: {message}")):
+            GriddedProduct.from_text(GRID + f"2022-01-01,0,0,1.0\n\n{bad_row}\n"
+                                     "2022-01-03,0,0,nan\n2022-01-04,x,0,\n")
