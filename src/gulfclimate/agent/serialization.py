@@ -66,8 +66,6 @@ def observation_to_jsonable(obs: Observation) -> dict:
         out["span"] = [format_timestamp(obs.timestamps[0]), format_timestamp(obs.timestamps[1])]
     if obs.location is not None:
         out["location"] = {"lat": obs.location.lat, "lon": obs.location.lon}
-    if obs.uncertainty is not None:
-        out["uncertainty"] = obs.uncertainty
     return out
 
 

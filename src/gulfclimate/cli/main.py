@@ -94,7 +94,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("bench requires a backend section in the config")
     if config.backend.kind == "scripted":
         replay = BenchReplay.load(config.backend.replay)
-        factory = replay.step_factory() if args.mode == "step" else replay.e2e_factory()
+        factory = replay.step_backend if args.mode == "step" else replay.e2e_backend
     else:
         backend = config.backend.build()
         factory = lambda _instance: backend  # noqa: E731

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import IO
 
 from ..errors import GulfClimateError
@@ -25,21 +24,16 @@ HEADER = ("timestamp", "variable", "value", "unit", "lat", "lon", "city", "sourc
 
 
 class SinkFailure(GulfClimateError, OSError):
-    """Writing to or reading from the CSV sink failed."""
+    """Writing to a CSV sink failed."""
 
 
 class CsvSchemaError(GulfClimateError, ValueError):
     """Input does not match the canonical CSV schema."""
 
 
-def write_canonical_csv(series: CanonicalSeries, sink: IO[str] | str | Path) -> int:
-    """Write ``series`` to ``sink`` and return the number of data rows."""
-    if isinstance(sink, (str, Path)):
-        try:
-            with open(sink, "w", encoding="utf-8", newline="") as fh:
-                return write_canonical_csv(series, fh)
-        except OSError as exc:
-            raise SinkFailure(str(exc)) from exc
+def write_canonical_csv(series: CanonicalSeries, sink: IO[str]) -> int:
+    """Write ``series`` to the text stream ``sink`` and return the number of
+    data rows."""
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(HEADER)
@@ -62,14 +56,8 @@ def series_to_csv(series: CanonicalSeries) -> str:
     return buf.getvalue()
 
 
-def read_canonical_csv(source: IO[str] | str | Path) -> CanonicalSeries:
-    """Read a canonical CSV back into a validated series."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return read_canonical_csv(fh)
-        except OSError as exc:
-            raise SinkFailure(str(exc)) from exc
+def read_canonical_csv(source: IO[str]) -> CanonicalSeries:
+    """Read a canonical CSV text stream back into a validated series."""
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -66,16 +66,6 @@ class GridSpec:
         if not (math.isfinite(self.resolution_deg) and self.resolution_deg > 0):
             raise GeoValidationError(f"resolution must be positive: {self.resolution_deg}")
 
-    @classmethod
-    def regular(cls, lat_start: float, lat_stop: float, lon_start: float,
-                lon_stop: float, resolution_deg: float) -> "GridSpec":
-        """Build a regular grid covering the closed ranges at the given spacing."""
-        n_lat = int(round((lat_stop - lat_start) / resolution_deg)) + 1
-        n_lon = int(round((lon_stop - lon_start) / resolution_deg)) + 1
-        lats = [lat_start + i * resolution_deg for i in range(n_lat)]
-        lons = [lon_start + j * resolution_deg for j in range(n_lon)]
-        return cls(lats=tuple(lats), lons=tuple(lons), resolution_deg=resolution_deg)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.lats), len(self.lons))

@@ -1,10 +1,13 @@
-"""Timestamp normalization to UTC instants."""
+"""Timestamp normalization to UTC instants.
+
+A naive (zone-less) datetime or ISO string is read as UTC: the program's
+inputs carry either an explicit offset or UTC.
+"""
 
 from __future__ import annotations
 
 import re
 from datetime import date, datetime, timezone
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -22,17 +25,16 @@ class UnparseableTimestamp(GulfClimateError, ValueError):
     """Input not recognized as any accepted timestamp encoding."""
 
 
-def normalize_timestamp(raw: str | int | float | datetime | date,
-                        assumed_zone: str = "UTC") -> datetime:
+def normalize_timestamp(raw: str | int | float | datetime | date) -> datetime:
     """Normalize a raw timestamp into a timezone-aware UTC instant.
 
-    Accepted encodings: ISO-8601 datetimes (naive ones are interpreted in
-    ``assumed_zone``), epoch seconds, and date-only strings. Date-only inputs
-    map to 00:00:00 UTC of that date.
+    Accepted encodings: ISO-8601 datetimes (naive ones are read as UTC),
+    epoch seconds, and date-only strings. Date-only inputs map to 00:00:00
+    UTC of that date.
     """
     if isinstance(raw, datetime):
         if raw.tzinfo is None:
-            raw = raw.replace(tzinfo=_zone(assumed_zone))
+            raw = raw.replace(tzinfo=UTC)
         return raw.astimezone(UTC)
     if isinstance(raw, date):
         return datetime(raw.year, raw.month, raw.day, tzinfo=UTC)
@@ -53,18 +55,9 @@ def normalize_timestamp(raw: str | int | float | datetime | date,
         except ValueError as exc:
             raise UnparseableTimestamp(raw) from exc
         if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=_zone(assumed_zone))
+            dt = dt.replace(tzinfo=UTC)
         return dt.astimezone(UTC)
     raise UnparseableTimestamp(repr(raw))
-
-
-def _zone(zone_id: str) -> ZoneInfo | timezone:
-    if zone_id.upper() == "UTC":
-        return UTC
-    try:
-        return ZoneInfo(zone_id)
-    except KeyError as exc:
-        raise UnparseableTimestamp(f"unknown zone id: {zone_id}") from exc
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -92,4 +85,4 @@ def format_timestamps(column: np.ndarray) -> list[str]:
 
 def parse_utc(text: str) -> datetime:
     """Parse an ISO-8601 UTC instant as written by :func:`format_timestamp`."""
-    return normalize_timestamp(text, assumed_zone="UTC")
+    return normalize_timestamp(text)

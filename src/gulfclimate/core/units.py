@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -68,10 +67,6 @@ class UnitTable:
                 table._conversions[variable] = {}
             table._conversions[variable][unit] = conv
         return table
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "UnitTable":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def default(cls) -> "UnitTable":
@@ -133,19 +128,3 @@ def default_table() -> UnitTable:
     if _DEFAULT is None:
         _DEFAULT = UnitTable.default()
     return _DEFAULT
-
-
-def set_default_table(table: UnitTable) -> None:
-    """Install a process-wide unit table (e.g. loaded from a site config)."""
-    global _DEFAULT
-    _DEFAULT = table
-
-
-def normalize_unit(value: float, from_unit: str, variable: str,
-                   table: UnitTable | None = None) -> tuple[float, str]:
-    """Convert ``value`` into the canonical unit for ``variable``.
-
-    Returns ``(converted_value, canonical_unit)``. Raises :class:`UnknownUnit`
-    or :class:`UnknownVariable` when the table has no matching entry.
-    """
-    return (table or default_table()).normalize(value, from_unit, variable)

@@ -51,12 +51,6 @@ class BenchReplay:
         emissions.append(run.get("final", ""))
         return ScriptedBackend(emissions)
 
-    def step_factory(self):
-        return self.step_backend
-
-    def e2e_factory(self):
-        return self.e2e_backend
-
 
 # -- seeded corruption helpers (calibration probes for the harness) --------------
 

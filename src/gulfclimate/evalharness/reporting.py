@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Iterable
 
 from ..core.csvio import SinkFailure
 from .runner import MetricReport
@@ -39,51 +40,40 @@ def render_report(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_csv(report: MetricReport, sink) -> None:
+def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    except OSError as exc:
+        raise SinkFailure(str(exc)) from exc
+
+
+def write_report_csv(report: MetricReport, path: str | Path) -> None:
     """Headline metrics as a two-column CSV with a version row."""
-    if isinstance(sink, (str, Path)):
-        try:
-            with open(sink, "w", encoding="utf-8", newline="") as fh:
-                write_report_csv(report, fh)
-            return
-        except OSError as exc:
-            raise SinkFailure(str(exc)) from exc
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["schema_version", REPORT_CSV_VERSION])
-    writer.writerow(["mode", report.mode])
+    rows = [["schema_version", REPORT_CSV_VERSION], ["mode", report.mode]]
     for label, attr in _METRIC_ORDER:
         value = getattr(report, attr)
         if value is not None:
-            writer.writerow([label, repr(round(value, 10))])
+            rows.append([label, repr(round(value, 10))])
+    _write_csv(path, rows)
 
 
-def write_step_rows_csv(report: MetricReport, sink) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_step_rows_csv(report, fh)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["instance_id", "step_index", "inst", "tool", "arg", "summ",
-                     "error_class"])
-    for row in report.step_rows:
-        writer.writerow([row.instance_id, row.step_index, row.inst, row.tool,
-                         row.arg, row.summ, row.error_class])
+def write_step_rows_csv(report: MetricReport, path: str | Path) -> None:
+    _write_csv(path, [
+        ["instance_id", "step_index", "inst", "tool", "arg", "summ", "error_class"],
+        *([row.instance_id, row.step_index, row.inst, row.tool, row.arg, row.summ,
+           row.error_class] for row in report.step_rows),
+    ])
 
 
-def write_instance_rows_csv(report: MetricReport, sink) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_instance_rows_csv(report, fh)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["instance_id", "answered", "answered_with_images", "chart_ok",
-                     "missed_facts", "failure"])
-    for row in report.instance_rows:
-        writer.writerow([
-            row.instance_id,
-            "" if row.answered is None else row.answered,
-            "" if row.answered_with_images is None else row.answered_with_images,
-            "" if row.chart_ok is None else int(row.chart_ok),
-            "|".join(row.missed_facts),
-            row.failure or "",
-        ])
+def write_instance_rows_csv(report: MetricReport, path: str | Path) -> None:
+    _write_csv(path, [
+        ["instance_id", "answered", "answered_with_images", "chart_ok", "missed_facts",
+         "failure"],
+        *([row.instance_id,
+           "" if row.answered is None else row.answered,
+           "" if row.answered_with_images is None else row.answered_with_images,
+           "" if row.chart_ok is None else int(row.chart_ok),
+           "|".join(row.missed_facts),
+           row.failure or ""] for row in report.instance_rows),
+    ])

@@ -63,7 +63,7 @@ class ChartArtifact:
     data_csv: str
     provenance: Provenance
 
-    def verify_metadata(self, tol: float = METADATA_STAT_TOL) -> bool:
+    def verify_metadata(self) -> bool:
         """Recompute the statistics from the stored CSV and compare."""
         present = series_from_csv(self.data_csv).present()
         if len(present) == 0:
@@ -73,7 +73,7 @@ class ChartArtifact:
                   self.metadata.mean, self.metadata.std, self.metadata.slope_per_day)
         if recomputed[0] != stored[0]:
             return False
-        return all(abs(r - s) <= tol * max(1.0, abs(s))
+        return all(abs(r - s) <= METADATA_STAT_TOL * max(1.0, abs(s))
                    for r, s in zip(recomputed[1:], stored[1:]))
 
 
@@ -156,8 +156,7 @@ def _render_svg(series: CanonicalSeries, present: CanonicalSeries,
 
 def build_chart(series_slice: CanonicalSeries, window: WindowSpec,
                 city: str, variable: str,
-                provenance: Provenance | None = None,
-                chart_id: str | None = None) -> ChartArtifact:
+                provenance: Provenance | None = None) -> ChartArtifact:
     """Render one window of a series into a chart artifact.
 
     Rows outside the window are rejected; missing values render as line
@@ -177,7 +176,7 @@ def build_chart(series_slice: CanonicalSeries, window: WindowSpec,
         raise EmptySlice("window slice has no valid values")
     return _build(series_slice, present, city=city, variable=variable,
                   span=(window.start, window.end), provenance=provenance,
-                  chart_id=chart_id)
+                  chart_id=None)
 
 
 def chart_for_series(series: CanonicalSeries, chart_id: str | None = None,

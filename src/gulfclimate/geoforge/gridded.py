@@ -81,8 +81,10 @@ class GriddedProduct:
     cells: dict
 
     @classmethod
-    def from_text(cls, text: str, source_name: str = "gridded-fixture") -> "GriddedProduct":
-        return cls._from_lines(io.StringIO(text, newline=None), source_name)
+    def from_text(cls, text: str) -> "GriddedProduct":
+        """Parse a file's text; a header without ``source`` names the
+        product ``gridded-fixture``."""
+        return cls._from_lines(io.StringIO(text, newline=None), "gridded-fixture")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GriddedProduct":

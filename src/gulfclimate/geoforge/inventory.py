@@ -8,7 +8,6 @@ import io
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from ..core import GeoPoint
 from ..errors import GulfClimateError
@@ -16,9 +15,10 @@ from ..errors import GulfClimateError
 GULF_COUNTRIES = ("Bahrain", "Kuwait", "Oman", "Qatar", "Saudi Arabia", "UAE")
 
 # Generous box around the six Gulf states (lat_min, lat_max, lon_min, lon_max).
-DEFAULT_BOUNDING_BOX = (15.0, 33.0, 34.0, 61.0)
+GULF_BOUNDING_BOX = (15.0, 33.0, 34.0, 61.0)
 
-DEFAULT_SIMILARITY_FLOOR = 0.8
+# Lowest name similarity a fuzzy lookup accepts.
+SIMILARITY_FLOOR = 0.8
 
 
 class InventoryError(GulfClimateError, ValueError):
@@ -43,9 +43,8 @@ def _normalize_name(name: str) -> str:
 class CityInventory:
     """Named Gulf locations, validated against a bounding box."""
 
-    def __init__(self, entries: list[CityEntry],
-                 bounding_box: tuple[float, float, float, float] = DEFAULT_BOUNDING_BOX):
-        lat_min, lat_max, lon_min, lon_max = bounding_box
+    def __init__(self, entries: list[CityEntry]):
+        lat_min, lat_max, lon_min, lon_max = GULF_BOUNDING_BOX
         seen: set[tuple[str, str]] = set()
         for e in entries:
             if e.country not in GULF_COUNTRIES:
@@ -67,26 +66,16 @@ class CityInventory:
         return iter(self._entries)
 
     @classmethod
-    def from_csv_text(cls, text: str, **kwargs) -> "CityInventory":
-        reader = csv.DictReader(io.StringIO(text))
-        entries = [
+    def default(cls) -> "CityInventory":
+        """The packaged ``cities.csv`` (``city,country,lat,lon``)."""
+        text = resources.files("gulfclimate.geoforge.data").joinpath("cities.csv").read_text("utf-8")
+        return cls([
             CityEntry(city=row["city"], country=row["country"],
                       location=GeoPoint(lat=float(row["lat"]), lon=float(row["lon"])))
-            for row in reader
-        ]
-        return cls(entries, **kwargs)
+            for row in csv.DictReader(io.StringIO(text))
+        ])
 
-    @classmethod
-    def from_file(cls, path: str | Path, **kwargs) -> "CityInventory":
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"), **kwargs)
-
-    @classmethod
-    def default(cls) -> "CityInventory":
-        text = resources.files("gulfclimate.geoforge.data").joinpath("cities.csv").read_text("utf-8")
-        return cls.from_csv_text(text)
-
-    def lookup(self, region: str,
-               similarity_floor: float = DEFAULT_SIMILARITY_FLOOR) -> CityEntry:
+    def lookup(self, region: str) -> CityEntry:
         """Resolve a region name, tolerating case/spacing and small typos."""
         if not region or not region.strip():
             raise UnknownRegion("empty region name")
@@ -99,6 +88,6 @@ class CityInventory:
             score = difflib.SequenceMatcher(None, wanted, name).ratio()
             if score > best_score:
                 best_name, best_score = name, score
-        if best_name is not None and best_score >= similarity_floor:
+        if best_name is not None and best_score >= SIMILARITY_FLOOR:
             return self._by_name[best_name]
         raise UnknownRegion(region)

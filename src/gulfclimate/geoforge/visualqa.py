@@ -28,8 +28,8 @@ from .charts import ChartArtifact, chart_for_series, metadata_to_jsonable
 CATEGORIES = ("anomaly", "forecasting", "imputation", "reasoning")
 BACKEND_CATEGORIES = ("forecasting", "reasoning")
 
-DEFAULT_SPIKE_SIGMA = 5.0
-DEFAULT_MASK_FRACTION = 0.1
+SPIKE_SIGMA = 5.0
+MASK_FRACTION = 0.1
 
 
 class VisualQAError(GulfClimateError, ValueError):
@@ -52,9 +52,9 @@ class SpanMask:
     tolerance: float
 
 
-def inject_spike(series: CanonicalSeries, seed: int,
-                 k_sigma: float = DEFAULT_SPIKE_SIGMA) -> tuple[CanonicalSeries, SpikeInjection]:
-    """Copy the series with one synthetic spike of ``k_sigma`` magnitude.
+def inject_spike(series: CanonicalSeries, seed: int) -> tuple[CanonicalSeries, SpikeInjection]:
+    """Copy the series with one synthetic spike of ``SPIKE_SIGMA`` standard
+    deviations.
 
     The injection point and direction are drawn from a seeded RNG over the
     interior points; a zero-variance series falls back to a unit magnitude so
@@ -68,7 +68,7 @@ def inject_spike(series: CanonicalSeries, seed: int,
     direction = rng.choice(["upward", "downward"])
     present = series.values[rows]
     sigma = float(present.std())
-    magnitude = k_sigma * sigma if sigma > 0 else max(1.0, abs(float(present.mean())) * 0.1)
+    magnitude = SPIKE_SIGMA * sigma if sigma > 0 else max(1.0, abs(float(present.mean())) * 0.1)
     delta = magnitude if direction == "upward" else -magnitude
 
     values = series.values.copy()
@@ -79,15 +79,15 @@ def inject_spike(series: CanonicalSeries, seed: int,
     return series.with_values(values), injection
 
 
-def mask_span(series: CanonicalSeries, seed: int,
-              fraction: float = DEFAULT_MASK_FRACTION) -> tuple[CanonicalSeries, SpanMask]:
-    """Copy the series with a contiguous span of present values made missing.
+def mask_span(series: CanonicalSeries, seed: int) -> tuple[CanonicalSeries, SpanMask]:
+    """Copy the series with a contiguous span of ``MASK_FRACTION`` of its
+    present values made missing.
 
     The gold answer is the true mean over the masked values; the matching
     tolerance is the std of the surrounding (unmasked) values.
     """
     rows = np.flatnonzero(~np.isnan(series.values))
-    length = max(1, int(round(len(rows) * fraction)))
+    length = max(1, int(round(len(rows) * MASK_FRACTION)))
     if len(rows) <= length + 2:
         raise VisualQAError("series too short to mask a span")
     rng = random.Random(seed)

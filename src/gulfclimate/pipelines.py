@@ -4,9 +4,11 @@ A scripted replay backend hands out its emissions in call order, so each
 forge fixes the order in which it calls the backend:
 
 - ``forge_text``: keyword expansion (one emission per constraint), then
-  keyword by keyword the retrieval refinements (one per off-domain round),
-  then document by document fact induction (one per chunk) and QA synthesis
-  (one per requested format).
+  keyword by keyword the retrieval refinements (one per off-domain round; a
+  round whose query or page has no recording ends its keyword), then
+  document by document fact induction (one per chunk) and QA synthesis (one
+  per requested format). A document with no content left after cleaning
+  consumes no emission; a malformed QA emission is still consumed.
 - ``forge_visual``: window by window, then category by category, one
   emission per requested format, in order, for the backend categories
   (``forecasting``, ``reasoning``); a window with a malformed emission still
@@ -17,7 +19,7 @@ forge fixes the order in which it calls the backend:
 from __future__ import annotations
 
 import csv
-import json
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -32,11 +34,18 @@ from .geoforge.windows import segment_windows, window_slice
 from .textforge.chunking import chunk, tokenize
 from .textforge.facts import induce_facts
 from .textforge.keywords import KeywordIndex, expand_keywords
-from .textforge.parsing import parse_document
-from .textforge.qa import QASynthesisError, synthesize_qa, write_dataset
-from .textforge.retrieval import DomainPolicy, NoRelevantResults, retrieve_documents
+from .textforge.parsing import EmptyAfterCleaning, parse_document
+from .textforge.qa import FORMATS, QASynthesisError, synthesize_qa, write_dataset
+from .textforge.retrieval import NoRelevantResults, retrieve_documents
+from .tools.errors import ProviderFailure
 from .tools.providers import FixtureStore
 from .tools.web import FixtureSearch
+
+# Dimension of the keyword embeddings a job's index stores.
+EMBEDDING_DIM = 64
+
+# Distinct fixture roots a process keeps parsed at once.
+_FIXTURE_ROOTS_CACHED = 4
 
 
 def _section_breaks(text: str) -> tuple[list[int], list[tuple[int, str]]]:
@@ -53,44 +62,64 @@ def _section_breaks(text: str) -> tuple[list[int], list[tuple[int, str]]]:
     return breaks, headers
 
 
+@functools.lru_cache(maxsize=_FIXTURE_ROOTS_CACHED)
+def _fixture_search(root: Path) -> FixtureSearch:
+    """One store per fixture root per process, so every job of a process
+    parses the recorded search corpus once. A file changed under a root after
+    a job has read it is not seen again by later jobs in the same process."""
+    return FixtureSearch(FixtureStore(root))
+
+
 def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]],
                backend, fixture_root: Path | None, out_dir: Path,
-               formats: tuple[str, ...] = ("mcq", "tf", "open"),
-               tau: float = 0.85, embedding_dim: int = 64,
-               max_rounds: int = 2) -> dict:
+               formats: tuple[str, ...] = ("mcq", "tf", "open")) -> dict:
     """Run the textual pipeline over the recorded search corpus.
 
     Returns summary counts; writes ``qa_text.jsonl`` (items with resolved
-    provenance) and the persisted keyword index under ``out_dir``.
+    provenance) and the persisted keyword index under ``out_dir``. One bad
+    input drops only its own part of the job, counted under ``dropped``: a
+    keyword whose query or page has no recording
+    (``keywords_provider_failure``), a page with no content after cleaning
+    (``documents_empty_after_cleaning``) and one malformed QA emission
+    (``<format>_documents_dropped``). A keyword whose every round is
+    off-domain counts under ``keywords_skipped``.
     """
     if fixture_root is None:
         raise ConfigError("forge text currently requires a fixture search provider")
-    search = FixtureSearch(FixtureStore(fixture_root))
+    unknown = sorted(set(formats) - set(FORMATS))
+    if unknown:
+        raise ConfigError(f"unknown QA formats {unknown}; choose from {FORMATS}")
+    search = _fixture_search(Path(fixture_root).resolve())
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    index = KeywordIndex(dim=embedding_dim, tau=tau)
+    index = KeywordIndex(dim=EMBEDDING_DIM)
     kept = expand_keywords(seeds, constraints, backend, index)
 
+    counters: Counter = Counter()
     docs_by_url: dict[str, tuple] = {}
     skipped_keywords = 0
     for keyword in kept:
         try:
-            retrieved = retrieve_documents(keyword, search, backend,
-                                           max_rounds=max_rounds,
-                                           policy=DomainPolicy())
+            retrieved = retrieve_documents(keyword, search, backend)
         except NoRelevantResults:
             skipped_keywords += 1
+            continue
+        except ProviderFailure:
+            counters["keywords_provider_failure"] += 1
             continue
         for doc in retrieved:
             docs_by_url.setdefault(doc.url, doc)
 
-    counters: Counter = Counter()
     all_items = []
     facts_by_id: dict = {}
     chunks_by_id: dict = {}
     n_chunks = 0
     for url, doc in docs_by_url.items():
-        text, meta = parse_document(doc.raw, kind="html")
+        try:
+            text, _meta = parse_document(doc.raw)
+        except EmptyAfterCleaning:
+            counters["documents_empty_after_cleaning"] += 1
+            continue
         tokens = tokenize(text)
         breaks, headers = _section_breaks(text)
 
@@ -111,7 +140,10 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
             counters["documents_without_facts"] += 1
             continue
         for fmt in formats:
-            all_items.extend(synthesize_qa(doc_facts, fmt, backend, counters=counters))
+            try:
+                all_items.extend(synthesize_qa(doc_facts, fmt, backend, counters=counters))
+            except QASynthesisError:
+                counters[f"{fmt}_documents_dropped"] += 1
 
     dataset_path = out_dir / "qa_text.jsonl"
     written = write_dataset(all_items, facts_by_id, chunks_by_id, dataset_path)
@@ -134,9 +166,7 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
 def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
                  categories: tuple[str, ...] = ("anomaly", "imputation"),
                  formats: tuple[str, ...] = ("mcq",),
-                 backend=None, seed: int = 0, rho: float = 0.8,
-                 delta_days: int = 90,
-                 inventory: CityInventory | None = None) -> dict:
+                 backend=None, seed: int = 0, rho: float = 0.8) -> dict:
     """Run the visual-temporal pipeline over one gridded product.
 
     Writes charts (SVG + CSV + a colocated metadata CSV) and
@@ -146,12 +176,11 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     ``dropped`` as ``<category>_windows_dropped`` and the job goes on.
     """
     check_categories(categories, backend)
-    inventory = inventory or CityInventory.default()
-    entry = inventory.lookup(city)
+    entry = CityInventory.default().lookup(city)
     product = GriddedProduct.from_file(gridded_path)
     cell = nearest_grid_cell(entry.location, product.grid)
     series = extract_series(product, cell, variable, city=entry.city)
-    windows = segment_windows(series, delta_days=delta_days, rho=rho)
+    windows = segment_windows(series, rho=rho)
     provenance = product.provenance(cell)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,21 +1,13 @@
-"""Pluggable text embeddings with a deterministic offline default."""
+"""Deterministic offline text embeddings for keyword deduplication."""
 
 from __future__ import annotations
 
 import hashlib
 import re
-from typing import Protocol
 
 import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-class EmbeddingProvider(Protocol):
-    dim: int
-
-    def embed(self, text: str) -> np.ndarray:
-        ...
 
 
 class HashingEmbedder:
@@ -41,11 +33,3 @@ class HashingEmbedder:
             vec[0] = 1.0
             return vec
         return vec / norm
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

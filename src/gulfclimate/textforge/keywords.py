@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GulfClimateError
-from .embedding import EmbeddingProvider, HashingEmbedder
+from .embedding import HashingEmbedder
 
 DEFAULT_TAU = 0.85
 
@@ -144,16 +144,16 @@ _EXPANSION_PROMPT = (
 
 
 def expand_keywords(seeds: list[str], constraints: list[tuple[str | None, str | None]],
-                    backend, index: KeywordIndex,
-                    embedder: EmbeddingProvider | None = None) -> list[Keyword]:
+                    backend, index: KeywordIndex) -> list[Keyword]:
     """LLM-propose candidates per (country, city) constraint, dedup via the index.
 
     Every returned keyword passed the similarity filter and carries the
-    constraint tuple it was generated under.
+    constraint tuple it was generated under. Candidates are embedded with a
+    :class:`HashingEmbedder` of the index's dimension.
     """
     if not seeds:
         raise KeywordIndexError("seed list must be non-empty")
-    embedder = embedder or HashingEmbedder(dim=index.dim)
+    embedder = HashingEmbedder(dim=index.dim)
     kept: list[Keyword] = []
     for country, city in constraints or [(None, None)]:
         where = ", ".join(p for p in (city, country) if p) or "the Gulf region"

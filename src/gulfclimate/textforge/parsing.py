@@ -1,14 +1,15 @@
-"""Heterogeneous document parsing into clean text with section markers."""
+"""HTML page parsing into clean text with section markers.
+
+The recorded search corpus holds HTML pages only, so HTML is the one input
+kind.
+"""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
 from ..errors import GulfClimateError
-
-KINDS = ("html", "pdf_text")
 
 # Blocks dropped wholesale: navigation chrome and non-content machinery.
 _BOILERPLATE_TAGS = frozenset(
@@ -19,10 +20,6 @@ _HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
 
 # A block whose characters are mostly link text is navigation, not content.
 LINK_DENSITY_LIMIT = 0.5
-
-
-class UnsupportedFormat(GulfClimateError, ValueError):
-    pass
 
 
 class EmptyAfterCleaning(GulfClimateError, ValueError):
@@ -128,47 +125,23 @@ class _Extractor(HTMLParser):
         return title or None
 
 
-_PDF_HEADING = re.compile(r"^(\d+(\.\d+)*\s+\S.*|[A-Z][A-Z .,&-]{3,60})$")
-
-
-def parse_document(raw: bytes, kind: str) -> tuple[str, DocumentMeta]:
+def parse_document(raw: bytes) -> tuple[str, DocumentMeta]:
     """Extract main content, drop boilerplate, keep ``## `` section markers.
 
-    ``html`` uses tag and link-density rules; ``pdf_text`` expects an
-    extracted text layer and promotes numbered or all-caps lines to headers.
+    Blocks are kept or dropped by tag and by link density; headings become
+    ``## `` lines. Raises :class:`EmptyAfterCleaning` when no content block
+    is left.
     """
-    if kind not in KINDS:
-        raise UnsupportedFormat(f"kind must be one of {KINDS}, got {kind!r}")
-    text = raw.decode("utf-8", errors="replace")
-    if kind == "html":
-        extractor = _Extractor()
-        extractor.feed(text)
-        extractor.close()
-        content = "\n\n".join(extractor.blocks).strip()
-        if not content:
-            raise EmptyAfterCleaning("no content blocks after boilerplate removal")
-        meta = DocumentMeta(
-            title=extractor.title,
-            organization=extractor.meta.get("organization"),
-            date=extractor.meta.get("date"),
-            url=extractor.meta.get("url"),
-        )
-        return content, meta
-
-    lines = []
-    title: str | None = None
-    for raw_line in text.replace("\f", "\n").splitlines():
-        line = " ".join(raw_line.split())
-        if not line:
-            lines.append("")
-            continue
-        if title is None:
-            title = line
-        if _PDF_HEADING.match(line) and len(line.split()) <= 12:
-            lines.append(f"## {line}")
-        else:
-            lines.append(line)
-    content = re.sub(r"\n{3,}", "\n\n", "\n".join(lines)).strip()
+    extractor = _Extractor()
+    extractor.feed(raw.decode("utf-8", errors="replace"))
+    extractor.close()
+    content = "\n\n".join(extractor.blocks).strip()
     if not content:
-        raise EmptyAfterCleaning("text layer is empty")
-    return content, DocumentMeta(title=title)
+        raise EmptyAfterCleaning("no content blocks after boilerplate removal")
+    meta = DocumentMeta(
+        title=extractor.title,
+        organization=extractor.meta.get("organization"),
+        date=extractor.meta.get("date"),
+        url=extractor.meta.get("url"),
+    )
+    return content, meta

@@ -1,32 +1,33 @@
-"""Retrieval agent: search, relevance-gate, fetch, refine, repeat."""
+"""Retrieval agent: search, relevance-gate, fetch, refine, repeat.
+
+Each keyword gets at most ``MAX_ROUNDS`` searches: the keyword itself, then
+one backend-refined query when the first round is all off-domain. A result
+is on-domain when at least ``MIN_OVERLAP`` of the query's word tokens appear
+in its title or snippet.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
 from ..core import Provenance, parse_utc
 from ..errors import GulfClimateError
 from .keywords import Keyword
 
-DEFAULT_MIN_OVERLAP = 0.34
+if TYPE_CHECKING:
+    from ..tools.web import FixtureSearch
+
+MIN_OVERLAP = 0.34
+MAX_ROUNDS = 2
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class NoRelevantResults(GulfClimateError):
     """Every round came back off-domain."""
-
-
-class SearchProvider(Protocol):
-    def search(self, query: str) -> list[dict]:
-        """Ranked results: dicts with title/url/snippet (+ optional retrieved_at)."""
-        ...
-
-    def page(self, url: str) -> bytes:
-        ...
 
 
 @dataclass(frozen=True)
@@ -36,28 +37,15 @@ class RetrievedDoc:
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class DomainPolicy:
-    """What counts as on-domain: token overlap plus an optional allowlist."""
-
-    min_overlap: float = DEFAULT_MIN_OVERLAP
-    allowlist: frozenset[str] | None = None
-
-    def accepts(self, query: str, result: dict) -> bool:
-        if self.allowlist is not None:
-            domain = urlparse(result.get("url", "")).netloc.casefold()
-            if not any(domain == d or domain.endswith("." + d) for d in self.allowlist):
-                return False
-        return self.overlap(query, result) >= self.min_overlap
-
-    @staticmethod
-    def overlap(query: str, result: dict) -> float:
-        q_tokens = set(_WORD_RE.findall(query.casefold()))
-        if not q_tokens:
-            return 0.0
-        text = f"{result.get('title', '')} {result.get('snippet', '')}".casefold()
-        r_tokens = set(_WORD_RE.findall(text))
-        return len(q_tokens & r_tokens) / len(q_tokens)
+def on_domain(query: str, result: dict) -> bool:
+    """Whether enough of the query's word tokens appear in the result's
+    title and snippet."""
+    q_tokens = set(_WORD_RE.findall(query.casefold()))
+    if not q_tokens:
+        return False
+    text = f"{result.get('title', '')} {result.get('snippet', '')}".casefold()
+    r_tokens = set(_WORD_RE.findall(text))
+    return len(q_tokens & r_tokens) / len(q_tokens) >= MIN_OVERLAP
 
 
 _REFINE_PROMPT = (
@@ -66,41 +54,27 @@ _REFINE_PROMPT = (
 )
 
 
-@dataclass
-class _Round:
-    query: str
-    accepted: list[dict] = field(default_factory=list)
-
-
-def retrieve_documents(keyword: Keyword, search: SearchProvider, backend,
-                       max_rounds: int = 2,
-                       policy: DomainPolicy | None = None) -> list[RetrievedDoc]:
+def retrieve_documents(keyword: Keyword, search: FixtureSearch,
+                       backend) -> list[RetrievedDoc]:
     """Search-and-refine loop for one keyword.
 
     Each round searches, gates results by domain relevance, and fetches the
     accepted ones; when nothing passes, the backend refines the query and the
-    loop repeats up to ``max_rounds``. Every document carries provenance with
+    loop repeats up to ``MAX_ROUNDS``. Every document carries provenance with
     the full query chain. Raises :class:`NoRelevantResults` when all rounds
     come back off-domain.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1: {max_rounds}")
-    policy = policy or DomainPolicy()
     query = keyword.text
     chain: list[str] = []
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         chain.append(query)
-        round_ = _Round(query=query)
-        results = search.search(query)
-        for result in results:
-            if policy.accepts(query, result):
-                round_.accepted.append(result)
-        if round_.accepted:
+        accepted = [result for result in search.search(query) if on_domain(query, result)]
+        if accepted:
             docs = []
             query_chain = " -> ".join(chain)
-            for result in round_.accepted:
+            for result in accepted:
                 raw = search.page(result["url"])
-                retrieved_at = result.get("retrieved_at") or _provider_retrieved_at(search, query)
+                retrieved_at = result.get("retrieved_at") or search.retrieved_at(query)
                 docs.append(RetrievedDoc(
                     url=result["url"],
                     raw=raw,
@@ -121,8 +95,3 @@ def retrieve_documents(keyword: Keyword, search: SearchProvider, backend,
             break
         query = refined
     raise NoRelevantResults(f"no on-domain results after {len(chain)} round(s): {chain}")
-
-
-def _provider_retrieved_at(search: SearchProvider, query: str) -> str | None:
-    getter = getattr(search, "retrieved_at", None)
-    return getter(query) if callable(getter) else None

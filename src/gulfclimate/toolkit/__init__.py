@@ -1,53 +1,28 @@
 """Tool binding layer: signatures, call grammar, validation, execution."""
 
 from .grammar import FENCE_CLOSE, FENCE_OPEN, parse_call, serialize_call
-from .registry import (
-    Binding,
-    RegistryError,
-    ToolExecutionError,
-    ToolRegistry,
-    execute,
-    render_tool_prompt,
-    validate_call,
-)
+from .registry import ToolRegistry, execute, render_tool_prompt, validate_call
 from .types import (
     CATEGORIES,
-    CATEGORY_TITLES,
-    PARAM_TYPES,
-    RETURN_TYPES,
     CallFormatError,
     FinalAnswer,
-    Observation,
-    ObservationStatus,
     ParamSpec,
     SignatureError,
     ToolCall,
-    ToolResult,
     ToolSignature,
-    ValidationVerdict,
 )
 
 __all__ = [
-    "Binding",
     "CATEGORIES",
-    "CATEGORY_TITLES",
     "CallFormatError",
     "FENCE_CLOSE",
     "FENCE_OPEN",
     "FinalAnswer",
-    "Observation",
-    "ObservationStatus",
-    "PARAM_TYPES",
     "ParamSpec",
-    "RETURN_TYPES",
-    "RegistryError",
     "SignatureError",
     "ToolCall",
-    "ToolExecutionError",
     "ToolRegistry",
-    "ToolResult",
     "ToolSignature",
-    "ValidationVerdict",
     "execute",
     "parse_call",
     "render_tool_prompt",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date
 from typing import Any, Callable, Collection, Mapping
 
@@ -45,27 +44,23 @@ class ToolExecutionError(GulfClimateError):
             self.code = code
 
 
-@dataclass(frozen=True)
-class Binding:
-    """An executor bound to a signature.
+Executor = Callable[..., ToolResult]
+
+
+class ToolRegistry:
+    """Immutable mapping of tool names to (signature, executor) pairs.
 
     The benchmark harness runs instances on several threads once the backend
     wait dominates, so an executor may be called from several threads at
     once and must not keep per-call state on shared objects.
     """
 
-    executor: Callable[..., ToolResult]
-
-
-class ToolRegistry:
-    """Immutable mapping of tool names to (signature, binding) pairs."""
-
-    def __init__(self, entries: Mapping[ToolSignature, Binding]):
-        by_name: dict[str, tuple[ToolSignature, Binding]] = {}
-        for sig, binding in entries.items():
+    def __init__(self, entries: Mapping[ToolSignature, Executor]):
+        by_name: dict[str, tuple[ToolSignature, Executor]] = {}
+        for sig, executor in entries.items():
             if sig.name in by_name:
                 raise RegistryError(f"duplicate tool name {sig.name!r}")
-            by_name[sig.name] = (sig, binding)
+            by_name[sig.name] = (sig, executor)
         self._by_name = dict(sorted(by_name.items()))
 
     def __contains__(self, name: str) -> bool:
@@ -80,20 +75,19 @@ class ToolRegistry:
     def signature(self, name: str) -> ToolSignature:
         return self._by_name[name][0]
 
-    def binding(self, name: str) -> Binding:
+    def executor(self, name: str) -> Executor:
         return self._by_name[name][1]
 
     def signatures(self) -> tuple[ToolSignature, ...]:
         return tuple(sig for sig, _ in self._by_name.values())
 
     def subset(self, names: Collection[str]) -> "ToolRegistry":
-        """A registry exposing only the given tools; bindings are shared."""
+        """A registry exposing only the given tools; executors are shared."""
         wanted = set(names)
         missing = wanted - set(self._by_name)
         if missing:
             raise RegistryError(f"unknown tools in subset: {sorted(missing)}")
-        return ToolRegistry({sig: b for sig, b in
-                             (self._by_name[n] for n in sorted(wanted))})
+        return ToolRegistry(dict(self._by_name[n] for n in sorted(wanted)))
 
 
 def _coerce(value: Any, spec: ParamSpec) -> Any:
@@ -223,7 +217,7 @@ def execute(call: ToolCall, registry: ToolRegistry,
             status=ObservationStatus.error(verdict.kind, "; ".join(verdict.details)),
         )
     sig = registry.signature(call.tool)
-    binding = registry.binding(call.tool)
+    executor = registry.executor(call.tool)
     kwargs = dict(verdict.coerced_args or {})
     if refs:
         for spec in sig.params:
@@ -232,7 +226,7 @@ def execute(call: ToolCall, registry: ToolRegistry,
                 if isinstance(value, str) and value in refs:
                     kwargs[spec.name] = refs[value]
     try:
-        result = binding.executor(**kwargs)
+        result = executor(**kwargs)
     except ToolExecutionError as exc:
         return Observation(tool=call.tool, payload=None,
                            status=ObservationStatus.error(exc.code, str(exc)))
@@ -260,7 +254,6 @@ def execute(call: ToolCall, registry: ToolRegistry,
         units=result.units,
         timestamps=result.timestamps,
         location=result.location,
-        uncertainty=result.uncertainty,
     )
 
 

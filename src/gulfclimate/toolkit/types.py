@@ -66,12 +66,6 @@ class ToolSignature:
         if len(names) != len(set(names)):
             raise SignatureError(f"duplicate param names in {self.name}")
 
-    def param(self, name: str) -> ParamSpec | None:
-        for p in self.params:
-            if p.name == name:
-                return p
-        return None
-
     def required_params(self) -> frozenset[str]:
         return frozenset(p.name for p in self.params if p.required)
 
@@ -138,7 +132,6 @@ class Observation:
     units: str | None = None
     timestamps: tuple[datetime, datetime] | None = None
     location: GeoPoint | None = None
-    uncertainty: float | None = None
 
 
 @dataclass(frozen=True)
@@ -162,4 +155,3 @@ class ToolResult:
     units: str | None = None
     timestamps: tuple[datetime, datetime] | None = None
     location: GeoPoint | None = None
-    uncertainty: float | None = None

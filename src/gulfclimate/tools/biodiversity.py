@@ -12,6 +12,8 @@ from .providers import FixtureStore
 
 
 def make_detection_executor(store: FixtureStore, tool: str, param: str):
+    """Executor for ``tool``: the candidates recorded for the reference id
+    passed as ``param``, most confident first."""
     def run(**kwargs) -> ToolResult:
         ref = kwargs[param]
         if not isinstance(ref, str):
@@ -22,20 +24,4 @@ def make_detection_executor(store: FixtureStore, tool: str, param: str):
                 candidates.sort(key=lambda c: -c[1])
                 return ToolResult(payload=[list(c) for c in candidates])
         raise UnresolvableReference(f"{tool}: unknown reference {ref!r}")
-    return run
-
-
-def make_detect_bird(store: FixtureStore):
-    executor = make_detection_executor(store, "detect_bird", "audio_clip")
-
-    def run(audio_clip) -> ToolResult:
-        return executor(audio_clip=audio_clip)
-    return run
-
-
-def make_detect_species(store: FixtureStore):
-    executor = make_detection_executor(store, "detect_species", "image")
-
-    def run(image) -> ToolResult:
-        return executor(image=image)
     return run

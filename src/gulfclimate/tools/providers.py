@@ -46,6 +46,10 @@ from .errors import ProviderFailure
 
 PROVIDER_KINDS = ("fixture", "live_http")
 
+# Farthest a climate fixture row may sit from the query point, in degrees of
+# latitude or longitude.
+NEAREST_ROW_MAX_DEG = 0.25
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -121,15 +125,14 @@ class HttpSession:
             raise ProviderFailure(str(exc)) from exc
 
 
-def nearest_row(rows: list[dict], lat: float, lon: float,
-                max_deg: float = 0.25) -> list[dict]:
+def nearest_row(rows: list[dict], lat: float, lon: float) -> list[dict]:
     """Fixture rows whose planted coordinates sit nearest to the query point.
 
     Returns every row sharing the winning location (callers then filter by
-    date or other keys); empty when nothing lies within ``max_deg``.
+    date or other keys); empty when nothing lies within ``NEAREST_ROW_MAX_DEG``.
     """
     best: tuple[float, float] | None = None
-    best_d = max_deg
+    best_d = NEAREST_ROW_MAX_DEG
     for row in rows:
         d = max(abs(float(row["lat"]) - lat), abs(float(row["lon"]) - lon))
         if d <= best_d:

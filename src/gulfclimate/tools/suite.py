@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..geoforge.inventory import CityInventory, UnknownRegion
-from ..toolkit.registry import Binding, ToolRegistry
+from ..toolkit.registry import ToolRegistry
 from ..toolkit.types import ParamSpec, ToolResult, ToolSignature
 from .analysis import DEFAULT_AQI_EXCEEDANCE, DEFAULT_RAIN_EVENT_MM, DEFAULT_Z_THRESHOLD
-from .biodiversity import make_detect_bird, make_detect_species
+from .biodiversity import make_detection_executor
 from .carbon import EmissionFactorTable, carbon_footprint
 from .errors import ProviderNotAvailable, RegionNotFound
 from .providers import FixtureStore, ProviderConfig
@@ -161,8 +161,8 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
         climate = FixtureClimateSource(store)
         search = FixtureSearch(store)
         executors["get_satellite_image"] = make_satellite_executor(store)
-        executors["detect_bird"] = make_detect_bird(store)
-        executors["detect_species"] = make_detect_species(store)
+        executors["detect_bird"] = make_detection_executor(store, "detect_bird", "audio_clip")
+        executors["detect_species"] = make_detection_executor(store, "detect_species", "image")
         factors_path = Path(provider.fixture_root) / "carbon_factors.csv"
         if factors_path.is_file():
             executors["carbon_footprint_calculation"] = make_carbon_executor(
@@ -187,4 +187,4 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
                                                          settings.forecast_default_horizon)
         elif sig.name in ANALYSIS_KINDS:
             executors[sig.name] = make_analysis_executor(climate, sig.name, settings)
-    return ToolRegistry({sig: Binding(executor=executors[sig.name]) for sig in SIGNATURES})
+    return ToolRegistry({sig: executors[sig.name] for sig in SIGNATURES})

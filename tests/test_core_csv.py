@@ -10,7 +10,6 @@ from gulfclimate.core import (
     GeoPoint,
     RecordValidationError,
     UnknownVariable,
-    read_canonical_csv,
     series_from_csv,
     series_to_csv,
     timestamp_column,
@@ -65,13 +64,6 @@ def test_missing_value_serializes_empty_field():
 def test_lf_line_endings():
     text = series_to_csv(_series(5))
     assert "\r" not in text
-
-
-def test_round_trip_via_file(tmp_path):
-    series = _series(20)
-    path = tmp_path / "series.csv"
-    write_canonical_csv(series, path)
-    assert read_canonical_csv(path) == series
 
 
 def test_reject_out_of_order_timestamps():

@@ -20,12 +20,6 @@ def test_date_only_maps_to_midnight_utc():
     assert dt == datetime(2023, 4, 15, 0, 0, 0, tzinfo=timezone.utc)
 
 
-def test_date_only_ignores_assumed_zone():
-    assert normalize_timestamp("2023-04-15", "Asia/Dubai") == datetime(
-        2023, 4, 15, tzinfo=timezone.utc
-    )
-
-
 def test_epoch_seconds():
     # oracle: datetime.fromtimestamp against the same instant
     expected = datetime.fromtimestamp(1700000000, tz=timezone.utc)
@@ -34,9 +28,10 @@ def test_epoch_seconds():
     assert expected == datetime(2023, 11, 14, 22, 13, 20, tzinfo=timezone.utc)
 
 
-def test_naive_iso_uses_assumed_zone():
-    dt = normalize_timestamp("2023-04-15T12:00:00", "Asia/Dubai")
-    assert dt == datetime(2023, 4, 15, 8, 0, 0, tzinfo=timezone.utc)
+def test_naive_input_reads_as_utc():
+    expected = datetime(2023, 4, 15, 12, 0, 0, tzinfo=timezone.utc)
+    assert normalize_timestamp("2023-04-15T12:00:00") == expected
+    assert normalize_timestamp(datetime(2023, 4, 15, 12)) == expected
 
 
 def test_z_suffix():

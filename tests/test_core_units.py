@@ -1,31 +1,31 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gulfclimate.core.units import UnitTable, UnknownUnit, UnknownVariable, default_table, normalize_unit
+from gulfclimate.core.units import UnitTable, UnknownUnit, UnknownVariable, default_table
 
 
 def test_kelvin_to_celsius():
-    value, unit = normalize_unit(300.0, "K", "temperature")
+    value, unit = default_table().normalize(300.0, "K", "temperature")
     assert value == pytest.approx(26.85)
     assert unit == "°C"
 
 
 def test_metres_to_millimetres():
-    assert normalize_unit(1.0, "m", "precipitation") == (1000.0, "mm")
+    assert default_table().normalize(1.0, "m", "precipitation") == (1000.0, "mm")
 
 
 def test_identity_case():
-    assert normalize_unit(5.0, "mm", "precipitation") == (5.0, "mm")
+    assert default_table().normalize(5.0, "mm", "precipitation") == (5.0, "mm")
 
 
 def test_unknown_unit():
     with pytest.raises(UnknownUnit):
-        normalize_unit(1.0, "furlongs", "precipitation")
+        default_table().normalize(1.0, "furlongs", "precipitation")
 
 
 def test_unknown_variable():
     with pytest.raises(UnknownVariable):
-        normalize_unit(1.0, "mm", "snark")
+        default_table().normalize(1.0, "mm", "snark")
 
 
 def test_fahrenheit_round_trip():

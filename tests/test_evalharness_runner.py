@@ -200,3 +200,15 @@ def test_cli_bench_reports_are_golden_and_repeatable(tmp_path, replay, mode, ima
     second = bench_report_digests(tmp_path / "second", replay, mode, images)
     assert first == second
     assert first == GOLDEN[golden_key(replay, mode, images)]
+
+
+@pytest.mark.parametrize("writer", ["write_report_csv", "write_step_rows_csv",
+                                    "write_instance_rows_csv"])
+def test_every_report_writer_turns_an_os_error_into_a_sink_failure(tmp_path, writer,
+                                                                   instances, registry):
+    from gulfclimate import evalharness
+    from gulfclimate.core.csvio import SinkFailure
+
+    report = _run("step", instances, registry, _replay("bench_gold").step_backend)
+    with pytest.raises(SinkFailure):
+        getattr(evalharness, writer)(report, tmp_path / "missing" / "report.csv")

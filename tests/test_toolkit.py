@@ -141,7 +141,7 @@ def test_execute_normalizes_kelvin(registry):
 
 
 def test_execute_timeout_becomes_error_observation():
-    from gulfclimate.toolkit import Binding, ToolRegistry
+    from gulfclimate.toolkit import ToolRegistry
 
     sig = ToolSignature("geocode_mapping", "geospatial",
                         (ParamSpec("region", "string"),), "geopoint", "test stub")
@@ -149,21 +149,21 @@ def test_execute_timeout_becomes_error_observation():
     def stalled(region):
         raise TimeoutError("provider timed out")
 
-    registry = ToolRegistry({sig: Binding(executor=stalled)})
+    registry = ToolRegistry({sig: stalled})
     obs = execute(ToolCall("geocode_mapping", {"region": "Doha"}), registry)
     assert obs.status.kind == "error"
     assert obs.status.code == "timeout"
 
 
 def test_execute_never_crashes_on_executor_bug():
-    from gulfclimate.toolkit import Binding, ToolRegistry
+    from gulfclimate.toolkit import ToolRegistry
 
     sig = ToolSignature("summarize", "web", (ParamSpec("text", "string"),), "string", "stub")
 
     def broken(text):
         raise RuntimeError("boom")
 
-    registry = ToolRegistry({sig: Binding(executor=broken)})
+    registry = ToolRegistry({sig: broken})
     obs = execute(ToolCall("summarize", {"text": "x"}), registry)
     assert obs.status.kind == "error"
     assert obs.status.code == "provider_failure"
