@@ -54,19 +54,20 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _typed(doc: dict, key: str, default, kind: type):
-    try:
-        return kind(doc.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {doc[key]!r}") from None
-
-
 def _matches(value, kind: type) -> bool:
     """A JSON value has the annotated type; an int passes for a float, and a
     bool only for a bool."""
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _checked(value, kind: type, key: str):
+    """``value`` as a ``kind``, or :class:`ConfigError` naming ``key`` when
+    it fails :func:`_matches`."""
+    if not _matches(value, kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -80,12 +81,14 @@ def load_config(path: str | Path) -> RunConfig:
       ``model`` and ``api_key_env``; without it there is no backend;
     - ``output_dir`` (``out`` by default, relative to the config's directory);
     - ``seed`` (0) and ``budget`` (8), integers;
-    - ``route_intent`` (true);
+    - ``route_intent`` (true), a boolean;
     - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
       name.
 
-    A malformed value, an unknown ``tool_settings`` field, one whose value
-    does not have the field's type or a ``forecast_default_horizon`` below 1
+    A malformed value, an unknown ``tool_settings`` field, a ``timeout_s``,
+    ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
+    does not have its type (an int passes for a float, and only ``true`` or
+    ``false`` for a boolean) or a ``forecast_default_horizon`` below 1
     raises :class:`ConfigError`.
     """
     path = Path(path)
@@ -102,7 +105,7 @@ def load_config(path: str | Path) -> RunConfig:
     provider = ProviderConfig(
         kind=provider_doc.get("mode", provider_doc.get("kind", "fixture")),
         fixture_root=Path(fixture_root) if fixture_root else None,
-        timeout_s=_typed(provider_doc, "timeout_s", 30.0, float),
+        timeout_s=_checked(provider_doc.get("timeout_s", 30.0), float, "timeout_s"),
     )
 
     backend = None
@@ -129,9 +132,7 @@ def load_config(path: str | Path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tool_settings: {', '.join(unknown)}")
     for name, value in settings_doc.items():
-        if not _matches(value, setting_types[name]):
-            raise ConfigError(f"tool_settings.{name}: expected "
-                              f"{setting_types[name].__name__}, got {value!r}")
+        _checked(value, setting_types[name], f"tool_settings.{name}")
     # The default stands in for an omitted horizon, whose minimum is 1.
     horizon = settings_doc.get("forecast_default_horizon", 1)
     if horizon < 1:
@@ -142,9 +143,9 @@ def load_config(path: str | Path) -> RunConfig:
         provider=provider,
         backend=backend,
         output_dir=output_dir,
-        seed=_typed(doc, "seed", 0, int),
-        budget=_typed(doc, "budget", 8, int),
-        route_intent=bool(doc.get("route_intent", True)),
+        seed=_checked(doc.get("seed", 0), int, "seed"),
+        budget=_checked(doc.get("budget", 8), int, "budget"),
+        route_intent=_checked(doc.get("route_intent", True), bool, "route_intent"),
         settings=ToolSettings(**settings_doc),
         raw=doc,
     )

@@ -7,7 +7,6 @@ order; end-to-end mode consumes the actions then the final answer.
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
 
@@ -50,32 +49,3 @@ class BenchReplay:
         emissions = [step.get("action", "") for step in run.get("steps", [])]
         emissions.append(run.get("final", ""))
         return ScriptedBackend(emissions)
-
-
-# -- seeded corruption helpers (calibration probes for the harness) --------------
-
-
-def corrupt_action(replay: BenchReplay, instance_id: str, step_index: int,
-                   new_action: str) -> BenchReplay:
-    runs = copy.deepcopy(replay.runs)
-    runs[instance_id]["steps"][step_index]["action"] = new_action
-    return BenchReplay(runs)
-
-
-def corrupt_summary(replay: BenchReplay, instance_id: str, step_index: int,
-                    new_summary: str) -> BenchReplay:
-    runs = copy.deepcopy(replay.runs)
-    runs[instance_id]["steps"][step_index]["summary"] = new_summary
-    return BenchReplay(runs)
-
-
-def corrupt_final(replay: BenchReplay, instance_id: str, new_final: str) -> BenchReplay:
-    runs = copy.deepcopy(replay.runs)
-    runs[instance_id]["final"] = new_final
-    return BenchReplay(runs)
-
-
-def drop_steps(replay: BenchReplay, instance_id: str) -> BenchReplay:
-    runs = copy.deepcopy(replay.runs)
-    runs[instance_id]["steps"] = []
-    return BenchReplay(runs)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..agent.backend import BackendFailure, LLMBackend
 from ..agent.runner import AgentSettings, run as agent_run
@@ -146,9 +146,9 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
     """Teacher-forced evaluation of every gold step.
 
     At step t the context holds the gold prefix (gold calls and their real
-    tool outputs); the backend emits the step action and, after seeing the
-    real output, a one-line step summary. Per-instance failures are recorded,
-    never raised.
+    tool outputs, an ``obs_N`` argument resolved to gold step N's payload);
+    the backend emits the step action and, after seeing the real output, a
+    one-line step summary. Per-instance failures are recorded, never raised.
 
     ``factory`` is called once per instance, and the backend it returns
     serves that instance alone. Once the measured backend wait is a third of
@@ -182,6 +182,7 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
         {"role": "user", "content": instance.query},
     ]
     rows: list[StepRow] = []
+    refs: dict[str, Any] = {}  # gold step payloads by obs_N id
     for t, gold in enumerate(instance.gold_trace):
         try:
             emission = backend.complete(messages)
@@ -194,7 +195,7 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
 
         # Teacher forcing: the context continues from the GOLD call and its
         # real output, regardless of what the model predicted.
-        observation_text = _gold_observation_text(gold, sub, t)
+        observation_text = _gold_observation_text(gold, sub, t, refs)
         messages.append({"role": "user", "content": observation_text})
 
         summary = ""
@@ -214,11 +215,20 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
     return rows
 
 
-def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int) -> str:
+def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int,
+                           refs: dict[str, Any]) -> str:
+    """Execute gold step ``index`` and render its observation.
+
+    An ``obs_N`` reference argument resolves through ``refs`` to gold step
+    N's payload; an ok payload of this step is stored there as
+    ``obs_{index + 1}``.
+    """
     if gold.arg_values is None:
         return f"observation[obs_{index + 1}] (gold output unavailable)"
     call = ToolCall(tool=gold.tool, args=gold.arg_values)
-    observation = execute(call, registry)
+    observation = execute(call, registry, refs=refs)
+    if observation.status.is_ok:
+        refs[f"obs_{index + 1}"] = observation.payload
     return (f"Gold step executed: {serialize_call(call)}\n"
             + observation_message(render_observation(observation), index + 1))
 

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core import CanonicalSeries, format_timestamps
-from ..core.csvio import series_from_csv
 from ..errors import GulfClimateError
 from ..textforge.chunking import Chunk
 from ..textforge.facts import AtomicFact
@@ -118,7 +117,7 @@ def _chart_fact(artifact: ChartArtifact) -> tuple[AtomicFact, Chunk]:
                  f"{meta.mean:.6g} {meta.unit}.")
     tokens = tuple(json.dumps(metadata_to_jsonable(meta), sort_keys=True).split())
     chunk = Chunk(doc_id=f"chart:{artifact.chart_id}", start=0, tokens=tokens,
-                  section_path=(), provenance=artifact.provenance)
+                  provenance=artifact.provenance)
     fact = AtomicFact(statement=statement, chunk_ref=chunk.chunk_id,
                       provenance=artifact.provenance)
     return fact, chunk
@@ -144,8 +143,8 @@ def check_categories(categories: Sequence[str], backend=None) -> None:
 
 
 def synthesize_visual_qa(artifact: ChartArtifact, category: str,
-                         formats: str | Sequence[str], backend=None, *, seed: int = 0,
-                         series: CanonicalSeries | None = None,
+                         formats: str | Sequence[str], backend=None, *,
+                         series: CanonicalSeries, seed: int = 0,
                          chart_store: dict | None = None,
                          counters: Counter | None = None,
                          evidence_store: dict | None = None) -> list[QAItem]:
@@ -158,17 +157,13 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
     ``reasoning`` make one backend call per format, in order, and parse the
     emissions only after the last call, so a malformed one raises
     ``QASynthesisError`` with every emission of the window consumed and
-    nothing stored or counted. ``series`` is
-    the window slice the artifact was charted from; without it the slice is
-    parsed back from ``artifact.data_csv``. New perturbed charts land in
-    ``chart_store`` keyed by chart id; evidence facts/chunks land in
-    ``evidence_store``.
+    nothing stored or counted. ``series`` is the window slice the artifact
+    was charted from. New perturbed charts land in ``chart_store`` keyed by
+    chart id; evidence facts/chunks land in ``evidence_store``.
     """
     check_categories((category,), backend)
     formats = (formats,) if isinstance(formats, str) else tuple(formats)
     if category not in BACKEND_CATEGORIES:
-        if series is None:
-            series = series_from_csv(artifact.data_csv)
         return _perturbed_items(artifact, series, category, formats, seed,
                                 chart_store, evidence_store)
 

@@ -48,20 +48,6 @@ EMBEDDING_DIM = 64
 _FIXTURE_ROOTS_CACHED = 4
 
 
-def _section_breaks(text: str) -> tuple[list[int], list[tuple[int, str]]]:
-    """Token indices of section starts and (index, header) markers."""
-    breaks: list[int] = []
-    headers: list[tuple[int, str]] = []
-    position = 0
-    for line in text.splitlines():
-        tokens = line.split()
-        if line.startswith("## "):
-            breaks.append(position)
-            headers.append((position, line[3:].strip()))
-        position += len(tokens)
-    return breaks, headers
-
-
 @functools.lru_cache(maxsize=_FIXTURE_ROOTS_CACHED)
 def _fixture_search(root: Path) -> FixtureSearch:
     """One store per fixture root per process, so every job of a process
@@ -76,9 +62,13 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
     """Run the textual pipeline over the recorded search corpus.
 
     Returns summary counts; writes ``qa_text.jsonl`` (items with resolved
-    provenance) and the persisted keyword index under ``out_dir``. One bad
-    input drops only its own part of the job, counted under ``dropped``: a
-    keyword whose query or page has no recording
+    provenance) and the persisted keyword index under ``out_dir``. Each page
+    is parsed once, by :func:`parse_document`, into its cleaned text and the
+    token indices where its sections start; the text is chunked, and the
+    section starts only steer where chunk starts snap.
+
+    One bad input drops only its own part of the job, counted under
+    ``dropped``: a keyword whose query or page has no recording
     (``keywords_provider_failure``), a page with no content after cleaning
     (``documents_empty_after_cleaning``) and one malformed QA emission
     (``<format>_documents_dropped``). A keyword whose every round is
@@ -116,19 +106,12 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
     n_chunks = 0
     for url, doc in docs_by_url.items():
         try:
-            text, _meta = parse_document(doc.raw)
+            text, breaks = parse_document(doc.raw)
         except EmptyAfterCleaning:
             counters["documents_empty_after_cleaning"] += 1
             continue
-        tokens = tokenize(text)
-        breaks, headers = _section_breaks(text)
-
-        def section_lookup(start: int, _headers=tuple(headers)) -> tuple[str, ...]:
-            active = [h for pos, h in _headers if pos <= start]
-            return (active[-1],) if active else ()
-
-        doc_chunks = chunk(tokens, doc_id=url, provenance=doc.provenance,
-                           breaks=breaks, section_lookup=section_lookup)
+        doc_chunks = chunk(tokenize(text), doc_id=url, provenance=doc.provenance,
+                           breaks=breaks)
         n_chunks += len(doc_chunks)
         doc_facts = []
         for c in doc_chunks:

@@ -3,7 +3,8 @@
 Every document is cut the same way: windows of ``WINDOW_TOKENS`` tokens whose
 raw starts are ``STRIDE_TOKENS`` apart, so neighbours overlap by 128 tokens.
 A raw start snaps back to a section break at most ``SNAP_WINDOW`` tokens
-before it.
+before it. The breaks are the ones :func:`.parsing.parse_document` returns;
+they only steer where chunk starts snap, and a chunk records no section.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import Provenance, parse_utc
+from ..core import Provenance
 
 WINDOW_TOKENS = 512
 STRIDE_TOKENS = 384
 SNAP_WINDOW = 48
-
-_EPOCH = parse_utc("1970-01-01T00:00:00Z")
 
 
 @dataclass(frozen=True)
@@ -28,16 +27,11 @@ class Chunk:
     doc_id: str
     start: int
     tokens: tuple[str, ...]
-    section_path: tuple[str, ...]
     provenance: Provenance
 
     @property
     def chunk_id(self) -> str:
         return f"{self.doc_id}:{self.start}"
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.tokens)
 
 
 def chunk_starts(total: int) -> list[int]:
@@ -70,30 +64,24 @@ def _snap(start: int, breaks: Sequence[int], previous_start: int) -> int:
     return snapped
 
 
-def chunk(tokens: Sequence[str], *, doc_id: str = "doc",
-          provenance: Provenance | None = None,
-          breaks: Sequence[int] | None = None,
-          section_lookup=None) -> list[Chunk]:
+def chunk(tokens: Sequence[str], *, provenance: Provenance, doc_id: str = "doc",
+          breaks: Sequence[int] = ()) -> list[Chunk]:
     """Split a token list into overlapping chunks.
 
-    With ``breaks`` given (token indices of section/paragraph starts), window
-    starts snap backward to the nearest break within ``SNAP_WINDOW`` tokens;
-    snapping never creates coverage gaps. ``section_lookup(start)`` optionally
-    supplies the header path active at a token index.
+    Window starts snap backward to the nearest of ``breaks`` (token indices
+    of section starts) within ``SNAP_WINDOW`` tokens; snapping never creates
+    coverage gaps.
     """
     tokens = tuple(tokens)
-    if provenance is None:
-        provenance = Provenance(retrieved_at=_EPOCH, title=doc_id, query="")
     chunks: list[Chunk] = []
     previous_start = -1
     for raw_start in chunk_starts(len(tokens)):
         start = raw_start
         if breaks and raw_start > 0:
             start = _snap(raw_start, breaks, previous_start)
-        section = tuple(section_lookup(start)) if section_lookup else ()
         chunks.append(Chunk(doc_id=doc_id, start=start,
                             tokens=tokens[start:start + WINDOW_TOKENS],
-                            section_path=section, provenance=provenance))
+                            provenance=provenance))
         previous_start = start
     return chunks
 

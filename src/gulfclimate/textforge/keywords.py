@@ -59,16 +59,13 @@ class KeywordIndex:
 
     dim: int
     tau: float = DEFAULT_TAU
-    keywords: list[Keyword] = field(default_factory=list)
+    keywords: list[Keyword] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
             raise KeywordIndexError(f"tau must be in (0, 1]: {self.tau}")
         self._lock = threading.Lock()
         self._matrix = np.zeros((0, self.dim), dtype=np.float64)
-        for kw in list(self.keywords):
-            self._check_dim(kw)
-            self._matrix = np.vstack([self._matrix, _unit(kw.embedding)])
 
     def __len__(self) -> int:
         return len(self.keywords)
@@ -109,27 +106,6 @@ class KeywordIndex:
                 "city": kw.city,
             }, sort_keys=True))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KeywordIndex":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise KeywordIndexError(f"empty index file {path}")
-        header = json.loads(lines[0])
-        if header.get("format") != INDEX_FORMAT:
-            raise KeywordIndexError(f"{path} is not a keyword index file")
-        if header.get("version") != INDEX_VERSION:
-            raise KeywordIndexError(f"unsupported index version {header.get('version')}")
-        keywords = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            keywords.append(Keyword(
-                text=doc["text"], embedding=np.asarray(doc["embedding"]),
-                country=doc.get("country"), city=doc.get("city"),
-            ))
-        return cls(dim=int(header["dim"]), tau=float(header["tau"]), keywords=keywords)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:

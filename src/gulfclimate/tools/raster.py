@@ -14,12 +14,6 @@ from .errors import MissingBand, ShapeMismatch
 
 DEFAULT_DEGRADATION_DELTA = -0.1
 
-INDEX_BANDS = {
-    # index -> (first band, second band); value = (first - second) / (first + second)
-    "ndvi": ("nir", "red"),
-    "ndwi": ("green", "nir"),
-}
-
 
 class RasterValidationError(GulfClimateError, ValueError):
     pass

@@ -25,7 +25,7 @@ from .weather import (
     make_forecast_executor,
     make_point_executor,
 )
-from .web import FixtureSearch, LiveSearchNotConfigured, make_search_executor, make_summarize_executor
+from .web import FixtureSearch, make_search_executor, make_summarize_executor
 
 
 def _p(name: str, type_: str, required: bool = True, **kw) -> ParamSpec:
@@ -155,11 +155,13 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
     ``backend`` is the optional LLM backend used by ``summarize``.
     """
     executors = {tool: _unavailable(tool) for tool in (
-        "get_satellite_image", "detect_bird", "detect_species", "carbon_footprint_calculation")}
+        "get_satellite_image", "detect_bird", "detect_species", "carbon_footprint_calculation",
+        "online_search")}
     if provider.kind == "fixture":
         store = FixtureStore(provider.fixture_root)
         climate = FixtureClimateSource(store)
-        search = FixtureSearch(store)
+        executors["online_search"] = make_search_executor(FixtureSearch(store),
+                                                          top_k=settings.search_top_k)
         executors["get_satellite_image"] = make_satellite_executor(store)
         executors["detect_bird"] = make_detection_executor(store, "detect_bird", "audio_clip")
         executors["detect_species"] = make_detection_executor(store, "detect_species", "image")
@@ -169,13 +171,11 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
                 EmissionFactorTable.from_file(factors_path))
     else:
         climate = LiveClimateSource(provider)
-        search = LiveSearchNotConfigured()
 
     executors.update({
         "calculate_ndvi": ndvi_executor,
         "calculate_ndwi": ndwi_executor,
         "desertification_analysis": make_change_executor(settings.degradation_delta),
-        "online_search": make_search_executor(search, top_k=settings.search_top_k),
         "summarize": make_summarize_executor(backend, word_budget=settings.summary_word_budget),
         "geocode_mapping": make_geocode_executor(CityInventory.default()),
     })

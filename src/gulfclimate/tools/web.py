@@ -6,7 +6,7 @@ import hashlib
 import re
 
 from ..toolkit.types import ToolResult
-from .errors import ProviderFailure, ProviderNotAvailable
+from .errors import ProviderFailure
 from .providers import FixtureStore
 
 
@@ -92,12 +92,3 @@ def make_summarize_executor(backend=None, word_budget: int = 60):
         summary = backend.complete([{"role": "user", "content": prompt}])
         return ToolResult(payload=summary.strip())
     return run
-
-
-class LiveSearchNotConfigured:
-    """Placeholder for a live search binding; no keyless public API is wired."""
-
-    def search(self, query: str) -> list[dict]:  # pragma: no cover - config error path
-        raise ProviderNotAvailable(
-            "live online_search requires a provider integration; use fixture mode"
-        )

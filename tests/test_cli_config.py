@@ -34,6 +34,10 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
     ({"seed": "seven"}, "seed: expected int, got 'seven'"),
     ({"budget": [8]}, "budget: expected int, got [8]"),
     ({"provider": {"timeout_s": "soon"}}, "timeout_s: expected float, got 'soon'"),
+    ({"route_intent": "false"}, "route_intent: expected bool, got 'false'"),
+    ({"budget": 2.9}, "budget: expected int, got 2.9"),
+    ({"budget": True}, "budget: expected int, got True"),
+    ({"seed": "3"}, "seed: expected int, got '3'"),
     ({"tool_settings": {"search_top_k": "5"}}, "tool_settings.search_top_k: expected int, got '5'"),
     ({"tool_settings": {"z_threshold": "3"}}, "tool_settings.z_threshold: expected float, got '3'"),
     ({"tool_settings": {"forecast_default_horizon": 2.5}},

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from gulfclimate.agent import ScriptedBackend
 from gulfclimate.cli.main import EXIT_OK, main as cli_main
 from gulfclimate.evalharness import load_instances, run_e2e_mode, run_step_mode
+from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep
 from gulfclimate.evalharness.replay import BenchReplay
+from gulfclimate.toolkit import ToolCall, serialize_call
 from gulfclimate.tools import ProviderConfig, build_registry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,3 +215,35 @@ def test_every_report_writer_turns_an_os_error_into_a_sink_failure(tmp_path, wri
     report = _run("step", instances, registry, _replay("bench_gold").step_backend)
     with pytest.raises(SinkFailure):
         getattr(evalharness, writer)(report, tmp_path / "missing" / "report.csv")
+
+
+class MessageLog:
+    """A scripted backend that keeps a copy of every message list it gets."""
+
+    def __init__(self, emissions):
+        self.inner = ScriptedBackend(emissions)
+        self.calls = []
+
+    def complete(self, messages):
+        self.calls.append([dict(m) for m in messages])
+        return self.inner.complete(messages)
+
+
+def test_step_mode_resolves_a_gold_reference_to_the_earlier_gold_payload(registry):
+    image = GoldStep("get_satellite_image", frozenset({"lat", "lon", "date"}),
+                     {"lat": 25.29, "lon": 51.53, "date": "2020-01-15"})
+    ndvi = GoldStep("calculate_ndvi", frozenset({"image"}), {"image": "obs_1"})
+    instance = BenchmarkInstance(id="doha-ndvi", query="How green was Doha in January 2020?",
+                                 allowed_tools=("get_satellite_image", "calculate_ndvi"),
+                                 gold_trace=(image, ndvi))
+    backend = MessageLog([serialize_call(ToolCall("get_satellite_image", image.arg_values)),
+                          "Image retrieved.",
+                          serialize_call(ToolCall("calculate_ndvi", ndvi.arg_values)),
+                          "NDVI computed."])
+    report = run_step_mode([instance], lambda _instance: backend, registry)
+    assert backend.inner.remaining == 0
+    assert report.instance_rows == []
+    gold_ndvi = backend.calls[-1][-2]["content"]
+    assert "\nobservation[obs_2] {" in gold_ndvi
+    assert '"index_name": "ndvi"' in gold_ndvi
+    assert "unresolvable_reference" not in gold_ndvi

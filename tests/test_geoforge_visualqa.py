@@ -43,7 +43,7 @@ def test_once_per_category_equals_per_format_calls(charted_windows, category):
         per_format[1][artifact.chart_id] = once[1][artifact.chart_id] = artifact
         for fmt in FORMATS:
             per_format[0].extend(synthesize_visual_qa(
-                artifact, category, fmt, seed=index,
+                artifact, category, fmt, seed=index, series=window_series,
                 chart_store=per_format[1], evidence_store=per_format[2]))
         once[0].extend(synthesize_visual_qa(
             artifact, category, FORMATS, seed=index, series=window_series,
@@ -89,14 +89,15 @@ def test_backend_category_consumes_one_emission_per_format(charted_windows, cate
 
     per_format = RecordingBackend(emissions)
     expected = [item for fmt in FORMATS
-                for item in synthesize_visual_qa(artifact, category, fmt, per_format)]
+                for item in synthesize_visual_qa(artifact, category, fmt, per_format,
+                                                 series=window_series)]
     assert items == expected
     assert per_format.prompts == once.prompts
 
 
 def test_unknown_category_and_missing_backend_are_rejected(charted_windows):
-    _index, _series, artifact = charted_windows[0]
+    _index, window_series, artifact = charted_windows[0]
     with pytest.raises(VisualQAError, match="unknown category"):
-        synthesize_visual_qa(artifact, "trend", FORMATS)
+        synthesize_visual_qa(artifact, "trend", FORMATS, series=window_series)
     with pytest.raises(VisualQAError, match="requires a backend"):
-        synthesize_visual_qa(artifact, "forecasting", FORMATS)
+        synthesize_visual_qa(artifact, "forecasting", FORMATS, series=window_series)

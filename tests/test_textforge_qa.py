@@ -105,8 +105,7 @@ provenances = st.builds(
 def evidence_pools(draw):
     """Chunks, the facts that cite them, and the evidence tuples items draw from."""
     chunks = draw(st.lists(st.builds(Chunk, doc_id=text, start=st.integers(0, 500),
-                                     tokens=st.just(("t",)), section_path=st.just(()),
-                                     provenance=provenances),
+                                     tokens=st.just(("t",)), provenance=provenances),
                            min_size=1, max_size=3))
     facts = draw(st.lists(st.builds(AtomicFact, statement=text,
                                     chunk_ref=st.sampled_from([c.chunk_id for c in chunks]),
@@ -151,7 +150,7 @@ def test_lines_equal_the_per_item_encoder(data):
 def _fact(statement="Doha recorded 47 C.", url="https://example.org/a",
           retrieved_at=datetime(2024, 6, 1, tzinfo=UTC)):
     prov = Provenance(retrieved_at=retrieved_at, query="q", url=url)
-    chunk = Chunk(doc_id="doc", start=0, tokens=("t",), section_path=(), provenance=prov)
+    chunk = Chunk(doc_id="doc", start=0, tokens=("t",), provenance=prov)
     return AtomicFact(statement, chunk.chunk_id, prov), chunk
 
 

@@ -186,6 +186,13 @@ def test_online_search_empty_query_rejected(registry):
     assert obs.status.kind == "error"
 
 
+def test_online_search_has_no_live_provider():
+    live = build_registry(ProviderConfig(kind="live_http"))
+    obs = run(live, "online_search", query="heatwave preparedness Qatar Doha")
+    assert (obs.status.code, obs.status.message) == (
+        "provider_not_available", "online_search has no live provider; use fixture mode")
+
+
 def test_summarize_without_backend_is_extractive(registry):
     text = "First fact here. Second fact follows. " + "Padding sentence. " * 40
     obs = run(registry, "summarize", text=text)
