@@ -6,11 +6,10 @@ import json
 import os
 from pathlib import Path
 from time import sleep
-from typing import Mapping, Protocol, Sequence
-
-import requests
+from typing import Callable, Mapping, Protocol, Sequence
 
 from ..errors import ConfigError, GulfClimateError
+from ..httpjson import BadResponse, HttpStatusError, request_json
 
 Message = Mapping[str, str]
 
@@ -70,23 +69,23 @@ class RemoteChatBackend:
     A timeout, a connection error, an HTTP 429 or a 5xx response is retried,
     up to ``RETRY_TRIES`` tries in all, after sleeping ``RETRY_BACKOFF_S`` and
     then twice as long before each further try; any other failure, or the
-    last try's, raises ``BackendFailure``. ``session`` is anything with
-    requests' ``post``; the default, the ``requests`` module, opens a
-    connection per call, so one backend may serve several harness threads
-    at once.
+    last try's, raises ``BackendFailure``. Each try opens its own connection
+    through ``opener`` (``urllib.request.urlopen`` unless a test injects
+    another), so one backend may serve several harness threads at once.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "",
-                 temperature: float = 0.0, timeout_s: float = 60.0, session=requests):
+                 temperature: float = 0.0, timeout_s: float = 60.0,
+                 opener: Callable | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.temperature = temperature
         self.timeout_s = timeout_s
-        self.session = session
+        self.opener = opener
 
     def complete(self, messages: Sequence[Message]) -> str:
-        headers = {"Content-Type": "application/json"}
+        headers: dict[str, str] = {}
         if self.api_key_env:
             key = os.environ.get(self.api_key_env)
             if not key:
@@ -100,16 +99,16 @@ class RemoteChatBackend:
         delay = RETRY_BACKOFF_S
         for attempt in range(1, RETRY_TRIES + 1):
             try:
-                resp = self.session.post(self.endpoint, json=body, headers=headers,
-                                         timeout=self.timeout_s)
-                if resp.status_code != 429 and resp.status_code < 500:
-                    resp.raise_for_status()
-                    data = resp.json()
-                    return data["choices"][0]["message"]["content"]
-                failure = f"HTTP {resp.status_code}"
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                data = request_json(self.endpoint, timeout=self.timeout_s, body=body,
+                                    headers=headers, opener=self.opener)
+                return data["choices"][0]["message"]["content"]
+            except HttpStatusError as exc:
+                if exc.status != 429 and exc.status < 500:
+                    raise BackendFailure(f"backend request failed: {exc}") from exc
+                failure = f"HTTP {exc.status}"
+            except (TimeoutError, ConnectionError) as exc:
                 failure = str(exc)
-            except requests.RequestException as exc:
+            except BadResponse as exc:
                 raise BackendFailure(f"backend request failed: {exc}") from exc
             except (KeyError, IndexError, TypeError) as exc:
                 raise BackendFailure(f"malformed backend response: {exc}") from exc

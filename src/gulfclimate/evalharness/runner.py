@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import Any, Callable, Sequence, TypeVar
 
 from ..agent.backend import BackendFailure, LLMBackend
@@ -62,18 +62,21 @@ class MetricReport:
 
 
 class _TimedBackend:
-    """Forwards to ``inner`` and adds the time spent in ``complete`` to ``clock``."""
+    """Forwards to ``inner`` and adds the time ``complete`` spent waiting to
+    ``clock``: its wall time minus the calling thread's CPU time, so a backend
+    that computes (or a wrapper that counts bytes) adds next to nothing, and
+    one that sleeps or blocks on a socket adds its wait."""
 
     def __init__(self, inner: LLMBackend, clock: list[float]):
         self.inner = inner
         self.clock = clock
 
     def complete(self, messages) -> str:
-        t0 = perf_counter()
+        t0, cpu0 = perf_counter(), thread_time()
         try:
             return self.inner.complete(messages)
         finally:
-            self.clock[0] += perf_counter() - t0
+            self.clock[0] += (perf_counter() - t0) - (thread_time() - cpu0)
 
 
 def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
@@ -82,11 +85,11 @@ def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFacto
 
     An exception from the factory or the run takes the place of the
     instance's result. Instances run on the calling thread while the backend
-    wait measured so far stays under a third of the elapsed time. Once it is
-    more, the instances left run on ``round(elapsed / (elapsed - waited))``
-    threads, at most ``MAX_WORKERS`` and at most one per instance left, which
-    keeps about that many backend calls in flight; a backend that never
-    waits never starts a thread.
+    wait measured so far (see :class:`_TimedBackend`) stays under a third of
+    the elapsed time. Once it is more, the instances left run on
+    ``round(elapsed / (elapsed - waited))`` threads, at most ``MAX_WORKERS``
+    and at most one per instance left, which keeps about that many backend
+    calls in flight; a backend that never waits never starts a thread.
     """
     waited = [0.0]
 

@@ -20,6 +20,12 @@ _BOILERPLATE_TAGS = frozenset(
 _BLOCK_TAGS = frozenset({"p", "li", "td", "th", "blockquote", "pre", "div", "article", "section"})
 _HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
 _HEADING_MARKER = "## "
+# Tags that may sit in a page's head. Outside boilerplate, any other start
+# tag, or ``</head>``, ends a ``<title>`` left open, so an unclosed title
+# cannot swallow the body.
+_HEAD_TAGS = frozenset(
+    {"base", "link", "meta", "noscript", "script", "style", "template", "title"}
+)
 
 # A block whose characters are mostly link text is navigation, not content.
 LINK_DENSITY_LIMIT = 0.5
@@ -41,6 +47,8 @@ class _Extractor(HTMLParser):
         self._in_title = False  # the page title is not content
 
     def handle_starttag(self, tag, attrs):
+        if tag not in _HEAD_TAGS and not self._boilerplate_depth:
+            self._in_title = False
         if tag in _BOILERPLATE_TAGS:
             self._boilerplate_depth += 1
             return
@@ -62,7 +70,7 @@ class _Extractor(HTMLParser):
             return
         if self._boilerplate_depth:
             return
-        if tag == "title":
+        if tag in ("title", "head"):
             self._in_title = False
         elif tag == "a":
             self._link_depth = max(0, self._link_depth - 1)

@@ -34,14 +34,12 @@ the emission factors.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
-
-import requests
+from typing import Any, Callable
 
 from ..errors import ConfigError
+from ..httpjson import BadResponse, HttpStatusError, request_json
 from .errors import ProviderFailure
 
 PROVIDER_KINDS = ("fixture", "live_http")
@@ -99,29 +97,21 @@ class FixtureStore:
 class HttpSession:
     """Thin wrapper so live providers share timeout and error mapping.
 
-    Each thread gets its own ``requests.Session`` (requests does not promise
-    that one session is safe across threads), so a live tool may be executed
-    from several harness threads at once.
+    ``get_json`` raises ``TimeoutError`` on a timeout and ``ProviderFailure``
+    on any other failure. Each call opens its own connection through
+    ``opener`` (``urllib.request.urlopen`` unless a test injects another), so
+    a live tool may be executed from several harness threads at once.
     """
 
-    def __init__(self, config: ProviderConfig):
+    def __init__(self, config: ProviderConfig, opener: Callable | None = None):
         self.config = config
-        self._local = threading.local()
-
-    def session(self) -> requests.Session:
-        """The calling thread's session, opened on its first request."""
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+        self.opener = opener
 
     def get_json(self, url: str, params: dict | None = None) -> Any:
         try:
-            resp = self.session().get(url, params=params, timeout=self.config.timeout_s)
-            resp.raise_for_status()
-            return resp.json()
-        except requests.Timeout as exc:
-            raise TimeoutError(str(exc)) from exc
-        except requests.RequestException as exc:
+            return request_json(url, timeout=self.config.timeout_s, params=params,
+                                opener=self.opener)
+        except (HttpStatusError, ConnectionError, BadResponse) as exc:
             raise ProviderFailure(str(exc)) from exc
 
 

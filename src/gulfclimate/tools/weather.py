@@ -183,7 +183,7 @@ class LiveClimateSource:
     def __init__(self, config: ProviderConfig):
         self.http = HttpSession(config)
 
-    def rain_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:  # pragma: no cover - network
+    def rain_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
         data = self.http.get_json(self.WEATHER_ARCHIVE, {
             "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
             "end_date": when.isoformat(), "daily": "precipitation_sum",
@@ -196,7 +196,7 @@ class LiveClimateSource:
         return ToolResult(payload=value, units=unit, timestamps=_day_span(when),
                           location=GeoPoint(lat, lon))
 
-    def weather_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:  # pragma: no cover - network
+    def weather_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
         data = self.http.get_json(self.WEATHER_ARCHIVE, {
             "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
             "end_date": when.isoformat(),
@@ -218,7 +218,7 @@ class LiveClimateSource:
         return ToolResult(payload=payload, timestamps=_day_span(when),
                           location=GeoPoint(lat, lon))
 
-    def aqi_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:  # pragma: no cover - network
+    def aqi_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
         data = self.http.get_json(self.AIR_QUALITY, {
             "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
             "end_date": when.isoformat(),
@@ -240,7 +240,7 @@ class LiveClimateSource:
         return ToolResult(payload=payload, units="index", timestamps=_day_span(when),
                           location=GeoPoint(lat, lon))
 
-    def river_discharge(self, lat: float, lon: float, when: date) -> ToolResult:  # pragma: no cover - network
+    def river_discharge(self, lat: float, lon: float, when: date) -> ToolResult:
         data = self.http.get_json(self.FLOOD, {
             "latitude": lat, "longitude": lon, "daily": "river_discharge",
             "start_date": when.isoformat(), "end_date": when.isoformat(),
@@ -252,7 +252,7 @@ class LiveClimateSource:
         return ToolResult(payload=value, units=unit, timestamps=_day_span(when),
                           location=GeoPoint(lat, lon))
 
-    def forecast(self, tool: str, lat: float, lon: float, horizon: int) -> ToolResult:  # pragma: no cover - network
+    def forecast(self, tool: str, lat: float, lon: float, horizon: int) -> ToolResult:
         variable = FORECAST_VARIABLES[tool]
         daily_keys = {"weather_forecast": ("temperature_2m_mean", "°C", self.WEATHER_FORECAST),
                       "rain_prediction": ("precipitation_sum", "mm", self.WEATHER_FORECAST),
@@ -278,7 +278,7 @@ class LiveClimateSource:
                           timestamps=series.span(), location=series.location)
 
     def analysis_series(self, tool: str, lat: float, lon: float,
-                        start: date, end: date) -> CanonicalSeries:  # pragma: no cover - network
+                        start: date, end: date) -> CanonicalSeries:
         variable, _ = ANALYSIS_KINDS[tool]
         key, unit, endpoint = {
             "weather_analysis": ("temperature_2m_mean", "°C", self.WEATHER_ARCHIVE),

@@ -13,6 +13,7 @@ import pytest
 from gulfclimate.agent import ScriptedBackend
 from gulfclimate.cli.main import EXIT_OK, main as cli_main
 from gulfclimate.evalharness import load_instances, run_e2e_mode, run_step_mode
+from gulfclimate.evalharness import runner as runner_module
 from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep
 from gulfclimate.evalharness.replay import BenchReplay
 from gulfclimate.toolkit import ToolCall, serialize_call
@@ -148,6 +149,45 @@ def test_zero_latency_backend_stays_on_the_calling_thread(mode, instances, regis
     _run(mode, instances, registry, recording_factory)
     assert log
     assert {thread for _, thread in log} | factory_threads == {threading.get_ident()}
+
+
+class ComputingBackend:
+    """Spends about 5 ms of the calling thread's CPU time per call."""
+
+    def complete(self, messages):
+        end = time.thread_time() + 0.005
+        while time.thread_time() < end:
+            pass
+        return "computed"
+
+
+class SleepingBackend:
+    """Sleeps 5 ms per call, as a backend waiting on a socket would."""
+
+    def complete(self, messages):
+        time.sleep(0.005)
+        return "slept"
+
+
+@pytest.mark.parametrize("backend, pools", [(ComputingBackend, 0), (SleepingBackend, 1)])
+def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, backend, pools):
+    started = []
+
+    class CountingPool(runner_module.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(runner_module, "ThreadPoolExecutor", CountingPool)
+
+    def run(instance, chat):
+        for _ in range(3):
+            chat.complete([])
+        return instance
+
+    instances = [f"instance-{k}" for k in range(12)]
+    assert runner_module._map_instances(instances, lambda _: backend(), run) == instances
+    assert len(started) == pools
 
 
 @pytest.mark.parametrize("mode", ["step", "e2e"])
