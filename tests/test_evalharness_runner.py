@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import statistics
 import sys
 import threading
 import time
@@ -169,8 +170,28 @@ class SleepingBackend:
         return "slept"
 
 
-@pytest.mark.parametrize("backend, pools", [(ComputingBackend, 0), (SleepingBackend, 1)])
-def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, backend, pools):
+def test_the_wait_clock_counts_sleeping_and_not_computing():
+    # The median of 15 calls: on a shared virtual machine a CPU burst is now
+    # and then descheduled for milliseconds, and that time reads as waiting.
+    def median_added(backend):
+        added = []
+        for _ in range(15):
+            clock = [0.0]
+            runner_module._TimedBackend(backend, clock).complete([])
+            added.append(clock[0])
+        return statistics.median(added)
+
+    assert median_added(SleepingBackend()) >= 0.0045
+    assert median_added(ComputingBackend()) < 0.0025
+
+
+@pytest.mark.parametrize("computes, pools", [(True, 0), (False, 1)])
+def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, computes, pools):
+    """5 ms per call of CPU work, or of waiting, on a virtual clock, so that
+    host scheduling cannot sway the decision."""
+    wall, cpu = [0.0], [0.0]
+    monkeypatch.setattr(runner_module, "perf_counter", lambda: wall[0])
+    monkeypatch.setattr(runner_module, "thread_time", lambda: cpu[0])
     started = []
 
     class CountingPool(runner_module.ThreadPoolExecutor):
@@ -180,13 +201,20 @@ def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, backend, po
 
     monkeypatch.setattr(runner_module, "ThreadPoolExecutor", CountingPool)
 
+    class Backend:
+        def complete(self, messages):
+            wall[0] += 0.005
+            if computes:
+                cpu[0] += 0.005
+            return "emission"
+
     def run(instance, chat):
         for _ in range(3):
             chat.complete([])
         return instance
 
     instances = [f"instance-{k}" for k in range(12)]
-    assert runner_module._map_instances(instances, lambda _: backend(), run) == instances
+    assert runner_module._map_instances(instances, lambda _: Backend(), run) == instances
     assert len(started) == pools
 
 
