@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter, thread_time
 from typing import Any, Callable, Sequence, TypeVar
+
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread resource usage on this platform
+    RUSAGE_THREAD = getrusage = None
 
 from ..agent.backend import BackendFailure, LLMBackend
 from ..agent.runner import AgentSettings, run as agent_run
@@ -62,56 +68,95 @@ class MetricReport:
 
 
 class _TimedBackend:
-    """Forwards to ``inner`` and adds the time ``complete`` spent waiting to
-    ``clock``: its wall time minus the calling thread's CPU time, so a backend
-    that computes (or a wrapper that counts bytes) adds next to nothing, and
-    one that sleeps or blocks on a socket adds its wait."""
+    """Forwards to ``inner`` and passes ``report`` the time each ``complete``
+    spent waiting: its wall time minus the calling thread's CPU time, counted
+    only when the thread blocked during the call, that is when its voluntary
+    context switches grew. A socket read or a sleep blocks; a backend that
+    computes (or a wrapper that counts bytes) does not, so a host stall of a
+    computing call (preemption, hypervisor steal) adds no wait. Where the
+    platform has no per-thread switch count, every call's wall time minus CPU
+    time counts."""
 
-    def __init__(self, inner: LLMBackend, clock: list[float]):
+    def __init__(self, inner: LLMBackend, report: Callable[[float], None]):
         self.inner = inner
-        self.clock = clock
+        self.report = report
 
     def complete(self, messages) -> str:
-        t0, cpu0 = perf_counter(), thread_time()
+        t0, cpu0, switches0 = perf_counter(), thread_time(), _voluntary_switches()
         try:
             return self.inner.complete(messages)
         finally:
-            self.clock[0] += (perf_counter() - t0) - (thread_time() - cpu0)
+            blocked = switches0 is None or _voluntary_switches() > switches0
+            self.report((perf_counter() - t0) - (thread_time() - cpu0) if blocked else 0.0)
+
+
+def _voluntary_switches() -> int | None:
+    """The calling thread's voluntary context switches so far, or ``None``
+    where the platform does not count them per thread."""
+    return None if RUSAGE_THREAD is None else getrusage(RUSAGE_THREAD).ru_nvcsw
 
 
 def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
                    run: Callable[[BenchmarkInstance, LLMBackend], R]) -> list[R | Exception]:
-    """``run(instance, factory(instance))`` for every instance, in instance order.
+    """``run(instance, factory(instance))`` for every instance; results come
+    back in instance order.
 
-    An exception from the factory or the run takes the place of the
-    instance's result. Instances run on the calling thread while the backend
-    wait measured so far (see :class:`_TimedBackend`) stays under a third of
-    the elapsed time. Once it is more, the instances left run on
-    ``round(elapsed / (elapsed - waited))`` threads, at most ``MAX_WORKERS``
-    and at most one per instance left, which keeps about that many backend
-    calls in flight; a backend that never waits never starts a thread.
+    An ``Exception`` from the factory or the run takes the place of the
+    instance's result. The instances wait in one queue, longest gold trace
+    first and ties in instance order (the longest-processing-time-first rule
+    for the shortest makespan: in step mode a gold step costs exactly two
+    backend calls, in e2e mode the trace length predicts the calls). The
+    calling thread drains the queue from the start, its backend calls timed
+    by :class:`_TimedBackend`. After each of those calls, until helpers have
+    started, the gate compares the wait measured so far with the elapsed
+    time: once the wait is a third of it or more, ``round(elapsed / (elapsed
+    - waited))`` workers, at most ``MAX_WORKERS``, drain the queue; the
+    calling thread is one of them and the rest are helper threads, never
+    more than the instances still queued. That keeps about that many backend
+    calls in flight, and a backend that never waits never starts a thread.
+    A ``BaseException`` in a helper is raised here once the calling thread
+    is done.
     """
-    waited = [0.0]
+    results: list[Any] = [None] * len(instances)
+    queue = deque(sorted(range(len(instances)), key=lambda k: -len(instances[k].gold_trace)))
+    pool: ThreadPoolExecutor | None = None
+    helpers: list[Future] = []
+    start, waited = perf_counter(), 0.0
 
-    def attempt(instance: BenchmarkInstance, make: BackendFactory) -> R | Exception:
-        try:
-            return run(instance, make(instance))
-        except Exception as exc:  # instance-level isolation
-            return exc
+    def drain(make: BackendFactory) -> None:
+        while True:
+            try:
+                k = queue.popleft()
+            except IndexError:
+                return
+            try:
+                results[k] = run(instances[k], make(instances[k]))
+            except Exception as exc:  # instance-level isolation
+                results[k] = exc
 
-    results: list[R | Exception] = []
-    start = perf_counter()
-    for instance in instances:
-        results.append(attempt(instance, lambda inst: _TimedBackend(factory(inst), waited)))
+    def gate(wait: float) -> None:
+        nonlocal pool, waited
+        waited += wait
+        if pool is not None or waited <= 0:
+            return
         elapsed = perf_counter() - start
-        busy = elapsed - waited[0]
+        busy = elapsed - waited
         width = round(elapsed / busy) if busy > 0 else MAX_WORKERS
-        workers = min(MAX_WORKERS, width, len(instances) - len(results))
+        workers = min(MAX_WORKERS, width, len(queue) + 1)
         if workers >= 2:
-            with ThreadPoolExecutor(workers) as pool:
-                results += pool.map(lambda inst: attempt(inst, factory),
-                                    instances[len(results):])
-            break
+            pool = ThreadPoolExecutor(workers - 1)
+            helpers.extend(pool.submit(drain, factory) for _ in range(workers - 1))
+
+    try:
+        drain(lambda instance: _TimedBackend(factory(instance), gate))
+    except BaseException:
+        queue.clear()
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    for helper in helpers:
+        helper.result()
     return results
 
 
@@ -154,10 +199,13 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
     one-line step summary. Per-instance failures are recorded, never raised.
 
     ``factory`` is called once per instance, and the backend it returns
-    serves that instance alone. Once the measured backend wait is a third of
-    wall time or more, instances run on worker threads, so factories,
-    backends and tool executors may be called from several threads at once.
-    Rows come out in instance order whatever order instances finish in.
+    serves that instance alone. Instances start longest gold trace first. The
+    calling thread runs them until the backend wait it has measured reaches
+    a third of wall time, checked after each of its backend calls; from then
+    on up to ``MAX_WORKERS`` threads, the calling one included, run the
+    instances left (see :func:`_map_instances`). So factories, backends and
+    tool executors may be called from several threads at once. Rows come out
+    in instance order whatever order instances start or finish in.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")
@@ -245,9 +293,10 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory
     answer; with images enabled, chart-requiring instances additionally need
     an emitted chart whose metadata variable matches a gold fact label.
 
-    Concurrency is as in :func:`run_step_mode`: one ``factory`` call per
-    instance, backends possibly used from worker threads, and rows in
-    instance order.
+    Scheduling is as in :func:`run_step_mode`: one ``factory`` call per
+    instance, the longest gold trace first, backends possibly used from
+    worker threads once the measured wait is a third of wall time, and rows
+    in instance order.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")

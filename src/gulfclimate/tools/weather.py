@@ -8,7 +8,7 @@ timestamp machinery before leaving an executor.
 
 from __future__ import annotations
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 import numpy as np
 
@@ -71,6 +71,19 @@ def _daily_series(values: list[float | None], unit: str, variable: str,
                   source: str) -> CanonicalSeries:
     days = np.datetime64(start, "D") + np.arange(len(values))
     return _series(days, values, unit, variable, location, city, source)
+
+
+def _reply_days(data: dict, key: str) -> tuple[list[str], list[float | None]]:
+    """The ISO days of a reply's ``time`` column, in reply order, and each
+    day's value of ``key``: the ``daily`` block's value, or the maximum of the
+    day's ``hourly`` values (``None`` when the day has none)."""
+    block = data.get("daily") or data.get("hourly") or {}
+    days: dict[str, float | None] = {}
+    for stamp, value in zip(block.get("time") or [], block.get(key) or []):
+        best = days.setdefault(stamp[:10], value)
+        if value is not None and (best is None or value > best):
+            days[stamp[:10]] = value
+    return list(days), list(days.values())
 
 
 class FixtureClimateSource:
@@ -266,14 +279,13 @@ class LiveClimateSource:
             params["hourly"] = key
         else:
             params["daily"] = key
-        data = self.http.get_json(endpoint, params)
-        block = data.get("daily") or data.get("hourly") or {}
-        values = (block.get(key) or [])[:horizon]
+        # The reply starts today; the forecast is the ``horizon`` days after it.
+        days, values = _reply_days(self.http.get_json(endpoint, params), key)
+        days, values = days[1:horizon + 1], values[1:horizon + 1]
         if len(values) < horizon:
-            raise HorizonTooLong(f"provider returned {len(values)} of {horizon} points")
-        start = date.today() + timedelta(days=1)
-        series = _daily_series(values, unit, variable, start, GeoPoint(lat, lon),
-                               None, source=f"live:{tool}")
+            raise HorizonTooLong(f"provider returned {len(values)} of {horizon} days")
+        series = _series(np.array(days, dtype="datetime64[D]"), values, unit, variable,
+                         GeoPoint(lat, lon), None, source=f"live:{tool}")
         return ToolResult(payload=series, units=series.unit,
                           timestamps=series.span(), location=series.location)
 
@@ -288,11 +300,9 @@ class LiveClimateSource:
         params = {"latitude": lat, "longitude": lon, "start_date": start.isoformat(),
                   "end_date": end.isoformat(), "timezone": "UTC"}
         params["hourly" if endpoint == self.AIR_QUALITY else "daily"] = key
-        data = self.http.get_json(endpoint, params)
-        block = data.get("daily") or data.get("hourly") or {}
-        values = block.get(key) or []
-        return _daily_series(values, unit, variable, start, GeoPoint(lat, lon),
-                             None, source=f"live:{tool}")
+        days, values = _reply_days(self.http.get_json(endpoint, params), key)
+        return _series(np.array(days, dtype="datetime64[D]"), values, unit, variable,
+                       GeoPoint(lat, lon), None, source=f"live:{tool}")
 
 
 def make_point_executor(source, tool: str):

@@ -8,6 +8,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,8 +91,8 @@ def test_rows_keep_instance_order_when_instances_finish_out_of_order(
     replay = _replay(replay_name)
     expected = _run(mode, instances, registry, _recording_factory(mode, replay, {}, []))
 
-    # The first instance runs alone and waits long enough to start the pool;
-    # after it, earlier instances wait longer per call than later ones.
+    # Every call waits, so helpers start after the first one; earlier
+    # instances wait longer per call than later ones.
     ids = [inst.id for inst in instances]
     delays = {iid: 0.03 if k == 0 else 0.06 / k for k, iid in enumerate(ids)}
     log: list = []
@@ -176,46 +177,192 @@ def test_the_wait_clock_counts_sleeping_and_not_computing():
     def median_added(backend):
         added = []
         for _ in range(15):
-            clock = [0.0]
-            runner_module._TimedBackend(backend, clock).complete([])
-            added.append(clock[0])
+            runner_module._TimedBackend(backend, added.append).complete([])
         return statistics.median(added)
 
     assert median_added(SleepingBackend()) >= 0.0045
     assert median_added(ComputingBackend()) < 0.0025
 
 
+@pytest.mark.parametrize("per_thread, counted", [(True, False), (False, True)])
+def test_a_call_without_a_voluntary_switch_adds_no_wait(monkeypatch, per_thread, counted):
+    """A 5 ms sleep that the switch count says never blocked reads as a host
+    stall; where the platform has no per-thread count it reads as waiting."""
+    monkeypatch.setattr(runner_module, "getrusage", lambda who: SimpleNamespace(ru_nvcsw=7))
+    if not per_thread:
+        monkeypatch.setattr(runner_module, "RUSAGE_THREAD", None)
+    added = []
+    runner_module._TimedBackend(SleepingBackend(), added.append).complete([])
+    assert (added[0] >= 0.0045) if counted else added == [0.0]
+
+
+class VirtualHost:
+    """The runner module's wall clock, CPU clock and voluntary switch count,
+    made virtual so that host scheduling cannot sway the thread gate, and a
+    record of the helper pools the module starts: the helper count and the
+    backend calls made by then."""
+
+    def __init__(self, monkeypatch):
+        self.wall = self.cpu = 0.0
+        self.switches = self.calls = 0
+        self.pools: list[tuple[int, int]] = []
+        monkeypatch.setattr(runner_module, "perf_counter", lambda: self.wall)
+        monkeypatch.setattr(runner_module, "thread_time", lambda: self.cpu)
+        monkeypatch.setattr(runner_module, "RUSAGE_THREAD", 0)
+        monkeypatch.setattr(runner_module, "getrusage",
+                            lambda who: SimpleNamespace(ru_nvcsw=self.switches))
+        host = self
+
+        class CountingPool(runner_module.ThreadPoolExecutor):
+            def __init__(self, workers):
+                host.pools.append((workers, host.calls))
+                super().__init__(workers)
+
+        monkeypatch.setattr(runner_module, "ThreadPoolExecutor", CountingPool)
+
+    def backend(self, compute_s: float, wait_s: float):
+        host = self
+
+        class Backend:
+            def complete(self, messages):
+                host.calls += 1
+                host.wall += compute_s + wait_s
+                host.cpu += compute_s
+                host.switches += wait_s > 0
+                return "emission"
+        return Backend()
+
+
+def make_instances(trace_lengths) -> list[BenchmarkInstance]:
+    step = GoldStep("rain_inquiry", frozenset({"lat"}))
+    return [BenchmarkInstance(id=f"instance-{k}", query="q", allowed_tools=("rain_inquiry",),
+                              gold_trace=(step,) * n) for k, n in enumerate(trace_lengths)]
+
+
+def three_calls(instance, chat):
+    for _ in range(3):
+        chat.complete([])
+    return instance.id
+
+
 @pytest.mark.parametrize("computes, pools", [(True, 0), (False, 1)])
 def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, computes, pools):
-    """5 ms per call of CPU work, or of waiting, on a virtual clock, so that
-    host scheduling cannot sway the decision."""
-    wall, cpu = [0.0], [0.0]
-    monkeypatch.setattr(runner_module, "perf_counter", lambda: wall[0])
-    monkeypatch.setattr(runner_module, "thread_time", lambda: cpu[0])
-    started = []
+    """5 ms per call of CPU work, or of waiting, on a virtual clock."""
+    host = VirtualHost(monkeypatch)
+    backend = host.backend(0.005, 0.0) if computes else host.backend(0.0, 0.005)
+    instances = make_instances([1] * 12)
+    assert runner_module._map_instances(instances, lambda _: backend, three_calls) == \
+        [inst.id for inst in instances]
+    assert len(host.pools) == pools
 
-    class CountingPool(runner_module.ThreadPoolExecutor):
-        def __init__(self, workers):
-            started.append(workers)
-            super().__init__(workers)
 
-    monkeypatch.setattr(runner_module, "ThreadPoolExecutor", CountingPool)
+@pytest.mark.parametrize("compute_ms, wait_ms, n_instances, helpers", [
+    (0, 5, 12, runner_module.MAX_WORKERS - 1),  # all waiting: the most workers
+    (1, 4, 12, 4),  # round(5 / 1) workers, the calling thread one of them
+    (3, 2, 12, 1),  # a wait of two fifths still opens the gate
+    (4, 1, 12, None),  # a fifth does not
+    (0, 5, 3, 2),  # no more helpers than instances still queued
+    (0, 5, 1, None),
+])
+def test_helpers_start_after_the_first_waiting_call(monkeypatch, compute_ms, wait_ms,
+                                                    n_instances, helpers):
+    host = VirtualHost(monkeypatch)
+    backend = host.backend(compute_ms / 1000, wait_ms / 1000)
+    instances = make_instances([1] * n_instances)
+    assert runner_module._map_instances(instances, lambda _: backend, three_calls) == \
+        [inst.id for inst in instances]
+    # Started after the first of the first instance's three calls, or never.
+    assert host.pools == ([] if helpers is None else [(helpers, 1)])
 
-    class Backend:
+
+def test_the_calling_thread_keeps_running_instances_after_helpers_start(monkeypatch):
+    host = VirtualHost(monkeypatch)
+    main = threading.get_ident()
+    ran: list = []
+    second = threading.Event()
+
+    class HeldBackend:
+        """Waits (virtually); on a helper thread, first holds until the calling
+        thread has started a second instance."""
+
+        inner = host.backend(0.0, 0.005)
+
         def complete(self, messages):
-            wall[0] += 0.005
-            if computes:
-                cpu[0] += 0.005
-            return "emission"
+            if threading.get_ident() != main and not second.wait(timeout=5):
+                raise TimeoutError("the calling thread ran no second instance")
+            return self.inner.complete(messages)
 
     def run(instance, chat):
-        for _ in range(3):
-            chat.complete([])
-        return instance
+        ran.append((instance.id, threading.get_ident()))
+        if sum(thread == main for _, thread in ran) == 2:
+            second.set()
+        return three_calls(instance, chat)
 
-    instances = [f"instance-{k}" for k in range(12)]
-    assert runner_module._map_instances(instances, lambda _: Backend(), run) == instances
-    assert len(started) == pools
+    instances = make_instances([1] * 12)
+    got = runner_module._map_instances(instances, lambda _: HeldBackend(), run)
+    assert got == [inst.id for inst in instances]
+    assert len(host.pools) == 1
+    assert second.is_set()
+    assert len({thread for _, thread in ran}) > 1
+
+
+def test_dispatch_is_longest_gold_trace_first_and_rows_keep_instance_order(monkeypatch):
+    # A backend that computes keeps every instance on the calling thread, so
+    # the order instances start in is the dispatch order.
+    host = VirtualHost(monkeypatch)
+    backend = host.backend(0.001, 0.0)
+    instances = make_instances([1, 3, 2, 3, 1, 2])
+    started: list[str] = []
+
+    def run(instance, chat):
+        started.append(instance.id)
+        return three_calls(instance, chat)
+
+    got = runner_module._map_instances(instances, lambda _: backend, run)
+    assert got == [inst.id for inst in instances]
+    assert started == [instances[k].id for k in (1, 3, 2, 5, 0, 4)]
+    assert host.pools == []
+
+
+def test_no_more_than_max_workers_instances_are_in_flight():
+    lock = threading.Lock()
+    in_flight, most = [0], [0]
+
+    def run(instance, chat):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        try:
+            for _ in range(2):
+                chat.complete([])
+        finally:
+            with lock:
+                in_flight[0] -= 1
+        return instance.id
+
+    instances = make_instances([1] * 40)
+    got = runner_module._map_instances(instances, lambda _: SleepingBackend(), run)
+    assert got == [inst.id for inst in instances]
+    assert 1 < most[0] <= runner_module.MAX_WORKERS
+
+
+class Halt(BaseException):
+    pass
+
+
+def test_a_base_exception_in_a_helper_propagates(monkeypatch):
+    host = VirtualHost(monkeypatch)
+    main = threading.get_ident()
+    backend = host.backend(0.0, 0.005)
+
+    def run(instance, chat):
+        if threading.get_ident() != main:
+            raise Halt(instance.id)
+        return three_calls(instance, chat)
+
+    with pytest.raises(Halt):
+        runner_module._map_instances(make_instances([1] * 12), lambda _: backend, run)
+    assert len(host.pools) == 1
 
 
 @pytest.mark.parametrize("mode", ["step", "e2e"])

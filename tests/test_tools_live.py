@@ -156,8 +156,15 @@ def stamps(block: str, days: int) -> list[str]:
     return [f"2023-01-{d + 1:02d}T{h:02d}:00" for d in range(days) for h in range(24)]
 
 
-# The source reads an hourly block as one value per day, a known defect, so
-# for the hourly tools only the shape of the result is checked.
+def day_values(block: str, days: int) -> list[float]:
+    """Day ``d``'s values: ``d`` once, or 24 hours peaking at ``d`` at noon."""
+    if block == "daily":
+        return [float(d) for d in range(days)]
+    return [d - abs(h - 12) / 24 for d in range(days) for h in range(24)]
+
+
+def series_days(series: CanonicalSeries) -> list[str]:
+    return [str(t)[:10] for t in series.timestamps]
 
 
 @pytest.mark.parametrize("tool", sorted(FORECAST_VARIABLES))
@@ -165,14 +172,15 @@ def test_forecast(fixture_source, tool):
     block, key, unit = FORECAST_REPLIES[tool]
     time = stamps(block, 4)
     source = live(archive_reply({key: unit}, block=block, time=time,
-                                **{key: [float(i) for i in range(len(time))]}))
+                                **{key: day_values(block, 4)}))
     got = source.forecast(tool, *DOHA, 3)
     want = fixture_source.forecast(tool, *DOHA, 3)
     assert isinstance(got, ToolResult)
     assert_same_series_shape(got.payload, want.payload)
     assert got.units == want.units
-    if block == "daily":
-        assert got.payload.values.tolist() == [0.0, 1.0, 2.0]
+    # The reply starts today, 2023-01-01; the forecast is the three days after.
+    assert got.payload.values.tolist() == [1.0, 2.0, 3.0]
+    assert series_days(got.payload) == ["2023-01-02", "2023-01-03", "2023-01-04"]
     ((_, params),) = source.http.requests
     assert params[block] == key and params["forecast_days"] == 4
     with pytest.raises(HorizonTooLong):
@@ -196,9 +204,12 @@ def test_analysis_series(fixture_source, tool):
     source = live(archive_reply({key: unit}, block=block, time=time, **{key: values}))
     got = source.analysis_series(tool, *DOHA, start, end)
     assert_same_series_shape(got, fixture_source.analysis_series(tool, *DOHA, start, end))
+    assert series_days(got) == ["2023-01-01", "2023-01-02", "2023-01-03"]
     if block == "daily":
         assert got.values.tolist()[::2] == [24.0, 26.5]
-        assert len(got) == 3 and sum(v != v for v in got.values.tolist()) == 1
+        assert sum(v != v for v in got.values.tolist()) == 1
+    else:
+        assert got.values.tolist() == [26.5] * 3
     ((_, params),) = source.http.requests
     assert (params["start_date"], params["end_date"]) == ("2023-01-01", "2023-01-03")
     assert params[block] == key
