@@ -13,6 +13,8 @@ import random
 from datetime import date, timedelta
 from pathlib import Path
 
+from gulfclimate.tools.web import query_key
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -320,10 +322,7 @@ stormwater masterplan allocates 30 billion dirhams to drainage upgrades through 
              "snippet": "Regional heat adaptation measures referenced by Kuwait City municipality plan."},
         ]),
     ]:
-        import hashlib
-        import re as _re
-        key = hashlib.sha256(_re.sub(r"\s+", " ", query.strip().casefold()).encode()).hexdigest()[:16]
-        queries[key] = {"query": query, "retrieved_at": retrieved_at, "results": results}
+        queries[query_key(query)] = {"query": query, "retrieved_at": retrieved_at, "results": results}
     write("online_search.json", {
         "version": 1,
         "queries": queries,

@@ -70,6 +70,23 @@ def _checked(value, kind: type, key: str):
     return kind(value)
 
 
+def _object(value, where: str, keys, unknown_label: str) -> dict:
+    """``value`` when it is a JSON object whose keys are all in ``keys``, or
+    :class:`ConfigError` naming ``where`` or the unknown keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {unknown_label}: {', '.join(unknown)}")
+    return value
+
+
+_CONFIG_KEYS = ("provider", "backend", "output_dir", "seed", "budget", "route_intent",
+                "tool_settings")
+_PROVIDER_KEYS = ("mode", "kind", "fixture_root", "timeout_s")
+_BACKEND_KEYS = ("kind", "replay", "endpoint", "model", "api_key_env")
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read a run config: a JSON object whose keys are all optional.
 
@@ -85,11 +102,12 @@ def load_config(path: str | Path) -> RunConfig:
     - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
       name.
 
-    A malformed value, an unknown ``tool_settings`` field, a ``timeout_s``,
-    ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
-    does not have its type (an int passes for a float, and only ``true`` or
-    ``false`` for a boolean) or a ``forecast_default_horizon`` below 1
-    raises :class:`ConfigError`.
+    A config, ``provider``, ``backend`` or ``tool_settings`` that is not a
+    JSON object, a key not named above at any level, a malformed value, a
+    ``timeout_s``, ``seed``, ``budget``, ``route_intent`` or
+    ``tool_settings`` value that does not have its type (an int passes for a
+    float, and only ``true`` or ``false`` for a boolean) or a
+    ``forecast_default_horizon`` below 1 raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
@@ -97,8 +115,10 @@ def load_config(path: str | Path) -> RunConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     base = path.parent
+    _object(doc, "config", _CONFIG_KEYS, "config keys")
 
-    provider_doc = doc.get("provider", {})
+    provider_doc = _object(doc.get("provider", {}), "provider", _PROVIDER_KEYS,
+                           "provider keys")
     fixture_root = provider_doc.get("fixture_root")
     if fixture_root is not None and not Path(fixture_root).is_absolute():
         fixture_root = (base / fixture_root).resolve()
@@ -110,7 +130,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     backend = None
     if "backend" in doc:
-        backend_doc = doc["backend"]
+        backend_doc = _object(doc["backend"], "backend", _BACKEND_KEYS, "backend keys")
         replay = backend_doc.get("replay")
         if replay is not None and not Path(replay).is_absolute():
             replay = (base / replay).resolve()
@@ -126,11 +146,9 @@ def load_config(path: str | Path) -> RunConfig:
     if not output_dir.is_absolute():
         output_dir = (base / output_dir).resolve()
 
-    settings_doc = doc.get("tool_settings") or {}
     setting_types = get_type_hints(ToolSettings)
-    unknown = sorted(set(settings_doc) - set(setting_types))
-    if unknown:
-        raise ConfigError(f"unknown tool_settings: {', '.join(unknown)}")
+    settings_doc = _object(doc.get("tool_settings", {}), "tool_settings", setting_types,
+                           "tool_settings")
     for name, value in settings_doc.items():
         _checked(value, setting_types[name], f"tool_settings.{name}")
     # The default stands in for an omitted horizon, whose minimum is 1.

@@ -46,12 +46,6 @@ class KeyFact:
         return cls(label=doc.get("label", ""), value=doc.get("value"),
                    tolerance=float(doc.get("tolerance", DEFAULT_FACT_TOLERANCE)))
 
-    def to_jsonable(self) -> dict:
-        doc: dict = {"label": self.label, "value": self.value}
-        if self.tolerance != DEFAULT_FACT_TOLERANCE:
-            doc["tolerance"] = self.tolerance
-        return doc
-
 
 @dataclass(frozen=True)
 class GoldStep:
@@ -71,14 +65,6 @@ class GoldStep:
             summary_facts=tuple(KeyFact.from_jsonable(f)
                                 for f in doc.get("summary_facts", [])),
         )
-
-    def to_jsonable(self) -> dict:
-        doc: dict = {"tool": self.tool, "arg_names": sorted(self.arg_names)}
-        if self.arg_values is not None:
-            doc["arg_values"] = self.arg_values
-        if self.summary_facts:
-            doc["summary_facts"] = [f.to_jsonable() for f in self.summary_facts]
-        return doc
 
 
 @dataclass(frozen=True)
@@ -113,21 +99,6 @@ class BenchmarkInstance:
             requires_chart=bool(doc.get("requires_chart", False)),
             requires_tools=bool(doc.get("requires_tools", bool(gold))),
         )
-
-    def to_jsonable(self) -> dict:
-        doc: dict = {
-            "id": self.id,
-            "query": self.query,
-            "allowed_tools": list(self.allowed_tools),
-            "gold_trace": [s.to_jsonable() for s in self.gold_trace],
-        }
-        if self.answer_facts:
-            doc["answer_facts"] = [f.to_jsonable() for f in self.answer_facts]
-        if self.requires_chart:
-            doc["requires_chart"] = True
-        if not self.requires_tools:
-            doc["requires_tools"] = False
-        return doc
 
 
 def load_instances(path: str | Path) -> list[BenchmarkInstance]:

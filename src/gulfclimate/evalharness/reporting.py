@@ -29,11 +29,9 @@ def render_report(report: MetricReport) -> str:
     lines = [f"mode: {report.mode}", ""]
     lines.append(f"{'metric':<18}{'value':>8}")
     lines.append("-" * 26)
-    for label, attr in _METRIC_ORDER:
-        value = getattr(report, attr)
-        if value is None:
-            continue
-        lines.append(f"{label:<18}{value:>8.1f}")
+    for label, key in _METRIC_ORDER:
+        if key in report.metrics:
+            lines.append(f"{label:<18}{report.metrics[key]:>8.1f}")
     lines.append("")
     lines.append(f"steps scored: {len(report.step_rows)}")
     lines.append(f"instances: {len(report.instance_rows)}")
@@ -51,10 +49,9 @@ def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
 def write_report_csv(report: MetricReport, path: str | Path) -> None:
     """Headline metrics as a two-column CSV with a version row."""
     rows = [["schema_version", REPORT_CSV_VERSION], ["mode", report.mode]]
-    for label, attr in _METRIC_ORDER:
-        value = getattr(report, attr)
-        if value is not None:
-            rows.append([label, repr(round(value, 10))])
+    for label, key in _METRIC_ORDER:
+        if key in report.metrics:
+            rows.append([label, repr(round(report.metrics[key], 10))])
     _write_csv(path, rows)
 
 

@@ -20,7 +20,7 @@ from ..toolkit.grammar import parse_call, serialize_call
 from ..toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
 from ..toolkit.types import ToolCall
 from .model import BenchmarkInstance, GoldStep, InstanceError
-from .scoring import PredictedStep, StepScore, classify_error, score_step
+from .scoring import PredictedStep, classify_error, score_step
 
 BackendFactory = Callable[[BenchmarkInstance], LLMBackend]
 R = TypeVar("R")
@@ -51,18 +51,13 @@ class InstanceRow:
 
 @dataclass
 class MetricReport:
-    """Headline metrics plus the per-step/per-instance rows they aggregate."""
+    """Headline metrics plus the per-step/per-instance rows they aggregate.
+
+    ``metrics`` holds what :func:`aggregate_step_rows` or
+    :func:`aggregate_instance_rows` computed for the mode, by their keys."""
 
     mode: str  # "step" | "e2e"
-    inst_acc: float | None = None
-    tool_acc: float | None = None
-    arg_acc: float | None = None
-    summ_acc: float | None = None
-    ans_acc: float | None = None
-    ans_acc_i: float | None = None
-    format_err_pct: float | None = None
-    arg_err_pct: float | None = None
-    na_pct: float | None = None
+    metrics: dict[str, float] = field(default_factory=dict)
     step_rows: list[StepRow] = field(default_factory=list)
     instance_rows: list[InstanceRow] = field(default_factory=list)
 
@@ -165,7 +160,7 @@ def aggregate_step_rows(rows: Sequence[StepRow]) -> dict[str, float]:
     n = len(rows)
     if n == 0:
         return {}
-    out = {
+    return {
         "inst_acc": 100.0 * sum(r.inst for r in rows) / n,
         "tool_acc": 100.0 * sum(r.tool for r in rows) / n,
         "arg_acc": 100.0 * sum(r.arg for r in rows) / n,
@@ -174,7 +169,6 @@ def aggregate_step_rows(rows: Sequence[StepRow]) -> dict[str, float]:
         "arg_err_pct": 100.0 * sum(r.error_class == "arg_err" for r in rows) / n,
         "na_pct": 100.0 * sum(r.error_class == "na" for r in rows) / n,
     }
-    return out
 
 
 def aggregate_instance_rows(rows: Sequence[InstanceRow]) -> dict[str, float]:
@@ -220,8 +214,7 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
                             inst=0, tool=0, arg=0, summ=0, error_class="na")
                     for i in range(len(instance.gold_trace))]
         report.step_rows.extend(rows)
-    for key, value in aggregate_step_rows(report.step_rows).items():
-        setattr(report, key, value)
+    report.metrics = aggregate_step_rows(report.step_rows)
     return report
 
 
@@ -229,7 +222,7 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
                         registry: ToolRegistry) -> list[StepRow]:
     sub = registry.subset([t for t in instance.allowed_tools if t in registry.names()])
     messages = [
-        {"role": "system", "content": render_tool_prompt(registry, names=instance.allowed_tools)},
+        {"role": "system", "content": render_tool_prompt(sub)},
         {"role": "user", "content": instance.query},
     ]
     rows: list[StepRow] = []
@@ -309,8 +302,7 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory
                               answered_with_images=0 if images_enabled else None,
                               failure=f"{type(row).__name__}: {row}")
         report.instance_rows.append(row)
-    for key, value in aggregate_instance_rows(report.instance_rows).items():
-        setattr(report, key, value)
+    report.metrics = aggregate_instance_rows(report.instance_rows)
     return report
 
 

@@ -109,18 +109,16 @@ def _day(series: CanonicalSeries, row: int) -> str:
     return format_timestamps(series.timestamps[row:row + 1])[0][:10]
 
 
-def _chart_fact(artifact: ChartArtifact) -> tuple[AtomicFact, Chunk]:
-    """A synthetic evidence fact whose chunk is the chart metadata text."""
-    meta = artifact.metadata
-    statement = (f"The chart {artifact.chart_id} shows {meta.variable} for "
+def _chart_fact(chart: ChartArtifact) -> AtomicFact:
+    """The one evidence fact of a chart; its chunk stands for the chart and
+    carries no tokens."""
+    meta = chart.metadata
+    statement = (f"The chart {chart.chart_id} shows {meta.variable} for "
                  f"{meta.city or 'the selected location'} with mean "
                  f"{meta.mean:.6g} {meta.unit}.")
-    tokens = tuple(json.dumps(metadata_to_jsonable(meta), sort_keys=True).split())
-    chunk = Chunk(doc_id=f"chart:{artifact.chart_id}", start=0, tokens=tokens,
-                  provenance=artifact.provenance)
-    fact = AtomicFact(statement=statement, chunk_ref=chunk.chunk_id,
-                      provenance=artifact.provenance)
-    return fact, chunk
+    return AtomicFact(statement=statement,
+                      chunk=Chunk(doc_id=f"chart:{chart.chart_id}", start=0, tokens=(),
+                                  provenance=chart.provenance))
 
 
 def _date_options(series: CanonicalSeries, gold: str, rng: random.Random,
@@ -145,30 +143,28 @@ def check_categories(categories: Sequence[str], backend=None) -> None:
 def synthesize_visual_qa(artifact: ChartArtifact, category: str,
                          formats: str | Sequence[str], backend=None, *,
                          series: CanonicalSeries, seed: int = 0,
-                         chart_store: dict | None = None,
-                         counters: Counter | None = None,
-                         evidence_store: dict | None = None) -> list[QAItem]:
+                         counters: Counter | None = None
+                         ) -> tuple[list[QAItem], ChartArtifact, AtomicFact]:
     """Generate QA items for one chart window, format by format.
 
-    ``formats`` is one format or a sequence of them. ``anomaly`` and
-    ``imputation`` run deterministically (seeded) with gold answers known by
-    construction: the window is perturbed and charted once, and each format
-    draws from a fresh ``random.Random(seed + 1)``. ``forecasting`` and
-    ``reasoning`` make one backend call per format, in order, and parse the
-    emissions only after the last call, so a malformed one raises
+    Returns ``(items, chart, fact)``: every item refers to ``chart`` and
+    cites ``fact`` alone. ``formats`` is one format or a sequence of them.
+    ``anomaly`` and ``imputation`` run deterministically (seeded) with gold
+    answers known by construction: the window is perturbed and charted once,
+    that perturbed chart is ``chart``, and each format draws from a fresh
+    ``random.Random(seed + 1)``. ``forecasting`` and ``reasoning`` make one
+    backend call per format, in order, and ``chart`` is ``artifact``; the
+    emissions are parsed only after the last call, so a malformed one raises
     ``QASynthesisError`` with every emission of the window consumed and
-    nothing stored or counted. ``series`` is the window slice the artifact
-    was charted from. New perturbed charts land in ``chart_store`` keyed by
-    chart id; evidence facts/chunks land in ``evidence_store``.
+    nothing returned or counted. ``series`` is the window slice the artifact
+    was charted from.
     """
     check_categories((category,), backend)
     formats = (formats,) if isinstance(formats, str) else tuple(formats)
     if category not in BACKEND_CATEGORIES:
-        return _perturbed_items(artifact, series, category, formats, seed,
-                                chart_store, evidence_store)
+        return _perturbed_items(artifact, series, category, formats, seed)
 
-    counters = counters if counters is not None else Counter()
-    fact, chunk = _chart_fact(artifact)
+    fact = _chart_fact(artifact)
     metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)
     prompts = [f"Write {fmt} questions of category '{category}' about this chart. "
                f"Chart metadata: {metadata}\n"
@@ -176,25 +172,24 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
     emissions = [backend.complete([{"role": "user", "content": prompt}]) for prompt in prompts]
     parsed = [parse_qa_emission(emission, fmt, evidence=(fact.fact_id,), split="visual")
               for fmt, emission in zip(formats, emissions)]
-    _remember(evidence_store, fact, chunk, artifact, chart_store)
-    return [replace(item, chart_ref=artifact.chart_id)
-            for batch in parsed for item in validate_items(batch, counters=counters)]
+    items = [replace(item, chart_ref=artifact.chart_id)
+             for batch in parsed for item in validate_items(batch, counters=counters)]
+    return items, artifact, fact
 
 
-def _perturbed_items(artifact, base_series, category, formats, seed, chart_store,
-                     evidence_store):
+def _perturbed_items(artifact, base_series, category, formats, seed):
     """Perturb and chart the window once, then build every format's items."""
     perturb, make_items = ((inject_spike, _anomaly_items) if category == "anomaly"
                            else (mask_span, _imputation_items))
     perturbed, truth = perturb(base_series, seed=seed)
     chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_{category}_s{seed}",
                              provenance=artifact.provenance)
-    fact, chunk = _chart_fact(chart)
-    _remember(evidence_store, fact, chunk, chart, chart_store)
-    return [replace(item, chart_ref=chart.chart_id)
-            for fmt in formats
-            for item in make_items(artifact, perturbed, truth, fmt,
-                                   random.Random(seed + 1), (fact.fact_id,))]
+    fact = _chart_fact(chart)
+    items = [replace(item, chart_ref=chart.chart_id)
+             for fmt in formats
+             for item in make_items(artifact, perturbed, truth, fmt,
+                                    random.Random(seed + 1), (fact.fact_id,))]
+    return items, chart, fact
 
 
 def _anomaly_items(artifact, perturbed, injection, fmt, rng, evidence):
@@ -251,10 +246,3 @@ def _imputation_items(artifact, perturbed, span, fmt, rng, evidence):
                answer="false", evidence=evidence, split="visual",
                answer_tolerance=span.tolerance),
     ]
-
-
-def _remember(evidence_store, fact, chunk, chart, chart_store):
-    if chart_store is not None:
-        chart_store[chart.chart_id] = chart
-    if evidence_store is not None:
-        evidence_store[fact.fact_id] = (fact, chunk)

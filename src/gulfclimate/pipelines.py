@@ -23,9 +23,9 @@ import functools
 from collections import Counter
 from pathlib import Path
 
-from .core import GeoPoint
+from .core import format_timestamp
 from .errors import ConfigError
-from .geoforge.charts import EmptySlice, build_chart, metadata_to_jsonable
+from .geoforge.charts import EmptySlice, build_chart
 from .geoforge.gridded import GriddedProduct, extract_series
 from .geoforge.gridmatch import nearest_grid_cell
 from .geoforge.inventory import CityInventory
@@ -102,7 +102,6 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
 
     all_items = []
     facts_by_id: dict = {}
-    chunks_by_id: dict = {}
     n_chunks = 0
     for url, doc in docs_by_url.items():
         try:
@@ -115,7 +114,6 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
         n_chunks += len(doc_chunks)
         doc_facts = []
         for c in doc_chunks:
-            chunks_by_id[c.chunk_id] = c
             for fact in induce_facts(c, backend):
                 facts_by_id[fact.fact_id] = fact
                 doc_facts.append(fact)
@@ -129,7 +127,7 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
                 counters[f"{fmt}_documents_dropped"] += 1
 
     dataset_path = out_dir / "qa_text.jsonl"
-    written = write_dataset(all_items, facts_by_id, chunks_by_id, dataset_path)
+    written = write_dataset(all_items, facts_by_id, dataset_path)
     index_path = out_dir / "keyword_index.jsonl"
     index.save(index_path)
 
@@ -153,7 +151,11 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     """Run the visual-temporal pipeline over one gridded product.
 
     Writes charts (SVG + CSV + a colocated metadata CSV) and
-    ``qa_visual.jsonl`` under ``out_dir``; returns summary counts. A window
+    ``qa_visual.jsonl`` under ``out_dir``; returns summary counts. The charts
+    are each window's chart plus the chart and evidence fact that every
+    :func:`synthesize_visual_qa` call returns; they are written in one pass
+    over the sorted chart ids, each chart's SVG, its CSV and its row of
+    ``metadata.csv``. A window
     whose items for one category cannot be made (too few values to perturb,
     nothing left to chart, a malformed backend emission) counts under
     ``dropped`` as ``<category>_windows_dropped`` and the job goes on.
@@ -171,33 +173,25 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     charts_dir.mkdir(exist_ok=True)
 
     counters: Counter = Counter()
-    chart_store: dict = {}
-    evidence_store: dict = {}
+    charts: dict = {}
+    facts_by_id: dict = {}
     items = []
     for window in windows:
         window_series = window_slice(series, window)
         artifact = build_chart(window_series, window, entry.city, variable,
                                provenance=provenance)
-        chart_store[artifact.chart_id] = artifact
+        charts[artifact.chart_id] = artifact
         for category in categories:
             try:
-                items.extend(synthesize_visual_qa(
+                made, chart, fact = synthesize_visual_qa(
                     artifact, category, formats, backend,
-                    seed=seed + window.index,
-                    series=window_series,
-                    chart_store=chart_store,
-                    evidence_store=evidence_store,
-                    counters=counters,
-                ))
+                    seed=seed + window.index, series=window_series, counters=counters)
             except (VisualQAError, EmptySlice, QASynthesisError):
                 counters[f"{category}_windows_dropped"] += 1
-
-    metadata_rows = []
-    for chart_id in sorted(chart_store):
-        artifact = chart_store[chart_id]
-        (charts_dir / f"{chart_id}.svg").write_text(artifact.svg, encoding="utf-8")
-        (charts_dir / f"{chart_id}.csv").write_text(artifact.data_csv, encoding="utf-8")
-        metadata_rows.append(metadata_to_jsonable(artifact.metadata) | {"chart_id": chart_id})
+                continue
+            items.extend(made)
+            charts[chart.chart_id] = chart
+            facts_by_id[fact.fact_id] = fact
 
     meta_path = charts_dir / "metadata.csv"
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
@@ -205,24 +199,26 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
         writer.writerow(["chart_id", "city", "variable", "unit", "span_start",
                          "span_end", "count", "min", "max", "mean", "std",
                          "slope_per_day"])
-        for row in metadata_rows:
-            writer.writerow([row["chart_id"], row["city"], row["variable"],
-                             row["unit"], row["span"][0], row["span"][1],
-                             row["count"], repr(row["min"]), repr(row["max"]),
-                             repr(row["mean"]), repr(row["std"]),
-                             repr(row["slope_per_day"])])
+        for chart_id in sorted(charts):
+            chart = charts[chart_id]
+            (charts_dir / f"{chart_id}.svg").write_text(chart.svg, encoding="utf-8")
+            (charts_dir / f"{chart_id}.csv").write_text(chart.data_csv, encoding="utf-8")
+            meta = chart.metadata
+            writer.writerow([chart_id, meta.city, meta.variable, meta.unit,
+                             format_timestamp(meta.span_start),
+                             format_timestamp(meta.span_end), meta.count,
+                             repr(meta.vmin), repr(meta.vmax), repr(meta.mean),
+                             repr(meta.std), repr(meta.slope_per_day)])
 
-    facts_by_id = {fid: fact for fid, (fact, _chunk) in evidence_store.items()}
-    chunks_by_id = {chunk.chunk_id: chunk for _fid, (_fact, chunk) in evidence_store.items()}
     dataset_path = out_dir / "qa_visual.jsonl"
-    written = write_dataset(items, facts_by_id, chunks_by_id, dataset_path)
+    written = write_dataset(items, facts_by_id, dataset_path)
 
     return {
         "city": entry.city,
         "variable": variable,
         "grid_cell": list(cell),
         "windows_kept": len(windows),
-        "charts": len(chart_store),
+        "charts": len(charts),
         "items_written": written,
         "dropped": dict(sorted(counters.items())),
         "dataset": str(dataset_path),

@@ -21,15 +21,18 @@ _STOPWORDS = frozenset(
 
 @dataclass(frozen=True)
 class AtomicFact:
-    """One verifiable claim pointing back at its source chunk."""
+    """One verifiable claim and the chunk it was read from."""
 
     statement: str
-    chunk_ref: str
-    provenance: Provenance
+    chunk: Chunk
+
+    @property
+    def provenance(self) -> Provenance:
+        return self.chunk.provenance
 
     @property
     def fact_id(self) -> str:
-        digest = hashlib.sha256(f"{self.chunk_ref}|{self.statement}".encode()).hexdigest()
+        digest = hashlib.sha256(f"{self.chunk.chunk_id}|{self.statement}".encode()).hexdigest()
         return f"fact:{digest[:16]}"
 
 
@@ -70,6 +73,5 @@ def induce_facts(chunk: Chunk, backend) -> list[AtomicFact]:
         statement = line.strip().lstrip("-*0123456789. ").strip()
         if not statement or not passes_structural_checks(statement):
             continue
-        facts.append(AtomicFact(statement=statement, chunk_ref=chunk.chunk_id,
-                                provenance=chunk.provenance))
+        facts.append(AtomicFact(statement=statement, chunk=chunk))
     return facts

@@ -3,8 +3,10 @@
 The recorded search corpus holds HTML pages only, so HTML is the one input
 kind. :func:`parse_document` returns two things: the page's content blocks
 joined by blank lines, each heading written as a ``## `` line, and the token
-index at which each ``## `` block starts. The breaks only steer where chunk
-starts snap (see :mod:`.chunking`); no heading is kept apart from the text.
+index at which each heading starts. Only heading tags make breaks; a
+paragraph whose text starts with ``## `` does not. The breaks only steer
+where chunk starts snap (see :mod:`.chunking`); no heading is kept apart from
+the text.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class _Extractor(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.blocks: list[str] = []
+        self.breaks: list[int] = []  # token index of each heading block
+        self._tokens = 0
         self._boilerplate_depth = 0
         self._link_depth = 0
         self._heading: list[str] | None = None
@@ -77,7 +81,8 @@ class _Extractor(HTMLParser):
         elif tag in _HEADING_TAGS and self._heading is not None:
             heading = " ".join(" ".join(self._heading).split())
             if heading:
-                self.blocks.append(_HEADING_MARKER + heading)
+                self.breaks.append(self._tokens)
+                self._append(_HEADING_MARKER + heading)
             self._heading = None
         elif tag in _BLOCK_TAGS:
             self._flush()
@@ -97,9 +102,13 @@ class _Extractor(HTMLParser):
         chars = len(text)
         if chars:
             if self._link_chars / max(chars, 1) <= LINK_DENSITY_LIMIT:
-                self.blocks.append(text)
+                self._append(text)
         self._text = []
         self._link_chars = 0
+
+    def _append(self, block: str) -> None:
+        self.blocks.append(block)
+        self._tokens += len(block.split())
 
     def close(self):
         self._flush()
@@ -110,8 +119,8 @@ def parse_document(raw: bytes) -> tuple[str, list[int]]:
     """The page's main content and the token index of each section start.
 
     Blocks are kept or dropped by tag and by link density; headings become
-    ``## `` lines, and the text is the blocks joined by blank lines. A block
-    that starts with ``## `` is a section break at the index of its first
+    ``## `` lines, and the text is the blocks joined by blank lines. Each
+    heading tag's block is a section break at the index of its first
     whitespace token, so the breaks index ``text.split()``. Raises
     :class:`EmptyAfterCleaning` when no content block is left.
     """
@@ -120,10 +129,4 @@ def parse_document(raw: bytes) -> tuple[str, list[int]]:
     extractor.close()
     if not extractor.blocks:
         raise EmptyAfterCleaning("no content blocks after boilerplate removal")
-    breaks: list[int] = []
-    position = 0
-    for block in extractor.blocks:
-        if block.startswith(_HEADING_MARKER):
-            breaks.append(position)
-        position += len(block.split())
-    return "\n\n".join(extractor.blocks), breaks
+    return "\n\n".join(extractor.blocks), extractor.breaks

@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 
 from ..core import format_timestamp
 from ..errors import GulfClimateError
-from .chunking import Chunk
 from .facts import AtomicFact
 
 FORMATS = ("mcq", "open", "tf")
@@ -175,12 +174,11 @@ class BrokenEvidenceChain(GulfClimateError, ValueError):
     pass
 
 
-def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact],
-                     chunks_by_id: dict[str, Chunk]) -> list[dict]:
+def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact]) -> list[dict]:
     """Expand an item's evidence refs into fact/chunk/provenance records.
 
-    Raises :class:`BrokenEvidenceChain` when any link is missing, or when the
-    chain ends without a provenance URL or title.
+    Raises :class:`BrokenEvidenceChain` when the item has no refs, cites an
+    unknown fact, or when a fact's provenance has neither a URL nor a title.
     """
     if not item.evidence:
         raise BrokenEvidenceChain(f"{item.item_id} has no evidence refs")
@@ -189,17 +187,14 @@ def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact],
         fact = facts_by_id.get(fact_id)
         if fact is None:
             raise BrokenEvidenceChain(f"{item.item_id}: unknown fact {fact_id}")
-        chunk = chunks_by_id.get(fact.chunk_ref)
-        if chunk is None:
-            raise BrokenEvidenceChain(f"{item.item_id}: unresolvable chunk {fact.chunk_ref}")
         prov = fact.provenance
         if prov.url is None and prov.title is None:
             raise BrokenEvidenceChain(f"{item.item_id}: provenance lacks url/title")
         resolved.append({
             "fact_id": fact_id,
             "statement": fact.statement,
-            "chunk_id": chunk.chunk_id,
-            "doc_id": chunk.doc_id,
+            "chunk_id": fact.chunk.chunk_id,
+            "doc_id": fact.chunk.doc_id,
             "provenance": {
                 "url": prov.url,
                 "title": prov.title,
@@ -216,7 +211,7 @@ _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
-                  chunks_by_id: dict[str, Chunk], path: str | Path) -> int:
+                  path: str | Path) -> int:
     """Write items as line-delimited JSON with embedded provenance.
 
     Each line is one item as ``json.dumps(doc, sort_keys=True,
@@ -225,10 +220,12 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
     ``answer``, ``answer_tolerance`` and ``chart_ref`` (when set),
     ``evidence`` (the records of :func:`resolve_evidence`), ``format``,
     ``id``, ``options`` (when non-empty), ``question``, ``review_flag`` and
-    ``split``. Items often share an evidence tuple (every item of a document
-    cites all its facts), so each distinct tuple is resolved and encoded
-    once per call. The first item whose chain is broken raises
-    :class:`BrokenEvidenceChain`, and then no file is written.
+    ``split``. ``facts_by_id`` is the one table needed: a record's chunk id,
+    doc id and provenance come from the cited fact's own chunk. Items often
+    share an evidence tuple (every item of a document cites all its facts),
+    so each distinct tuple is resolved and encoded once per call. The first
+    item whose chain is broken raises :class:`BrokenEvidenceChain`, and then
+    no file is written.
     """
     evidence_json: dict[tuple[str, ...], str] = {}
     lines = []
@@ -236,7 +233,7 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
         evidence = evidence_json.get(item.evidence)
         if evidence is None:
             evidence = evidence_json[item.evidence] = _encode(
-                resolve_evidence(item, facts_by_id, chunks_by_id))
+                resolve_evidence(item, facts_by_id))
         # The keys that sort before "evidence", then those that sort after it.
         head = {"answer": item.answer}
         if item.answer_tolerance is not None:

@@ -258,25 +258,22 @@ def execute(call: ToolCall, registry: ToolRegistry,
 
 
 def render_tool_prompt(registry: ToolRegistry,
-                       categories: Collection[str] | None = None,
-                       names: Collection[str] | None = None) -> str:
+                       categories: Collection[str] | None = None) -> str:
     """Deterministic text block listing tools grouped by category.
 
     Categories render in their fixed interface order; tools alphabetically
-    within each. ``categories``/``names`` optionally restrict the listing
-    (used by intent routing and benchmark instances).
+    within each. ``categories`` optionally restricts the listing (used by
+    intent routing); to list only some tools, render a
+    :meth:`ToolRegistry.subset`.
     """
     if len(registry) == 0:
         raise RegistryError("cannot render an empty registry")
-    allowed_names = set(names) if names is not None else None
     allowed_cats = set(categories) if categories is not None else None
     lines: list[str] = []
     for category in CATEGORIES:
         if allowed_cats is not None and category not in allowed_cats:
             continue
         sigs = [s for s in registry.signatures() if s.category == category]
-        if allowed_names is not None:
-            sigs = [s for s in sigs if s.name in allowed_names]
         if not sigs:
             continue
         lines.append(f"## {CATEGORY_TITLES[category]}")

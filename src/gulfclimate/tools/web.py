@@ -23,14 +23,7 @@ class FixtureSearch:
         self.store = store
 
     def search(self, query: str) -> list[dict]:
-        doc = self.store.document("online_search")
-        queries = doc.get("queries", {})
-        entry = queries.get(query_key(query))
-        if entry is None:
-            for candidate in queries.values():
-                if candidate.get("query") == query:
-                    entry = candidate
-                    break
+        entry = self.store.document("online_search").get("queries", {}).get(query_key(query))
         if entry is None:
             raise ProviderFailure(f"no recorded results for query {query!r}")
         return list(entry["results"])

@@ -48,11 +48,23 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
      "tool_settings.forecast_default_horizon: expected at least 1, got 0"),
     ({"tool_settings": {"forecast_default_horizon": -1}},
      "tool_settings.forecast_default_horizon: expected at least 1, got -1"),
+    ({"provider": "fixture"}, "provider: expected object, got 'fixture'"),
+    ({"provider": {"kind": "fixture", "root": "fixtures"}}, "unknown provider keys: root"),
+    ({"backend": ["scripted"]}, "backend: expected object, got ['scripted']"),
+    ({"backend": {"kind": "scripted", "replay": "r.json", "seed": 1}},
+     "unknown backend keys: seed"),
+    ({"tool_settings": None}, "tool_settings: expected object, got None"),
+    ({"budgte": 3}, "unknown config keys: budgte"),
 ])
 def test_malformed_values_are_configuration_errors(tmp_path, capsys, doc, message):
     doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)}, **doc}
     assert _tools_list(tmp_path, doc) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_a_config_that_is_not_an_object_is_a_configuration_error(tmp_path, capsys):
+    assert _tools_list(tmp_path, []) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: config: expected object, got []\n"
 
 
 def test_relative_fixture_root_resolves_against_the_config_directory(

@@ -12,6 +12,7 @@ from gulfclimate.geoforge.charts import build_chart
 from gulfclimate.geoforge.gridded import GriddedProduct, extract_series
 from gulfclimate.geoforge.visualqa import VisualQAError, synthesize_visual_qa
 from gulfclimate.geoforge.windows import segment_windows, window_slice
+from gulfclimate.textforge.qa import QASynthesisError
 
 GRIDDED = Path(__file__).resolve().parent.parent / "fixtures" / "gridded_temperature.txt"
 FORMATS = ("mcq", "tf", "open")
@@ -37,21 +38,25 @@ def test_window_slice_equals_its_chart_csv(charted_windows):
 
 @pytest.mark.parametrize("category", ["anomaly", "imputation"])
 def test_once_per_category_equals_per_format_calls(charted_windows, category):
-    per_format = ([], {}, {})
-    once = ([], {}, {})
+    per_format = ([], [], [])
+    once = ([], [], [])
     for index, window_series, artifact in charted_windows:
-        per_format[1][artifact.chart_id] = once[1][artifact.chart_id] = artifact
         for fmt in FORMATS:
-            per_format[0].extend(synthesize_visual_qa(
-                artifact, category, fmt, seed=index, series=window_series,
-                chart_store=per_format[1], evidence_store=per_format[2]))
-        once[0].extend(synthesize_visual_qa(
-            artifact, category, FORMATS, seed=index, series=window_series,
-            chart_store=once[1], evidence_store=once[2]))
-    assert once[0] == per_format[0]
+            items, chart, fact = synthesize_visual_qa(
+                artifact, category, fmt, seed=index, series=window_series)
+            per_format[0].extend(items)
+            per_format[1].append(chart)
+            per_format[2].append(fact)
+        items, chart, fact = synthesize_visual_qa(
+            artifact, category, FORMATS, seed=index, series=window_series)
+        once[0].extend(items)
+        once[1].extend([chart] * len(FORMATS))
+        once[2].extend([fact] * len(FORMATS))
+        assert {item.chart_ref for item in items} == {chart.chart_id}
+        assert {item.evidence for item in items} == {(fact.fact_id,)}
+        assert chart.chart_id == f"{artifact.chart_id}_{category}_s{index}"
+    assert once == per_format
     assert [item.format for item in once[0][:5]] == ["mcq", "tf", "tf", "open", "mcq"]
-    assert list(once[1].items()) == list(per_format[1].items())
-    assert list(once[2].items()) == list(per_format[2].items())
 
 
 def _emission(fmt: str, n: int) -> str:
@@ -79,8 +84,11 @@ def test_backend_category_consumes_one_emission_per_format(charted_windows, cate
     _index, window_series, artifact = charted_windows[0]
     emissions = [_emission(fmt, n) for n, fmt in enumerate(FORMATS)]
     once = RecordingBackend(emissions)
-    items = synthesize_visual_qa(artifact, category, FORMATS, once,
-                                 series=window_series, counters=Counter())
+    items, chart, fact = synthesize_visual_qa(artifact, category, FORMATS, once,
+                                              series=window_series, counters=Counter())
+    assert chart is artifact
+    assert {item.evidence for item in items} == {(fact.fact_id,)}
+    assert fact.chunk.chunk_id == f"chart:{artifact.chart_id}:0"
     assert once.remaining == 0
     assert [p.split()[1] for p in once.prompts] == list(FORMATS)
     assert [item.question for item in items] == [
@@ -88,11 +96,19 @@ def test_backend_category_consumes_one_emission_per_format(charted_windows, cate
     assert {item.chart_ref for item in items} == {artifact.chart_id}
 
     per_format = RecordingBackend(emissions)
-    expected = [item for fmt in FORMATS
-                for item in synthesize_visual_qa(artifact, category, fmt, per_format,
-                                                 series=window_series)]
-    assert items == expected
+    made = [synthesize_visual_qa(artifact, category, fmt, per_format, series=window_series)
+            for fmt in FORMATS]
+    assert items == [item for batch, _chart, _fact in made for item in batch]
+    assert [(c, f) for _items, c, f in made] == [(artifact, fact)] * len(FORMATS)
     assert per_format.prompts == once.prompts
+
+
+def test_a_malformed_emission_raises_after_every_emission_is_consumed(charted_windows):
+    _index, window_series, artifact = charted_windows[0]
+    backend = RecordingBackend([_emission("mcq", 0), "not json", _emission("open", 2)])
+    with pytest.raises(QASynthesisError):
+        synthesize_visual_qa(artifact, "reasoning", FORMATS, backend, series=window_series)
+    assert backend.remaining == 0
 
 
 def test_unknown_category_and_missing_backend_are_rejected(charted_windows):

@@ -28,9 +28,9 @@ def _reference_evidence(item, facts_by_id, chunks_by_id):
         fact = facts_by_id.get(fact_id)
         if fact is None:
             raise BrokenEvidenceChain(f"{item.item_id}: unknown fact {fact_id}")
-        chunk = chunks_by_id.get(fact.chunk_ref)
+        chunk = chunks_by_id.get(fact.chunk.chunk_id)
         if chunk is None:
-            raise BrokenEvidenceChain(f"{item.item_id}: unresolvable chunk {fact.chunk_ref}")
+            raise BrokenEvidenceChain(f"{item.item_id}: unresolvable chunk {fact.chunk.chunk_id}")
         prov = fact.provenance
         resolved.append({
             "fact_id": fact_id,
@@ -68,16 +68,22 @@ def _reference_item(item, facts_by_id, chunks_by_id):
     return doc
 
 
-def _reference_bytes(items, facts_by_id, chunks_by_id) -> bytes:
+def _chunk_table(facts_by_id):
+    """The chunk table the reference resolves through, built from the facts."""
+    return {f.chunk.chunk_id: f.chunk for f in facts_by_id.values()}
+
+
+def _reference_bytes(items, facts_by_id) -> bytes:
+    chunks_by_id = _chunk_table(facts_by_id)
     lines = [json.dumps(_reference_item(i, facts_by_id, chunks_by_id),
                         sort_keys=True, ensure_ascii=False) for i in items]
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def _written(items, facts_by_id, chunks_by_id) -> bytes:
+def _written(items, facts_by_id) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "qa.jsonl"
-        assert write_dataset(items, facts_by_id, chunks_by_id, path) == len(items)
+        assert write_dataset(items, facts_by_id, path) == len(items)
         return path.read_bytes()
 
 
@@ -103,20 +109,18 @@ provenances = st.builds(
 
 @st.composite
 def evidence_pools(draw):
-    """Chunks, the facts that cite them, and the evidence tuples items draw from."""
+    """Chunks, the facts read from them, and the evidence tuples items draw from."""
     chunks = draw(st.lists(st.builds(Chunk, doc_id=text, start=st.integers(0, 500),
                                      tokens=st.just(("t",)), provenance=provenances),
                            min_size=1, max_size=3))
     facts = draw(st.lists(st.builds(AtomicFact, statement=text,
-                                    chunk_ref=st.sampled_from([c.chunk_id for c in chunks]),
-                                    provenance=provenances),
+                                    chunk=st.sampled_from(chunks)),
                           min_size=1, max_size=5))
     facts_by_id = {f.fact_id: f for f in facts}
-    chunks_by_id = {c.chunk_id: c for c in chunks}
     # Tuples may repeat a fact id; several items may share one tuple.
     tuples = draw(st.lists(st.lists(st.sampled_from(sorted(facts_by_id)), min_size=1,
                                     max_size=4).map(tuple), min_size=1, max_size=3))
-    return facts_by_id, chunks_by_id, tuples
+    return facts_by_id, tuples
 
 
 def items(tuples):
@@ -141,24 +145,21 @@ def items(tuples):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_lines_equal_the_per_item_encoder(data):
-    facts_by_id, chunks_by_id, tuples = data.draw(evidence_pools())
+    facts_by_id, tuples = data.draw(evidence_pools())
     batch = data.draw(items(tuples))
-    assert _written(batch, facts_by_id, chunks_by_id) == \
-        _reference_bytes(batch, facts_by_id, chunks_by_id)
+    assert _written(batch, facts_by_id) == _reference_bytes(batch, facts_by_id)
 
 
 def _fact(statement="Doha recorded 47 C.", url="https://example.org/a",
           retrieved_at=datetime(2024, 6, 1, tzinfo=UTC)):
     prov = Provenance(retrieved_at=retrieved_at, query="q", url=url)
-    chunk = Chunk(doc_id="doc", start=0, tokens=("t",), provenance=prov)
-    return AtomicFact(statement, chunk.chunk_id, prov), chunk
+    return AtomicFact(statement, Chunk(doc_id="doc", start=0, tokens=("t",), provenance=prov))
 
 
 def test_fixed_cases_equal_the_per_item_encoder():
-    fact, chunk = _fact()
-    other, _ = _fact("Rain fell \u2028 twice \\ \"here\"\x00.")
+    fact = _fact()
+    other = _fact("Rain fell \u2028 twice \\ \"here\"\x00.")
     facts_by_id = {fact.fact_id: fact, other.fact_id: other}
-    chunks_by_id = {chunk.chunk_id: chunk}
     shared = (fact.fact_id, other.fact_id)
     batch = [
         QAItem("mcq", 'Which? ", "evidence": [', "a", options=("a", "b", "c"),
@@ -168,52 +169,46 @@ def test_fixed_cases_equal_the_per_item_encoder():
                chart_ref="chart_1", answer_tolerance=0.0),
         QAItem("open", "Q2", "A2", evidence=(other.fact_id,), answer_tolerance=-1.5),
     ]
-    assert _written(batch, facts_by_id, chunks_by_id) == \
-        _reference_bytes(batch, facts_by_id, chunks_by_id)
+    assert _written(batch, facts_by_id) == _reference_bytes(batch, facts_by_id)
 
 
 def test_empty_item_list_gives_an_empty_file(tmp_path):
     path = tmp_path / "qa.jsonl"
-    assert write_dataset([], {}, {}, path) == 0
+    assert write_dataset([], {}, path) == 0
     assert path.read_bytes() == b""
 
 
 def test_nothing_is_cached_across_calls():
-    old, chunk = _fact()
-    new, _ = _fact(url="https://example.org/b", retrieved_at=datetime(2025, 1, 1, tzinfo=UTC))
+    old = _fact()
+    new = _fact(url="https://example.org/b", retrieved_at=datetime(2025, 1, 1, tzinfo=UTC))
     assert old.fact_id == new.fact_id
     batch = [QAItem("tf", "Q", "true", evidence=(old.fact_id,))]
-    chunks_by_id = {chunk.chunk_id: chunk}
     for fact in (old, new):
-        assert _written(batch, {fact.fact_id: fact}, chunks_by_id) == \
-            _reference_bytes(batch, {fact.fact_id: fact}, chunks_by_id)
+        assert _written(batch, {fact.fact_id: fact}) == \
+            _reference_bytes(batch, {fact.fact_id: fact})
     with pytest.raises(BrokenEvidenceChain, match="unknown fact"):
-        _written(batch, {}, chunks_by_id)
+        _written(batch, {})
 
 
 # -- broken chains ----------------------------------------------------------------
 
-BROKEN = ("no_evidence", "unknown_fact", "unresolvable_chunk")
+BROKEN = ("no_evidence", "unknown_fact")
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kinds=st.lists(st.sampled_from(BROKEN), min_size=1, max_size=3))
 def test_first_broken_item_raises_and_nothing_is_written(data, kinds):
-    facts_by_id, chunks_by_id, tuples = data.draw(evidence_pools())
-    orphan, _ = _fact("A fact whose chunk is missing.")
-    orphan = AtomicFact(orphan.statement, "missing:0", orphan.provenance)
-    facts_by_id = {**facts_by_id, orphan.fact_id: orphan}
-    broken_evidence = {"no_evidence": (), "unknown_fact": (*tuples[0], "fact:unknown"),
-                       "unresolvable_chunk": (orphan.fact_id,)}
+    facts_by_id, tuples = data.draw(evidence_pools())
+    broken_evidence = {"no_evidence": (), "unknown_fact": (*tuples[0], "fact:unknown")}
     batch = data.draw(items(tuples))
     for n, kind in enumerate(kinds):
         at = data.draw(st.integers(0, len(batch)))
         batch.insert(at, QAItem("tf", f"broken {n}", "true", evidence=broken_evidence[kind]))
     with pytest.raises(BrokenEvidenceChain) as expected:
-        _reference_bytes(batch, facts_by_id, chunks_by_id)
+        _reference_bytes(batch, facts_by_id)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "qa.jsonl"
         with pytest.raises(BrokenEvidenceChain) as raised:
-            write_dataset(batch, facts_by_id, chunks_by_id, path)
+            write_dataset(batch, facts_by_id, path)
         assert not path.exists()
     assert str(raised.value) == str(expected.value)

@@ -184,7 +184,7 @@ def test_prompt_has_seven_category_sections(registry):
 
 
 def test_prompt_single_tool(registry):
-    prompt = render_tool_prompt(registry, names=["geocode_mapping"])
+    prompt = render_tool_prompt(registry.subset(["geocode_mapping"]))
     assert prompt.count("## ") == 1
     assert "geocode_mapping(region: string) -> geopoint" in prompt
 
