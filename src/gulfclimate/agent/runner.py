@@ -64,7 +64,10 @@ Available tools:
 {tools}"""
 
 
-def _system_prompt(registry: ToolRegistry, intent: Intent | None) -> str:
+def system_prompt(registry: ToolRegistry, intent: Intent | None) -> str:
+    """The system message of a run over ``registry``: the call grammar and the
+    tools, only those of the intent's routed categories when ``intent`` is
+    given."""
     categories = intent.routed_categories if intent is not None else None
     tools = render_tool_prompt(registry, categories=categories)
     return _SYSTEM_TEMPLATE.format(fence_open=FENCE_OPEN, fence_close=FENCE_CLOSE,
@@ -89,7 +92,7 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
         intent = route_intent(query, backend)
 
     messages: list[dict[str, str]] = [
-        {"role": "system", "content": _system_prompt(registry, intent)},
+        {"role": "system", "content": system_prompt(registry, intent)},
         {"role": "user", "content": query},
     ]
     refs: dict[str, Any] = {}

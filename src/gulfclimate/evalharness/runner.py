@@ -14,10 +14,10 @@ except ImportError:  # no per-thread resource usage on this platform
     RUSAGE_THREAD = getrusage = None
 
 from ..agent.backend import BackendFailure, LLMBackend
-from ..agent.runner import AgentSettings, run as agent_run
+from ..agent.runner import AgentSettings, run as agent_run, system_prompt
 from ..agent.serialization import observation_message, render_observation
 from ..toolkit.grammar import parse_call, serialize_call
-from ..toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
+from ..toolkit.registry import ToolRegistry, execute, validate_call
 from ..toolkit.types import ToolCall
 from .model import BenchmarkInstance, GoldStep, InstanceError
 from .scoring import PredictedStep, classify_error, score_step
@@ -187,10 +187,13 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
                   registry: ToolRegistry) -> MetricReport:
     """Teacher-forced evaluation of every gold step.
 
-    At step t the context holds the gold prefix (gold calls and their real
-    tool outputs, an ``obs_N`` argument resolved to gold step N's payload);
-    the backend emits the step action and, after seeing the real output, a
-    one-line step summary. Per-instance failures are recorded, never raised.
+    The system message is the one an e2e run of the instance sees: the
+    agent's :func:`~gulfclimate.agent.runner.system_prompt` over the
+    instance's allowed tools, unrouted. At step t the context holds the gold
+    prefix (gold calls and their real tool outputs, an ``obs_N`` argument
+    resolved to gold step N's payload); the backend emits the step action
+    and, after seeing the real output, a one-line step summary. Per-instance
+    failures are recorded, never raised.
 
     ``factory`` is called once per instance, and the backend it returns
     serves that instance alone. Instances start longest gold trace first. The
@@ -222,7 +225,7 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
                         registry: ToolRegistry) -> list[StepRow]:
     sub = registry.subset([t for t in instance.allowed_tools if t in registry.names()])
     messages = [
-        {"role": "system", "content": render_tool_prompt(sub)},
+        {"role": "system", "content": system_prompt(sub, None)},
         {"role": "user", "content": instance.query},
     ]
     rows: list[StepRow] = []
@@ -251,8 +254,7 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
             summary = ""
         messages.append({"role": "assistant", "content": summary})
 
-        pred = PredictedStep(emission=emission, parsed=parsed, verdict=verdict,
-                             summary=summary)
+        pred = PredictedStep(parsed=parsed, verdict=verdict, summary=summary)
         score = score_step(pred, gold)
         rows.append(StepRow(instance.id, t, *score.as_tuple(),
                             classify_error(pred, gold)))

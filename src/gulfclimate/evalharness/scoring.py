@@ -12,7 +12,6 @@ from .model import GoldStep
 class PredictedStep:
     """What the model produced for one step, parsed and validated."""
 
-    emission: str
     parsed: ToolCall | FinalAnswer | CallFormatError
     verdict: ValidationVerdict | None  # None unless parsed is a ToolCall
     summary: str = ""

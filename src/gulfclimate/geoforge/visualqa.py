@@ -3,8 +3,8 @@
 Anomaly and imputation items are generated deterministically from the chart
 data (no backend): a seeded spike injection or span mask produces a perturbed
 chart whose gold answer is known by construction. Forecasting and reasoning
-items come from the backend conditioned on chart metadata and pass the same
-structural validation as textual QA.
+items come from the backend conditioned on chart metadata. Every category's
+items are built and structurally validated as textual QA items are.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..core import CanonicalSeries, format_timestamps
 from ..errors import GulfClimateError
 from ..textforge.chunking import Chunk
 from ..textforge.facts import AtomicFact
-from ..textforge.qa import QAItem, parse_qa_emission, validate_items
+from ..textforge.qa import QAItem, decode_qa_emission, qa_items, validate_items
 from .charts import ChartArtifact, chart_for_series, metadata_to_jsonable
 
 CATEGORIES = ("anomaly", "forecasting", "imputation", "reasoning")
@@ -151,98 +151,83 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
     cites ``fact`` alone. ``formats`` is one format or a sequence of them.
     ``anomaly`` and ``imputation`` run deterministically (seeded) with gold
     answers known by construction: the window is perturbed and charted once,
-    that perturbed chart is ``chart``, and each format draws from a fresh
-    ``random.Random(seed + 1)``. ``forecasting`` and ``reasoning`` make one
-    backend call per format, in order, and ``chart`` is ``artifact``; the
-    emissions are parsed only after the last call, so a malformed one raises
+    that perturbed chart is ``chart``, and each format's one entry draws from
+    a fresh ``random.Random(seed + 1)``; imputation items carry the span's
+    ``answer_tolerance``. ``forecasting`` and ``reasoning`` make one backend
+    call per format, in order, and ``chart`` is ``artifact``; the emissions
+    are decoded only after the last call, so a malformed one raises
     ``QASynthesisError`` with every emission of the window consumed and
-    nothing returned or counted. ``series`` is the window slice the artifact
-    was charted from.
+    nothing returned or counted. Every category's entries become items by
+    ``qa_items`` and pass ``validate_items``, which counts each dropped item
+    in ``counters`` as ``dropped_<reason>``. ``series`` is the window slice
+    the artifact was charted from.
     """
     check_categories((category,), backend)
     formats = (formats,) if isinstance(formats, str) else tuple(formats)
-    if category not in BACKEND_CATEGORIES:
-        return _perturbed_items(artifact, series, category, formats, seed)
-
-    fact = _chart_fact(artifact)
-    metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)
-    prompts = [f"Write {fmt} questions of category '{category}' about this chart. "
-               f"Chart metadata: {metadata}\n"
-               f"Reply with a JSON array in the documented shape." for fmt in formats]
-    emissions = [backend.complete([{"role": "user", "content": prompt}]) for prompt in prompts]
-    parsed = [parse_qa_emission(emission, fmt, evidence=(fact.fact_id,), split="visual")
-              for fmt, emission in zip(formats, emissions)]
-    items = [replace(item, chart_ref=artifact.chart_id)
-             for batch in parsed for item in validate_items(batch, counters=counters)]
-    return items, artifact, fact
-
-
-def _perturbed_items(artifact, base_series, category, formats, seed):
-    """Perturb and chart the window once, then build every format's items."""
-    perturb, make_items = ((inject_spike, _anomaly_items) if category == "anomaly"
-                           else (mask_span, _imputation_items))
-    perturbed, truth = perturb(base_series, seed=seed)
-    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_{category}_s{seed}",
-                             provenance=artifact.provenance)
+    if category in BACKEND_CATEGORIES:
+        chart, tolerance = artifact, None
+        metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)
+        prompts = [f"Write {fmt} questions of category '{category}' about this chart. "
+                   f"Chart metadata: {metadata}\n"
+                   f"Reply with a JSON array in the documented shape." for fmt in formats]
+        emissions = [backend.complete([{"role": "user", "content": prompt}])
+                     for prompt in prompts]
+        entries = [decode_qa_emission(emission) for emission in emissions]
+    else:
+        chart, tolerance, entries = _perturbed_entries(artifact, series, category, formats, seed)
     fact = _chart_fact(chart)
-    items = [replace(item, chart_ref=chart.chart_id)
-             for fmt in formats
-             for item in make_items(artifact, perturbed, truth, fmt,
-                                    random.Random(seed + 1), (fact.fact_id,))]
+    candidates = [item for fmt, batch in zip(formats, entries)
+                  for item in qa_items(batch, fmt, (fact.fact_id,), "visual")]
+    items = [replace(item, chart_ref=chart.chart_id, answer_tolerance=tolerance)
+             for item in validate_items(candidates, counters=counters)]
     return items, chart, fact
 
 
-def _anomaly_items(artifact, perturbed, injection, fmt, rng, evidence):
+def _perturbed_entries(artifact, base_series, category, formats, seed):
+    """Perturb and chart the window once; return that chart, the answer
+    tolerance of its items and, per format, its one entry."""
+    perturb, make_entry = ((inject_spike, _anomaly_entry) if category == "anomaly"
+                           else (mask_span, _imputation_entry))
+    perturbed, truth = perturb(base_series, seed=seed)
+    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_{category}_s{seed}",
+                             provenance=artifact.provenance)
+    tolerance = truth.tolerance if isinstance(truth, SpanMask) else None
+    entries = [[make_entry(artifact, perturbed, truth, fmt, random.Random(seed + 1))]
+               for fmt in formats]
+    return chart, tolerance, entries
+
+
+def _anomaly_entry(artifact, perturbed, injection, fmt, rng):
     gold = injection.timestamp
     question = (f"The chart shows {artifact.metadata.variable} for "
                 f"{artifact.metadata.city or 'the selected location'}. On which date does "
                 f"the series show an abnormal {injection.direction} spike?")
     if fmt == "mcq":
-        options = _date_options(perturbed, gold, rng)
-        return [QAItem(format="mcq", question=question, answer=gold,
-                       options=tuple(options), evidence=evidence, split="visual")]
+        return {"question": question, "answer": gold,
+                "options": _date_options(perturbed, gold, rng)}
     if fmt == "open":
-        return [QAItem(format="open", question=question, answer=gold,
-                       evidence=evidence, split="visual")]
-    # tf pair: entailed + contradicted
-    wrong = _date_options(perturbed, gold, rng, n_options=2)
-    distractor = next(d for d in wrong if d != gold)
+        return {"question": question, "answer": gold}
+    # A window whose values all fall on one day has no other date to contradict with.
+    distractor = next((d for d in _date_options(perturbed, gold, rng, n_options=2)
+                       if d != gold), None)
     stem = f"The series shows an abnormal {injection.direction} spike on {{}}."
-    return [
-        QAItem(format="tf", question=stem.format(gold), answer="true",
-               evidence=evidence, split="visual"),
-        QAItem(format="tf", question=stem.format(distractor), answer="false",
-               evidence=evidence, split="visual"),
-    ]
+    return {"entailed": stem.format(gold),
+            "contradicted": stem.format(distractor) if distractor else ""}
 
 
-def _imputation_items(artifact, perturbed, span, fmt, rng, evidence):
+def _imputation_entry(artifact, perturbed, span, fmt, rng):
     gold = repr(span.true_mean)
-    unit = artifact.metadata.unit
+    variable, unit = artifact.metadata.variable, artifact.metadata.unit
     question = (f"The chart is missing values between {span.start} and {span.end}. "
                 f"Based on the surrounding data, estimate the mean "
-                f"{artifact.metadata.variable} ({unit}) over the missing segment.")
+                f"{variable} ({unit}) over the missing segment.")
     if fmt == "mcq":
         spread = max(4.0 * span.tolerance, 1.0, abs(span.true_mean) * 0.05)
-        distractors = [repr(span.true_mean + spread * o) for o in (1.0, -1.0, 2.0)]
-        options = [gold] + distractors
+        options = [gold] + [repr(span.true_mean + spread * o) for o in (1.0, -1.0, 2.0)]
         rng.shuffle(options)
-        return [QAItem(format="mcq", question=question, answer=gold,
-                       options=tuple(options), evidence=evidence,
-                       split="visual", answer_tolerance=span.tolerance)]
+        return {"question": question, "answer": gold, "options": options}
     if fmt == "open":
-        return [QAItem(format="open", question=question, answer=gold,
-                       evidence=evidence, split="visual",
-                       answer_tolerance=span.tolerance)]
-    return [
-        QAItem(format="tf",
-               question=(f"The mean {artifact.metadata.variable} over the missing "
-                         f"segment is approximately {span.true_mean:.6g} {unit}."),
-               answer="true", evidence=evidence, split="visual",
-               answer_tolerance=span.tolerance),
-        QAItem(format="tf",
-               question=(f"The mean {artifact.metadata.variable} over the missing "
-                         f"segment is approximately {span.true_mean + max(10 * span.tolerance, 5.0):.6g} {unit}."),
-               answer="false", evidence=evidence, split="visual",
-               answer_tolerance=span.tolerance),
-    ]
+        return {"question": question, "answer": gold}
+    claim = f"The mean {variable} over the missing segment is approximately {{:.6g}} {unit}."
+    return {"entailed": claim.format(span.true_mean),
+            "contradicted": claim.format(span.true_mean + max(10 * span.tolerance, 5.0))}

@@ -48,6 +48,13 @@ EMBEDDING_DIM = 64
 _FIXTURE_ROOTS_CACHED = 4
 
 
+def _check_formats(formats: tuple[str, ...]) -> None:
+    """Reject a QA format that neither forge can build."""
+    unknown = sorted(set(formats) - set(FORMATS))
+    if unknown:
+        raise ConfigError(f"unknown QA formats {unknown}; choose from {FORMATS}")
+
+
 @functools.lru_cache(maxsize=_FIXTURE_ROOTS_CACHED)
 def _fixture_search(root: Path) -> FixtureSearch:
     """One store per fixture root per process, so every job of a process
@@ -76,9 +83,7 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
     """
     if fixture_root is None:
         raise ConfigError("forge text currently requires a fixture search provider")
-    unknown = sorted(set(formats) - set(FORMATS))
-    if unknown:
-        raise ConfigError(f"unknown QA formats {unknown}; choose from {FORMATS}")
+    _check_formats(formats)
     search = _fixture_search(Path(fixture_root).resolve())
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -155,12 +160,16 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     are each window's chart plus the chart and evidence fact that every
     :func:`synthesize_visual_qa` call returns; they are written in one pass
     over the sorted chart ids, each chart's SVG, its CSV and its row of
-    ``metadata.csv``. A window
-    whose items for one category cannot be made (too few values to perturb,
-    nothing left to chart, a malformed backend emission) counts under
-    ``dropped`` as ``<category>_windows_dropped`` and the job goes on.
+    ``metadata.csv``. An unknown category raises ``VisualQAError`` and an
+    unknown format ``ConfigError`` (as in :func:`forge_text`), before any
+    file is written. A window whose items for one category cannot be made
+    (too few values to perturb, nothing left to chart, a malformed backend
+    emission) counts under ``dropped`` as ``<category>_windows_dropped`` and
+    the job goes on; an item that fails structural validation counts as
+    ``dropped_<reason>``, such as ``dropped_too_few_options``.
     """
     check_categories(categories, backend)
+    _check_formats(formats)
     entry = CityInventory.default().lookup(city)
     product = GriddedProduct.from_file(gridded_path)
     cell = nearest_grid_cell(entry.location, product.grid)

@@ -86,46 +86,53 @@ def validate_items(items: Iterable[QAItem], counters: Counter | None = None) -> 
 
 def parse_qa_emission(emission: str, format: str, evidence: Sequence[str],
                       split: str = "text") -> list[QAItem]:
-    """Decode a backend emission into candidate items (not yet validated).
+    """Decode a backend emission into candidate items (see :func:`qa_items`)."""
+    return qa_items(decode_qa_emission(emission), format, evidence, split)
 
-    Expected shapes (JSON array):
-      mcq:  [{"question", "answer", "options": [...]}]
-      open: [{"question", "answer"}]
-      tf:   [{"entailed": "...", "contradicted": "..."}]  (one pair per fact batch)
-    """
+
+def decode_qa_emission(emission: str) -> list:
+    """The entries of a backend emission, which must be a JSON array."""
     try:
         payload = json.loads(emission)
     except json.JSONDecodeError as exc:
         raise QASynthesisError(f"backend emission is not valid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
         raise QASynthesisError("backend emission must be a JSON array")
+    return payload
+
+
+def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
+             split: str) -> list[QAItem]:
+    """Build the candidate items (not yet validated) of entries in the shape of
+    ``format``; an entry that is not an object is skipped.
+
+    Entry shapes:
+      mcq:  {"question", "answer", "options": [...]}
+      open: {"question", "answer"}
+      tf:   {"entailed": "...", "contradicted": "..."}: a true item for a
+            non-empty ``entailed`` and a false one for a non-empty
+            ``contradicted``, so an entry with no false variant yields one item
+
+    Any other format is built as ``open`` is, under its own name, so
+    :func:`validate_item` rejects it as ``unknown_format``.
+    """
     evidence = tuple(evidence)
     items: list[QAItem] = []
-    for entry in payload:
+    for entry in entries:
         if not isinstance(entry, dict):
             continue
         if format == "tf":
-            entailed = str(entry.get("entailed", "")).strip()
-            contradicted = str(entry.get("contradicted", "")).strip()
-            if entailed:
-                items.append(QAItem(format="tf", question=entailed, answer="true",
-                                    evidence=evidence, split=split))
-            if contradicted:
-                items.append(QAItem(format="tf", question=contradicted, answer="false",
-                                    evidence=evidence, split=split))
-        elif format == "mcq":
-            items.append(QAItem(
-                format="mcq",
-                question=str(entry.get("question", "")),
-                answer=str(entry.get("answer", "")),
-                options=tuple(str(o) for o in entry.get("options", [])),
-                evidence=evidence, split=split,
-            ))
+            for key, answer in (("entailed", "true"), ("contradicted", "false")):
+                statement = str(entry.get(key, "")).strip()
+                if statement:
+                    items.append(QAItem(format="tf", question=statement, answer=answer,
+                                        evidence=evidence, split=split))
         else:
             items.append(QAItem(
-                format="open",
+                format=format,
                 question=str(entry.get("question", "")),
                 answer=str(entry.get("answer", "")),
+                options=tuple(str(o) for o in entry.get("options", [])) if format == "mcq" else (),
                 evidence=evidence, split=split,
             ))
     return items

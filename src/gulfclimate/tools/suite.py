@@ -16,8 +16,6 @@ from .providers import FixtureStore, ProviderConfig
 from .raster import DEFAULT_DEGRADATION_DELTA
 from .satellite import make_change_executor, make_satellite_executor, ndvi_executor, ndwi_executor
 from .weather import (
-    ANALYSIS_KINDS,
-    FORECAST_VARIABLES,
     POINT_METHODS,
     FixtureClimateSource,
     LiveClimateSource,
@@ -182,9 +180,9 @@ def build_registry(provider: ProviderConfig, settings: ToolSettings = ToolSettin
     for sig in SIGNATURES:
         if sig.name in POINT_METHODS:
             executors[sig.name] = make_point_executor(climate, sig.name)
-        elif sig.name in FORECAST_VARIABLES:
+        elif sig.returns == "series_ref":
             executors[sig.name] = make_forecast_executor(climate, sig,
                                                          settings.forecast_default_horizon)
-        elif sig.name in ANALYSIS_KINDS:
+        elif sig.returns == "analysis_report":
             executors[sig.name] = make_analysis_executor(climate, sig.name, settings)
     return ToolRegistry({sig: executors[sig.name] for sig in SIGNATURES})

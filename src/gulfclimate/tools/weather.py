@@ -9,6 +9,7 @@ timestamp machinery before leaving an executor.
 from __future__ import annotations
 
 from datetime import date, datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +28,33 @@ POINT_METHODS = {
     "aqi_inquiry": "aqi_inquiry",
     "river_discharge_check": "river_discharge",
 }
-# forecast tool -> canonical variable
-FORECAST_VARIABLES = {
-    "weather_forecast": "temperature",
-    "rain_prediction": "precipitation",
-    "aqi_prediction": "aqi",
-    "uv_index_forecast": "uv_index",
-    "pollen_forecast": "pollen",
-}
-# range-analysis tool -> (canonical variable, analysis kind)
-ANALYSIS_KINDS = {
-    "weather_analysis": ("temperature", "weather"),
-    "rain_analysis": ("precipitation", "rain"),
-    "aqi_analysis": ("aqi", "aqi"),
+WEATHER_ARCHIVE = "https://archive-api.open-meteo.com/v1/archive"
+WEATHER_FORECAST = "https://api.open-meteo.com/v1/forecast"
+AIR_QUALITY = "https://air-quality-api.open-meteo.com/v1/air-quality"
+FLOOD = "https://flood-api.open-meteo.com/v1/flood"
+
+
+class ClimateTool(NamedTuple):
+    variable: str  # canonical variable
+    endpoint: str  # live endpoint
+    column: str  # live reply column
+    unit: str  # the reply column's unit
+
+
+# single-variable climate tool -> its ClimateTool. The forecast tools return a
+# series, the range-analysis tools a report whose kind is the tool name
+# without ``_analysis``.
+CLIMATE_TOOLS = {
+    "rain_inquiry": ClimateTool("precipitation", WEATHER_ARCHIVE, "precipitation_sum", "mm"),
+    "river_discharge_check": ClimateTool("discharge", FLOOD, "river_discharge", "m3/s"),
+    "weather_forecast": ClimateTool("temperature", WEATHER_FORECAST, "temperature_2m_mean", "°C"),
+    "rain_prediction": ClimateTool("precipitation", WEATHER_FORECAST, "precipitation_sum", "mm"),
+    "aqi_prediction": ClimateTool("aqi", AIR_QUALITY, "european_aqi", "index"),
+    "uv_index_forecast": ClimateTool("uv_index", WEATHER_FORECAST, "uv_index_max", "index"),
+    "pollen_forecast": ClimateTool("pollen", AIR_QUALITY, "grass_pollen", "index"),
+    "weather_analysis": ClimateTool("temperature", WEATHER_ARCHIVE, "temperature_2m_mean", "°C"),
+    "rain_analysis": ClimateTool("precipitation", WEATHER_ARCHIVE, "precipitation_sum", "mm"),
+    "aqi_analysis": ClimateTool("aqi", AIR_QUALITY, "european_aqi", "index"),
 }
 
 
@@ -151,7 +166,7 @@ class FixtureClimateSource:
     # -- forecasts -----------------------------------------------------------
 
     def forecast(self, tool: str, lat: float, lon: float, horizon: int) -> ToolResult:
-        variable = FORECAST_VARIABLES[tool]
+        variable = CLIMATE_TOOLS[tool].variable
         rows = nearest_row(self.store.rows(tool), lat, lon)
         if not rows:
             raise NoDataForDate(f"no {tool} fixture near ({lat}, {lon})")
@@ -171,7 +186,7 @@ class FixtureClimateSource:
 
     def analysis_series(self, tool: str, lat: float, lon: float,
                         start: date, end: date) -> CanonicalSeries:
-        variable, _ = ANALYSIS_KINDS[tool]
+        variable = CLIMATE_TOOLS[tool].variable
         rows = nearest_row(self.store.rows(tool), lat, lon)
         if not rows:
             raise EmptyRange(f"no {tool} fixture near ({lat}, {lon})")
@@ -188,29 +203,36 @@ class FixtureClimateSource:
 class LiveClimateSource:
     """Public HTTP climate services (archive, forecast, air quality, flood)."""
 
-    WEATHER_ARCHIVE = "https://archive-api.open-meteo.com/v1/archive"
-    WEATHER_FORECAST = "https://api.open-meteo.com/v1/forecast"
-    AIR_QUALITY = "https://air-quality-api.open-meteo.com/v1/air-quality"
-    FLOOD = "https://flood-api.open-meteo.com/v1/flood"
-
     def __init__(self, config: ProviderConfig):
         self.http = HttpSession(config)
 
-    def rain_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
-        data = self.http.get_json(self.WEATHER_ARCHIVE, {
-            "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
-            "end_date": when.isoformat(), "daily": "precipitation_sum",
-            "timezone": "UTC",
-        })
-        values = data.get("daily", {}).get("precipitation_sum") or []
+    def _days(self, tool: str, lat: float, lon: float,
+              **params) -> tuple[list[str], list[float | None]]:
+        """:func:`_reply_days` of ``tool``'s column at a point, read hourly from
+        the air-quality endpoint and daily from the others, in UTC but for floods."""
+        spec = CLIMATE_TOOLS[tool]
+        params = {"latitude": lat, "longitude": lon, **params}
+        params["hourly" if spec.endpoint == AIR_QUALITY else "daily"] = spec.column
+        if spec.endpoint != FLOOD:
+            params["timezone"] = "UTC"
+        return _reply_days(self.http.get_json(spec.endpoint, params), spec.column)
+
+    def _day_value(self, tool: str, lat: float, lon: float, when: date) -> ToolResult:
+        """The canonical value of ``tool``'s column on one day."""
+        spec = CLIMATE_TOOLS[tool]
+        _, values = self._days(tool, lat, lon, start_date=when.isoformat(),
+                               end_date=when.isoformat())
         if not values or values[0] is None:
-            raise NoDataForDate(f"no precipitation for {when.isoformat()}")
-        value, unit = _normalize(float(values[0]), "mm", "precipitation")
+            raise NoDataForDate(f"no {spec.variable} for {when.isoformat()}")
+        value, unit = _normalize(float(values[0]), spec.unit, spec.variable)
         return ToolResult(payload=value, units=unit, timestamps=_day_span(when),
                           location=GeoPoint(lat, lon))
 
+    def rain_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
+        return self._day_value("rain_inquiry", lat, lon, when)
+
     def weather_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
-        data = self.http.get_json(self.WEATHER_ARCHIVE, {
+        data = self.http.get_json(WEATHER_ARCHIVE, {
             "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
             "end_date": when.isoformat(),
             "daily": "temperature_2m_mean,windspeed_10m_max,relative_humidity_2m_mean",
@@ -232,7 +254,7 @@ class LiveClimateSource:
                           location=GeoPoint(lat, lon))
 
     def aqi_inquiry(self, lat: float, lon: float, when: date) -> ToolResult:
-        data = self.http.get_json(self.AIR_QUALITY, {
+        data = self.http.get_json(AIR_QUALITY, {
             "latitude": lat, "longitude": lon, "start_date": when.isoformat(),
             "end_date": when.isoformat(),
             "hourly": "european_aqi,pm2_5,pm10,nitrogen_dioxide,ozone",
@@ -254,55 +276,27 @@ class LiveClimateSource:
                           location=GeoPoint(lat, lon))
 
     def river_discharge(self, lat: float, lon: float, when: date) -> ToolResult:
-        data = self.http.get_json(self.FLOOD, {
-            "latitude": lat, "longitude": lon, "daily": "river_discharge",
-            "start_date": when.isoformat(), "end_date": when.isoformat(),
-        })
-        values = data.get("daily", {}).get("river_discharge") or []
-        if not values or values[0] is None:
-            raise NoDataForDate(f"no discharge for {when.isoformat()}")
-        value, unit = _normalize(float(values[0]), "m3/s", "discharge")
-        return ToolResult(payload=value, units=unit, timestamps=_day_span(when),
-                          location=GeoPoint(lat, lon))
+        return self._day_value("river_discharge_check", lat, lon, when)
 
     def forecast(self, tool: str, lat: float, lon: float, horizon: int) -> ToolResult:
-        variable = FORECAST_VARIABLES[tool]
-        daily_keys = {"weather_forecast": ("temperature_2m_mean", "°C", self.WEATHER_FORECAST),
-                      "rain_prediction": ("precipitation_sum", "mm", self.WEATHER_FORECAST),
-                      "aqi_prediction": ("european_aqi", "index", self.AIR_QUALITY),
-                      "uv_index_forecast": ("uv_index_max", "index", self.WEATHER_FORECAST),
-                      "pollen_forecast": ("grass_pollen", "index", self.AIR_QUALITY)}
-        key, unit, endpoint = daily_keys[tool]
-        params = {"latitude": lat, "longitude": lon, "forecast_days": horizon + 1,
-                  "timezone": "UTC"}
-        if endpoint == self.AIR_QUALITY:
-            params["hourly"] = key
-        else:
-            params["daily"] = key
+        spec = CLIMATE_TOOLS[tool]
         # The reply starts today; the forecast is the ``horizon`` days after it.
-        days, values = _reply_days(self.http.get_json(endpoint, params), key)
+        days, values = self._days(tool, lat, lon, forecast_days=horizon + 1)
         days, values = days[1:horizon + 1], values[1:horizon + 1]
         if len(values) < horizon:
             raise HorizonTooLong(f"provider returned {len(values)} of {horizon} days")
-        series = _series(np.array(days, dtype="datetime64[D]"), values, unit, variable,
-                         GeoPoint(lat, lon), None, source=f"live:{tool}")
+        series = _series(np.array(days, dtype="datetime64[D]"), values, spec.unit,
+                         spec.variable, GeoPoint(lat, lon), None, source=f"live:{tool}")
         return ToolResult(payload=series, units=series.unit,
                           timestamps=series.span(), location=series.location)
 
     def analysis_series(self, tool: str, lat: float, lon: float,
                         start: date, end: date) -> CanonicalSeries:
-        variable, _ = ANALYSIS_KINDS[tool]
-        key, unit, endpoint = {
-            "weather_analysis": ("temperature_2m_mean", "°C", self.WEATHER_ARCHIVE),
-            "rain_analysis": ("precipitation_sum", "mm", self.WEATHER_ARCHIVE),
-            "aqi_analysis": ("european_aqi", "index", self.AIR_QUALITY),
-        }[tool]
-        params = {"latitude": lat, "longitude": lon, "start_date": start.isoformat(),
-                  "end_date": end.isoformat(), "timezone": "UTC"}
-        params["hourly" if endpoint == self.AIR_QUALITY else "daily"] = key
-        days, values = _reply_days(self.http.get_json(endpoint, params), key)
-        return _series(np.array(days, dtype="datetime64[D]"), values, unit, variable,
-                       GeoPoint(lat, lon), None, source=f"live:{tool}")
+        spec = CLIMATE_TOOLS[tool]
+        days, values = self._days(tool, lat, lon, start_date=start.isoformat(),
+                                  end_date=end.isoformat())
+        return _series(np.array(days, dtype="datetime64[D]"), values, spec.unit,
+                       spec.variable, GeoPoint(lat, lon), None, source=f"live:{tool}")
 
 
 def make_point_executor(source, tool: str):
@@ -336,7 +330,7 @@ def make_forecast_executor(source, signature: ToolSignature, default_horizon: in
 def make_analysis_executor(source, tool: str, settings):
     """Executor for the range-analysis family; thresholds come from the
     ``ToolSettings`` in ``settings``."""
-    _, kind = ANALYSIS_KINDS[tool]
+    kind = tool.removesuffix("_analysis")
 
     def run(lat: float, lon: float, start: date, end: date) -> ToolResult:
         if not start < end:

@@ -462,3 +462,13 @@ def test_step_mode_resolves_a_gold_reference_to_the_earlier_gold_payload(registr
     assert "\nobservation[obs_2] {" in gold_ndvi
     assert '"index_name": "ndvi"' in gold_ndvi
     assert "unresolvable_reference" not in gold_ndvi
+
+
+def test_step_mode_shows_the_model_the_system_message_of_e2e_mode(instances, registry):
+    (instance,) = [i for i in instances if i.id == "doha-rain"]
+    step, e2e = MessageLog(["prose"] * 8), MessageLog(["prose"])
+    run_step_mode([instance], lambda _instance: step, registry)
+    run_e2e_mode([instance], lambda _instance: e2e, registry)
+    system = {call[0]["content"] for call in step.calls + e2e.calls if call[0]["role"] == "system"}
+    assert len(system) == 1
+    assert "```tool_call" in system.pop()

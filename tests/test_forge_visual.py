@@ -5,7 +5,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from gulfclimate.agent import ScriptedBackend
+from gulfclimate.cli.main import EXIT_CONFIG, main as cli_main
+from gulfclimate.errors import ConfigError
 from gulfclimate.pipelines import forge_visual
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +110,18 @@ def test_malformed_emission_drops_only_its_window(tmp_path):
     assert result["dropped"] == {"forecasting_windows_dropped": 1}
     questions = [item["question"] for item in _items(tmp_path / "one")]
     assert questions == [f"Question {w}?" for w in range(1, windows) for _fmt in formats]
+
+
+def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="xyz"):
+        forge_visual(GRIDDED, "Doha", "temperature", out,
+                     categories=("anomaly", "imputation"), formats=("xyz",), seed=5)
+    assert not out.exists()
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
+    argv = ["forge", "visual", "--config", str(config), "--gridded", str(GRIDDED),
+            "--city", "Doha", "--variable", "temperature", "--formats", "mcq,xyz"]
+    assert cli_main(argv) == EXIT_CONFIG
+    assert not out.exists()

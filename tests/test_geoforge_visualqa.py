@@ -1,18 +1,40 @@
-"""Visual QA built once per (window, category) equals the per-format path."""
+"""Visual QA built once per (window, category) equals the per-format path,
+and the perturbed categories equal a reference kept in this file.
+
+The reference is the anomaly and imputation item builder the package used
+before those items went through ``qa_items`` and ``validate_items``: each
+format's items constructed by hand, with the same seeded draws.
+"""
 
 import json
+import random
+import re
 from collections import Counter
+from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gulfclimate.agent import ScriptedBackend
+from gulfclimate.core import TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, Provenance
+from gulfclimate.core import format_timestamps, value_column
 from gulfclimate.core.csvio import series_from_csv
-from gulfclimate.geoforge.charts import build_chart
+from gulfclimate.geoforge.charts import build_chart, chart_for_series
 from gulfclimate.geoforge.gridded import GriddedProduct, extract_series
-from gulfclimate.geoforge.visualqa import VisualQAError, synthesize_visual_qa
+from gulfclimate.geoforge.visualqa import (
+    VisualQAError,
+    inject_spike,
+    mask_span,
+    synthesize_visual_qa,
+)
 from gulfclimate.geoforge.windows import segment_windows, window_slice
-from gulfclimate.textforge.qa import QASynthesisError
+from gulfclimate.textforge.chunking import Chunk
+from gulfclimate.textforge.facts import AtomicFact
+from gulfclimate.textforge.qa import QAItem, QASynthesisError
 
 GRIDDED = Path(__file__).resolve().parent.parent / "fixtures" / "gridded_temperature.txt"
 FORMATS = ("mcq", "tf", "open")
@@ -117,3 +139,148 @@ def test_unknown_category_and_missing_backend_are_rejected(charted_windows):
         synthesize_visual_qa(artifact, "trend", FORMATS, series=window_series)
     with pytest.raises(VisualQAError, match="requires a backend"):
         synthesize_visual_qa(artifact, "forecasting", FORMATS, series=window_series)
+
+
+# -- the reference perturbed-item builder ----------------------------------------
+
+def ref_chart_fact(chart):
+    meta = chart.metadata
+    statement = (f"The chart {chart.chart_id} shows {meta.variable} for "
+                 f"{meta.city or 'the selected location'} with mean "
+                 f"{meta.mean:.6g} {meta.unit}.")
+    return AtomicFact(statement=statement,
+                      chunk=Chunk(doc_id=f"chart:{chart.chart_id}", start=0, tokens=(),
+                                  provenance=chart.provenance))
+
+
+def ref_date_options(series, gold, rng, n_options=4):
+    days = sorted({ts[:10] for ts in format_timestamps(series.present().timestamps)})
+    distractors = [d for d in days if d != gold]
+    rng.shuffle(distractors)
+    options = [gold] + distractors[:n_options - 1]
+    rng.shuffle(options)
+    return options
+
+
+def ref_anomaly_items(artifact, perturbed, injection, fmt, rng, evidence):
+    gold = injection.timestamp
+    question = (f"The chart shows {artifact.metadata.variable} for "
+                f"{artifact.metadata.city or 'the selected location'}. On which date does "
+                f"the series show an abnormal {injection.direction} spike?")
+    if fmt == "mcq":
+        options = ref_date_options(perturbed, gold, rng)
+        return [QAItem(format="mcq", question=question, answer=gold,
+                       options=tuple(options), evidence=evidence, split="visual")]
+    if fmt == "open":
+        return [QAItem(format="open", question=question, answer=gold,
+                       evidence=evidence, split="visual")]
+    wrong = ref_date_options(perturbed, gold, rng, n_options=2)
+    distractor = next(d for d in wrong if d != gold)
+    stem = f"The series shows an abnormal {injection.direction} spike on {{}}."
+    return [
+        QAItem(format="tf", question=stem.format(gold), answer="true",
+               evidence=evidence, split="visual"),
+        QAItem(format="tf", question=stem.format(distractor), answer="false",
+               evidence=evidence, split="visual"),
+    ]
+
+
+def ref_imputation_items(artifact, perturbed, span, fmt, rng, evidence):
+    gold = repr(span.true_mean)
+    unit = artifact.metadata.unit
+    question = (f"The chart is missing values between {span.start} and {span.end}. "
+                f"Based on the surrounding data, estimate the mean "
+                f"{artifact.metadata.variable} ({unit}) over the missing segment.")
+    if fmt == "mcq":
+        spread = max(4.0 * span.tolerance, 1.0, abs(span.true_mean) * 0.05)
+        distractors = [repr(span.true_mean + spread * o) for o in (1.0, -1.0, 2.0)]
+        options = [gold] + distractors
+        rng.shuffle(options)
+        return [QAItem(format="mcq", question=question, answer=gold,
+                       options=tuple(options), evidence=evidence,
+                       split="visual", answer_tolerance=span.tolerance)]
+    if fmt == "open":
+        return [QAItem(format="open", question=question, answer=gold,
+                       evidence=evidence, split="visual",
+                       answer_tolerance=span.tolerance)]
+    return [
+        QAItem(format="tf",
+               question=(f"The mean {artifact.metadata.variable} over the missing "
+                         f"segment is approximately {span.true_mean:.6g} {unit}."),
+               answer="true", evidence=evidence, split="visual",
+               answer_tolerance=span.tolerance),
+        QAItem(format="tf",
+               question=(f"The mean {artifact.metadata.variable} over the missing "
+                         f"segment is approximately "
+                         f"{span.true_mean + max(10 * span.tolerance, 5.0):.6g} {unit}."),
+               answer="false", evidence=evidence, split="visual",
+               answer_tolerance=span.tolerance),
+    ]
+
+
+def ref_perturbed_items(artifact, base_series, category, formats, seed):
+    perturb, make_items = ((inject_spike, ref_anomaly_items) if category == "anomaly"
+                           else (mask_span, ref_imputation_items))
+    perturbed, truth = perturb(base_series, seed=seed)
+    chart = chart_for_series(perturbed, chart_id=f"{artifact.chart_id}_{category}_s{seed}",
+                             provenance=artifact.provenance)
+    fact = ref_chart_fact(chart)
+    items = [replace(item, chart_ref=chart.chart_id)
+             for fmt in formats
+             for item in make_items(artifact, perturbed, truth, fmt,
+                                    random.Random(seed + 1), (fact.fact_id,))]
+    return items, chart, fact
+
+
+PROVENANCE = Provenance(retrieved_at=datetime(2024, 1, 1, tzinfo=timezone.utc),
+                        query="drawn series", title="drawn grid")
+
+
+def make_series(start, step, values):
+    """A temperature series at Doha on ``start`` plus ``step`` per value; a
+    ``None`` value is missing."""
+    timestamps = (np.datetime64(start) + step * np.arange(len(values))).astype(TIMESTAMP_DTYPE)
+    return CanonicalSeries(timestamps, value_column(values), "temperature", "°C",
+                           GeoPoint(25.3, 51.5), "Doha", "drawn")
+
+
+@st.composite
+def daily_or_weekly_series(draw):
+    step = np.timedelta64(draw(st.sampled_from([1, 7])), "D")
+    start = np.datetime64("1990-01-01", "D") + draw(st.integers(0, 15_000))
+    value = st.one_of(st.floats(-60, 60, allow_nan=False), st.sampled_from([0.0, 21.5]))
+    values = draw(st.lists(st.one_of(st.none(), value), min_size=2, max_size=40)
+                  .filter(lambda vs: any(v is not None for v in vs)))
+    return make_series(start, step, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(daily_or_weekly_series(), st.integers(0, 1_000))
+def test_perturbed_items_equal_the_reference(series, seed):
+    artifact = chart_for_series(series, chart_id="drawn", provenance=PROVENANCE)
+    for category in ("anomaly", "imputation"):
+        try:
+            want = ref_perturbed_items(artifact, series, category, FORMATS, seed)
+        except VisualQAError as exc:
+            with pytest.raises(VisualQAError, match=re.escape(str(exc))):
+                synthesize_visual_qa(artifact, category, FORMATS, series=series, seed=seed)
+            continue
+        counters = Counter()
+        got = synthesize_visual_qa(artifact, category, FORMATS, series=series, seed=seed,
+                                   counters=counters)
+        assert got == want
+        assert counters == Counter()
+
+
+def test_a_window_on_one_day_gives_one_tf_item_and_drops_its_mcq():
+    series = make_series(np.datetime64("2024-01-01T00", "h"), np.timedelta64(6, "h"),
+                         [30.0, 31.0, 29.5, 30.5])
+    artifact = chart_for_series(series, chart_id="one_day", provenance=PROVENANCE)
+    counters = Counter()
+    items, chart, _fact = synthesize_visual_qa(artifact, "anomaly", FORMATS,
+                                               series=series, counters=counters)
+    assert [item.format for item in items] == ["tf", "open"]
+    assert items[0].answer == "true"
+    assert items[0].question.endswith(" spike on 2024-01-01.")
+    assert {item.chart_ref for item in items} == {chart.chart_id}
+    assert counters == Counter({"dropped_too_few_options": 1})

@@ -19,8 +19,10 @@ from gulfclimate.toolkit.types import ToolResult
 from gulfclimate.tools import ProviderConfig
 from gulfclimate.tools.errors import HorizonTooLong, NoDataForDate
 from gulfclimate.tools.providers import FixtureStore
-from gulfclimate.tools.weather import (ANALYSIS_KINDS, FORECAST_VARIABLES,
-                                       FixtureClimateSource, LiveClimateSource)
+from gulfclimate.tools.suite import SIGNATURES
+from gulfclimate.tools.weather import (AIR_QUALITY, CLIMATE_TOOLS, FLOOD, POINT_METHODS,
+                                       WEATHER_ARCHIVE, FixtureClimateSource,
+                                       LiveClimateSource)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOHA = (25.2854, 51.531)
@@ -92,9 +94,10 @@ def test_rain_inquiry(fixture_source):
     assert got.payload == 12.0
     assert got.timestamps == fixture_source.rain_inquiry(*DOHA, DAY).timestamps
     ((url, params),) = source.http.requests
-    assert url == LiveClimateSource.WEATHER_ARCHIVE
+    assert url == WEATHER_ARCHIVE
     assert (params["start_date"], params["end_date"]) == ("2023-04-15", "2023-04-15")
     assert params["daily"] == "precipitation_sum"
+    assert params["timezone"] == "UTC"
 
 
 def test_rain_inquiry_without_a_value_has_no_data():
@@ -126,7 +129,7 @@ def test_aqi_inquiry(fixture_source):
     assert_same_result_shape(got, fixture_source.aqi_inquiry(*DOHA, DAY))
     assert got.payload["aqi"] == 87.0
     assert got.payload["pollutants"] == {"pm25": 38.0, "pm10": 101.0, "no2": 22.0, "o3": 61.0}
-    assert source.http.requests[0][0] == LiveClimateSource.AIR_QUALITY
+    assert source.http.requests[0][0] == AIR_QUALITY
 
 
 def test_river_discharge(fixture_source):
@@ -136,7 +139,28 @@ def test_river_discharge(fixture_source):
     got = source.river_discharge(*DOHA, when)
     assert_same_result_shape(got, fixture_source.river_discharge(*DOHA, when))
     assert got.payload == 210.0
-    assert source.http.requests[0][0] == LiveClimateSource.FLOOD
+    ((url, params),) = source.http.requests
+    assert url == FLOOD
+    assert params["daily"] == "river_discharge"
+    assert "timezone" not in params
+
+
+def test_river_discharge_without_a_value_has_no_data():
+    source = live(archive_reply({"river_discharge": "m³/s"},
+                                time=["2023-04-14"], river_discharge=[None]))
+    with pytest.raises(NoDataForDate):
+        source.river_discharge(*DOHA, date(2023, 4, 14))
+
+
+def test_the_climate_tool_table_covers_exactly_the_single_variable_climate_tools():
+    climate = {sig.name: sig.returns for sig in SIGNATURES
+               if sig.name in POINT_METHODS or sig.returns in ("series_ref", "analysis_report")}
+    assert set(CLIMATE_TOOLS) == {name for name, returns in climate.items()
+                                  if returns != "mapping"}
+    assert len(CLIMATE_TOOLS) == 10
+    # The reply tables below cover every forecast and range-analysis tool.
+    assert set(FORECAST_REPLIES) == {n for n, r in climate.items() if r == "series_ref"}
+    assert set(ANALYSIS_REPLIES) == {n for n, r in climate.items() if r == "analysis_report"}
 
 
 # forecast tool -> (reply block, variable key, its unit in the reply)
@@ -167,7 +191,7 @@ def series_days(series: CanonicalSeries) -> list[str]:
     return [str(t)[:10] for t in series.timestamps]
 
 
-@pytest.mark.parametrize("tool", sorted(FORECAST_VARIABLES))
+@pytest.mark.parametrize("tool", sorted(FORECAST_REPLIES))
 def test_forecast(fixture_source, tool):
     block, key, unit = FORECAST_REPLIES[tool]
     time = stamps(block, 4)
@@ -195,7 +219,7 @@ ANALYSIS_REPLIES = {
 }
 
 
-@pytest.mark.parametrize("tool", sorted(ANALYSIS_KINDS))
+@pytest.mark.parametrize("tool", sorted(ANALYSIS_REPLIES))
 def test_analysis_series(fixture_source, tool):
     block, key, unit = ANALYSIS_REPLIES[tool]
     start, end = date(2023, 1, 1), date(2023, 1, 3)

@@ -1,9 +1,13 @@
-"""Every name a module of ``src/`` imports is used in that module.
+"""Every name a module of ``src/`` imports, and every private name it
+defines, is used in that module.
 
 ``__init__`` modules are skipped: their imports are the package's
-re-exports. A name counts as used when the module loads it anywhere, as a
-bare name or as the root of an attribute chain, or lists it in
-``__all__``. ``from __future__`` imports are not names.
+re-exports. An imported name counts as used when the module loads it
+anywhere, as a bare name or as the root of an attribute chain, or lists it
+in ``__all__``. ``from __future__`` imports are not names. A private name is
+one with a leading underscore, not a dunder, bound at module level by
+``def``, ``class`` or an assignment; it counts as used when the module loads
+it anywhere.
 """
 
 import ast
@@ -32,6 +36,23 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_privates(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each module-level private name never loaded."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined[name.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in loaded)
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
@@ -44,3 +65,18 @@ def test_the_checker_sees_an_unused_import_and_its_uses():
               "import os\nimport os.path as osp\nfrom typing import Any, Sequence\n"
               "def f(x: Sequence) -> int:\n    return osp.join(x)\n")
     assert unused_imports(source) == [(2, "os"), (4, "Any")]
+
+
+def test_no_module_defines_a_private_name_it_does_not_use():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+             for line, name in unused_privates(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_checker_sees_an_unused_private_name_and_its_uses():
+    source = ("__all__ = []\n_A, _B = 1, 2\n_C: int = 3\nPUBLIC = 4\n"
+              "def _f():\n    return _A\n"
+              "class _K:\n    x = _C\n"
+              "def g():\n    _local = 5\n    return _K\n")
+    assert unused_privates(source) == [(2, "_B"), (5, "_f")]
