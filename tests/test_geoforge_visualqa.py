@@ -20,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gulfclimate.agent import ScriptedBackend
-from gulfclimate.core import TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, Provenance
-from gulfclimate.core import format_timestamps, value_column
+from gulfclimate.core import (
+    TIMESTAMP_DTYPE,
+    CanonicalSeries,
+    GeoPoint,
+    Provenance,
+    format_timestamps,
+    value_column,
+)
 from gulfclimate.core.csvio import series_from_csv
 from gulfclimate.geoforge.charts import build_chart, chart_for_series
 from gulfclimate.geoforge.gridded import GriddedProduct, extract_series
