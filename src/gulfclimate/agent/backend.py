@@ -71,7 +71,10 @@ class RemoteChatBackend:
     then twice as long before each further try; any other failure, or the
     last try's, raises ``BackendFailure``. Each try opens its own connection
     through ``opener`` (``urllib.request.urlopen`` unless a test injects
-    another), so one backend may serve several harness threads at once.
+    another), so one backend may serve several harness threads at once: a
+    ``gulfclimate bench`` run can have up to ``evalharness.runner.MAX_WORKERS``
+    requests in flight, and the 429/5xx retry policy absorbs the rate limits
+    that this may hit.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "",

@@ -179,7 +179,12 @@ def cmd_tools_call(args: argparse.Namespace) -> int:
     registry = _registry(config)
     call_args: dict = {}
     if args.args_json:
-        call_args.update(json.loads(args.args_json))
+        try:
+            call_args = json.loads(args.args_json)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--args-json must be a JSON object: {exc.msg}") from exc
+        if not isinstance(call_args, dict):
+            raise ConfigError(f"--args-json must be a JSON object, got {args.args_json!r}")
     for pair in args.arg or []:
         key, _, value = pair.partition("=")
         if not _:

@@ -25,7 +25,10 @@ from .scoring import PredictedStep, classify_error, score_step
 BackendFactory = Callable[[BenchmarkInstance], LLMBackend]
 R = TypeVar("R")
 
-MAX_WORKERS = 8  # the most instances in flight when the backend wait justifies threads
+# A resource ceiling, not a throughput setting: the measured wait and the
+# instances still queued set the width below it. 32 is the ceiling of
+# ThreadPoolExecutor's own I/O-bound default, min(32, cpu_count + 4).
+MAX_WORKERS = 32
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,14 @@ def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFacto
     calling thread drains the queue from the start, its backend calls timed
     by :class:`_TimedBackend`. After each of those calls, until helpers have
     started, the gate compares the wait measured so far with the elapsed
-    time: once the wait is a third of it or more, ``round(elapsed / (elapsed
-    - waited))`` workers, at most ``MAX_WORKERS``, drain the queue; the
-    calling thread is one of them and the rest are helper threads, never
-    more than the instances still queued. That keeps about that many backend
-    calls in flight, and a backend that never waits never starts a thread.
+    time: once the wait is a third of it or more, as many workers as the
+    measured width ``round(elapsed / (elapsed - waited))`` drain the queue,
+    capped by the instances still queued plus the calling thread and by the
+    resource ceiling ``MAX_WORKERS``. The calling thread is one of them and
+    the rest are helper threads. That keeps about that many backend calls in
+    flight, so a suite whose instances all wait runs in one round when it
+    fits under the ceiling, and a backend that never waits never starts a
+    thread.
     A ``BaseException`` in a helper is raised here once the calling thread
     is done.
     """
@@ -199,10 +205,12 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
     serves that instance alone. Instances start longest gold trace first. The
     calling thread runs them until the backend wait it has measured reaches
     a third of wall time, checked after each of its backend calls; from then
-    on up to ``MAX_WORKERS`` threads, the calling one included, run the
-    instances left (see :func:`_map_instances`). So factories, backends and
-    tool executors may be called from several threads at once. Rows come out
-    in instance order whatever order instances start or finish in.
+    on as many threads as the measured wait calls for, the calling one
+    included, run the instances left, never more than those instances and
+    never more than the resource ceiling ``MAX_WORKERS`` (see
+    :func:`_map_instances`). So factories, backends and tool executors may
+    be called from several threads at once. Rows come out in instance order
+    whatever order instances start or finish in.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")
@@ -290,8 +298,9 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory
 
     Scheduling is as in :func:`run_step_mode`: one ``factory`` call per
     instance, the longest gold trace first, backends possibly used from
-    worker threads once the measured wait is a third of wall time, and rows
-    in instance order.
+    worker threads once the measured wait is a third of wall time (as many
+    as that wait calls for, capped by the instances left and by
+    ``MAX_WORKERS``), and rows in instance order.
     """
     if not instances:
         raise InstanceError("instance list must be non-empty")

@@ -107,7 +107,8 @@ def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
     ``format``; an entry that is not an object is skipped.
 
     Entry shapes:
-      mcq:  {"question", "answer", "options": [...]}
+      mcq:  {"question", "answer", "options": [...]}; ``options`` that are
+            not an array give none, so :func:`validate_item` rejects the item
       open: {"question", "answer"}
       tf:   {"entailed": "...", "contradicted": "..."}: a true item for a
             non-empty ``entailed`` and a false one for a non-empty
@@ -128,11 +129,12 @@ def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
                     items.append(QAItem(format="tf", question=statement, answer=answer,
                                         evidence=evidence, split=split))
         else:
+            options = entry.get("options") if format == "mcq" else None
             items.append(QAItem(
                 format=format,
                 question=str(entry.get("question", "")),
                 answer=str(entry.get("answer", "")),
-                options=tuple(str(o) for o in entry.get("options", [])) if format == "mcq" else (),
+                options=tuple(str(o) for o in options) if isinstance(options, list) else (),
                 evidence=evidence, split=split,
             ))
     return items

@@ -61,3 +61,19 @@ def test_cli_tools_call_reports_invalid_calls_apart_from_failed_ones(
     out, err = capsys.readouterr()
     assert err == stderr
     assert bool(out) == (exit_code != EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("args_json, reason", [
+    ("{lat: 1", ": Expecting property name enclosed in double quotes"),
+    ("[1,2]", ", got '[1,2]'"),
+])
+def test_cli_tools_call_rejects_args_json_that_is_not_an_object(tmp_path, capsys, args_json,
+                                                                 reason):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "fixture",
+                                               "fixture_root": str(FIXTURES)}}))
+    argv = ["tools", "call", "rain_inquiry", "--args-json", args_json, "--config", str(config)]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: --args-json must be a JSON object{reason}\n"

@@ -236,7 +236,8 @@ class VirtualHost:
 def make_instances(trace_lengths) -> list[BenchmarkInstance]:
     step = GoldStep("rain_inquiry", frozenset({"lat"}))
     return [BenchmarkInstance(id=f"instance-{k}", query="q", allowed_tools=("rain_inquiry",),
-                              gold_trace=(step,) * n) for k, n in enumerate(trace_lengths)]
+                              gold_trace=(step,) * n, requires_tools=n > 0)
+            for k, n in enumerate(trace_lengths)]
 
 
 def three_calls(instance, chat):
@@ -257,7 +258,8 @@ def test_only_a_backend_that_waits_starts_a_thread_pool(monkeypatch, computes, p
 
 
 @pytest.mark.parametrize("compute_ms, wait_ms, n_instances, helpers", [
-    (0, 5, 12, runner_module.MAX_WORKERS - 1),  # all waiting: the most workers
+    (0, 5, 12, 11),  # all waiting: one worker per instance
+    (0, 5, runner_module.MAX_WORKERS + 8, runner_module.MAX_WORKERS - 1),  # the ceiling
     (1, 4, 12, 4),  # round(5 / 1) workers, the calling thread one of them
     (3, 2, 12, 1),  # a wait of two fifths still opens the gate
     (4, 1, 12, None),  # a fifth does not
@@ -273,6 +275,25 @@ def test_helpers_start_after_the_first_waiting_call(monkeypatch, compute_ms, wai
         [inst.id for inst in instances]
     # Started after the first of the first instance's three calls, or never.
     assert host.pools == ([] if helpers is None else [(helpers, 1)])
+
+
+def test_a_suite_that_fits_under_the_ceiling_runs_every_instance_at_once(monkeypatch):
+    """The bench-wait suite's shape: 14 instances, nine with gold traces of
+    length 2, three of length 1 and two of length 0, two backend calls per
+    gold step as in step mode. After the first call 13 are queued, and one
+    helper starts for each."""
+    host = VirtualHost(monkeypatch)
+    backend = host.backend(0.0, 0.025)
+    instances = make_instances([2] * 9 + [1] * 3 + [0] * 2)
+
+    def run(instance, chat):
+        for _ in range(2 * len(instance.gold_trace)):
+            chat.complete([])
+        return instance.id
+
+    assert runner_module._map_instances(instances, lambda _: backend, run) == \
+        [inst.id for inst in instances]
+    assert host.pools == [(13, 1)]
 
 
 def test_the_calling_thread_keeps_running_instances_after_helpers_start(monkeypatch):
@@ -298,7 +319,9 @@ def test_the_calling_thread_keeps_running_instances_after_helpers_start(monkeypa
             second.set()
         return three_calls(instance, chat)
 
-    instances = make_instances([1] * 12)
+    # More instances than workers, so some are still queued once every
+    # helper holds one.
+    instances = make_instances([1] * (runner_module.MAX_WORKERS + 8))
     got = runner_module._map_instances(instances, lambda _: HeldBackend(), run)
     assert got == [inst.id for inst in instances]
     assert len(host.pools) == 1

@@ -96,16 +96,17 @@ def test_a_page_with_no_content_after_cleaning_is_dropped(tmp_path):
 
 
 class _MalformedFirstMcq:
-    """The fake backend, except that the first mcq QA emission is not JSON."""
+    """The fake backend, except that the first mcq QA emission is ``emission``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, emission="not json"):
         self.inner = inner
+        self.emission = emission
         self.spoiled = False
 
     def complete(self, messages) -> str:
         if not self.spoiled and messages[-1]["content"].startswith("Write mcq items"):
             self.spoiled = True
-            return "not json"
+            return self.emission
         return self.inner.complete(messages)
 
 
@@ -117,6 +118,19 @@ def test_a_malformed_qa_emission_drops_only_its_document_and_format(tmp_path):
     assert result["dropped"]["mcq_documents_dropped"] == 1
     # The fake's mcq emission holds three valid items and one with duplicate options.
     assert result["dropped"]["dropped_duplicate_options"] == job["documents"] - 1
+    assert result["items_written"] == job["items"] - 3
+
+
+def test_mcq_options_that_are_not_an_array_drop_only_their_items(tmp_path):
+    corpus, job, search = _one_job(tmp_path)
+    emission = json.dumps([{"question": "q", "answer": "a", "options": 5},
+                           {"question": "q", "answer": "a", "options": "abc"}])
+    backend = _MalformedFirstMcq(PromptKeyedBackend.from_file(corpus / "backend.json"),
+                                 emission)
+    result = _run(corpus, job, search, tmp_path / "out", backend=backend)
+    assert backend.spoiled
+    assert result["dropped"]["dropped_too_few_options"] == 2
+    assert "mcq_documents_dropped" not in result["dropped"]
     assert result["items_written"] == job["items"] - 3
 
 

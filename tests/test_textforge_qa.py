@@ -1,7 +1,9 @@
-"""``write_dataset`` against the per-item encoder it replaced."""
+"""``write_dataset`` against the per-item encoder it replaced, and the options of
+mcq entries."""
 
 import json
 import tempfile
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from gulfclimate.core import Provenance, format_timestamp
 from gulfclimate.textforge.chunking import Chunk
 from gulfclimate.textforge.facts import AtomicFact
-from gulfclimate.textforge.qa import BrokenEvidenceChain, QAItem, write_dataset
+from gulfclimate.textforge.qa import (BrokenEvidenceChain, QAItem, parse_qa_emission,
+                                      validate_items, write_dataset)
 
 UTC = timezone.utc
 
@@ -212,3 +215,17 @@ def test_first_broken_item_raises_and_nothing_is_written(data, kinds):
             write_dataset(batch, facts_by_id, path)
         assert not path.exists()
     assert str(raised.value) == str(expected.value)
+
+
+# -- mcq options ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("options", ["5", '"abc"', "null"])
+def test_mcq_options_that_are_not_an_array_give_none_and_the_item_is_dropped(options):
+    emission = f'[{{"question": "q", "answer": "a", "options": {options}}}]'
+    (item,) = parse_qa_emission(emission, "mcq", ["fact:1"])
+    assert item.options == ()
+    counters = Counter()
+    assert validate_items([item], counters) == []
+    assert counters == Counter({"dropped_too_few_options": 1})
+
