@@ -78,12 +78,11 @@ class RemoteChatBackend:
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "",
-                 temperature: float = 0.0, timeout_s: float = 60.0,
+                 timeout_s: float = 60.0,
                  opener: Callable | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.temperature = temperature
         self.timeout_s = timeout_s
         self.opener = opener
 
@@ -96,7 +95,7 @@ class RemoteChatBackend:
             headers["Authorization"] = f"Bearer {key}"
         body = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": 0.0,
             "messages": [dict(m) for m in messages],
         }
         delay = RETRY_BACKOFF_S

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..toolkit.types import CATEGORIES
 from .backend import BackendFailure, LLMBackend
@@ -31,29 +30,12 @@ _LABEL_PATTERNS = [
     ("textual", re.compile(r"textual")),
 ]
 
-_QUERY_CUES = [
-    ("health_environmental", re.compile(r"\b(aqi|air quality|pollut|uv|pollen|pm2|pm10|ozone)\b")),
-    ("geospatial", re.compile(r"\b(satellite|ndvi|ndwi|vegetation|desertif|imagery|land)\b")),
-    ("numerical", re.compile(r"\b(rain|rainfall|temperature|discharge|flood|forecast|trend|weather)\b")),
-]
 
+def route_intent(query: str, backend: LLMBackend) -> tuple[str, ...]:
+    """The minimal category set for the dominant intent of ``query``.
 
-@dataclass(frozen=True)
-class Intent:
-    label: str
-    routed_categories: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.routed_categories:
-            raise ValueError("routed_categories must be non-empty")
-
-
-def route_intent(query: str, backend: LLMBackend) -> Intent:
-    """Infer the dominant intent and the minimal category set for it.
-
-    The backend is asked once with a routing prompt; an unparseable reply
-    falls back to all categories (with a keyword-cue label so downstream
-    logging still has something meaningful).
+    The backend is asked once with a routing prompt; an unparseable reply or
+    a backend failure routes to every category.
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
@@ -64,9 +46,7 @@ def route_intent(query: str, backend: LLMBackend) -> Intent:
     except BackendFailure:
         reply = ""
     label = _parse_label(reply)
-    if label is not None:
-        return Intent(label=label, routed_categories=INTENT_CATEGORIES[label])
-    return Intent(label=_cue_label(query), routed_categories=CATEGORIES)
+    return CATEGORIES if label is None else INTENT_CATEGORIES[label]
 
 
 def _parse_label(reply: str) -> str | None:
@@ -79,11 +59,3 @@ def _parse_label(reply: str) -> str | None:
     if not hits:
         return None
     return min(hits)[1]
-
-
-def _cue_label(query: str) -> str:
-    text = query.casefold()
-    for label, pattern in _QUERY_CUES:
-        if pattern.search(text):
-            return label
-    return "textual"

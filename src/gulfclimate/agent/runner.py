@@ -11,7 +11,7 @@ from ..toolkit.registry import INVALID_CALL_CODES, ToolRegistry, execute, render
 from ..toolkit.types import CallFormatError, FinalAnswer, Observation, ObservationStatus, ToolCall
 from ..core import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
-from .intent import Intent, route_intent
+from .intent import route_intent
 from .serialization import observation_message, render_observation
 from .trajectory import Trajectory
 
@@ -64,11 +64,9 @@ Available tools:
 {tools}"""
 
 
-def system_prompt(registry: ToolRegistry, intent: Intent | None) -> str:
+def system_prompt(registry: ToolRegistry, categories: tuple[str, ...] | None) -> str:
     """The system message of a run over ``registry``: the call grammar and the
-    tools, only those of the intent's routed categories when ``intent`` is
-    given."""
-    categories = intent.routed_categories if intent is not None else None
+    tools, only those of ``categories`` when given."""
     tools = render_tool_prompt(registry, categories=categories)
     return _SYSTEM_TEMPLATE.format(fence_open=FENCE_OPEN, fence_close=FENCE_CLOSE,
                                    tools=tools)
@@ -87,12 +85,9 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
     """
     trajectory = Trajectory(query=query, budget=settings.budget)
 
-    intent: Intent | None = None
-    if settings.route:
-        intent = route_intent(query, backend)
-
+    categories = route_intent(query, backend) if settings.route else None
     messages: list[dict[str, str]] = [
-        {"role": "system", "content": system_prompt(registry, intent)},
+        {"role": "system", "content": system_prompt(registry, categories)},
         {"role": "user", "content": query},
     ]
     refs: dict[str, Any] = {}

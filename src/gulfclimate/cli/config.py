@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
+from ..agent.runner import DEFAULT_BUDGET
 from ..errors import ConfigError
 from ..tools import ProviderConfig, ToolSettings
 
@@ -44,7 +45,7 @@ class RunConfig:
     backend: BackendConfig | None
     output_dir: Path = Path("out")
     seed: int = 0
-    budget: int = 8
+    budget: int = DEFAULT_BUDGET
     route_intent: bool = True
     settings: ToolSettings = field(default_factory=ToolSettings)
     raw: dict = field(default_factory=dict)
@@ -68,6 +69,11 @@ def _checked(value, kind: type, key: str):
     if not _matches(value, kind):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _optional_str(doc: dict, key: str) -> str | None:
+    """``doc[key]`` as :func:`_checked` reads a string, or ``None`` when absent."""
+    return None if doc.get(key) is None else _checked(doc[key], str, key)
 
 
 def _object(value, where: str, keys, unknown_label: str) -> dict:
@@ -102,12 +108,14 @@ def load_config(path: str | Path) -> RunConfig:
     - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
       name.
 
-    A config, ``provider``, ``backend`` or ``tool_settings`` that is not a
-    JSON object, a key not named above at any level, a malformed value, a
-    ``timeout_s``, ``seed``, ``budget``, ``route_intent`` or
-    ``tool_settings`` value that does not have its type (an int passes for a
-    float, and only ``true`` or ``false`` for a boolean) or a
-    ``forecast_default_horizon`` below 1 raises :class:`ConfigError`.
+    ``fixture_root``, ``replay``, ``endpoint``, ``model``, ``api_key_env``
+    and ``output_dir`` are strings. A config, ``provider``, ``backend`` or
+    ``tool_settings`` that is not a JSON object, a key not named above at
+    any level, a malformed value, a string-typed key or a ``timeout_s``,
+    ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
+    does not have its type (an int passes for a float, and only ``true`` or
+    ``false`` for a boolean) or a ``forecast_default_horizon`` below 1 raises
+    :class:`ConfigError`.
     """
     path = Path(path)
     try:
@@ -119,7 +127,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     provider_doc = _object(doc.get("provider", {}), "provider", _PROVIDER_KEYS,
                            "provider keys")
-    fixture_root = provider_doc.get("fixture_root")
+    fixture_root = _optional_str(provider_doc, "fixture_root")
     if fixture_root is not None and not Path(fixture_root).is_absolute():
         fixture_root = (base / fixture_root).resolve()
     provider = ProviderConfig(
@@ -131,18 +139,18 @@ def load_config(path: str | Path) -> RunConfig:
     backend = None
     if "backend" in doc:
         backend_doc = _object(doc["backend"], "backend", _BACKEND_KEYS, "backend keys")
-        replay = backend_doc.get("replay")
+        replay = _optional_str(backend_doc, "replay")
         if replay is not None and not Path(replay).is_absolute():
             replay = (base / replay).resolve()
         backend = BackendConfig(
             kind=backend_doc.get("kind", "scripted"),
             replay=Path(replay) if replay else None,
-            endpoint=backend_doc.get("endpoint"),
-            model=backend_doc.get("model"),
-            api_key_env=backend_doc.get("api_key_env", ""),
+            endpoint=_optional_str(backend_doc, "endpoint"),
+            model=_optional_str(backend_doc, "model"),
+            api_key_env=_checked(backend_doc.get("api_key_env", ""), str, "api_key_env"),
         )
 
-    output_dir = Path(doc.get("output_dir", "out"))
+    output_dir = Path(_checked(doc.get("output_dir", "out"), str, "output_dir"))
     if not output_dir.is_absolute():
         output_dir = (base / output_dir).resolve()
 
@@ -162,7 +170,7 @@ def load_config(path: str | Path) -> RunConfig:
         backend=backend,
         output_dir=output_dir,
         seed=_checked(doc.get("seed", 0), int, "seed"),
-        budget=_checked(doc.get("budget", 8), int, "budget"),
+        budget=_checked(doc.get("budget", DEFAULT_BUDGET), int, "budget"),
         route_intent=_checked(doc.get("route_intent", True), bool, "route_intent"),
         settings=ToolSettings(**settings_doc),
         raw=doc,

@@ -2,7 +2,6 @@
 
 from .csvio import (
     HEADER as CSV_HEADER,
-    read_canonical_csv,
     series_from_csv,
     series_to_csv,
     write_canonical_csv,
@@ -20,7 +19,7 @@ from .records import (
     value_column,
 )
 from .stats import summary_stats
-from .timeutil import UTC, format_timestamp, format_timestamps, normalize_timestamp, parse_utc
+from .timeutil import format_timestamp, format_timestamps, midnight_utc, parse_utc
 from .units import UnknownVariable, default_table
 
 __all__ = [
@@ -31,15 +30,13 @@ __all__ = [
     "Provenance",
     "RecordValidationError",
     "TIMESTAMP_DTYPE",
-    "UTC",
     "UnknownVariable",
     "default_table",
     "elapsed_seconds",
     "format_timestamp",
     "format_timestamps",
-    "normalize_timestamp",
+    "midnight_utc",
     "parse_utc",
-    "read_canonical_csv",
     "series_from_csv",
     "series_to_csv",
     "summary_stats",

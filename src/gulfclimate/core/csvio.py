@@ -5,8 +5,10 @@ timestamp of a series. Every row repeats the series' variable, unit,
 location, city and source; a file whose rows differ in them is rejected on
 read. Missing values (NaN) serialize as an empty field, and only an empty
 field reads back as missing. Floats are written with ``repr`` of a Python
-float, so the file round-trips bit-exactly. Dialect: comma separator, UTF-8,
-LF line endings, quoting only for fields that need it.
+float, so the file round-trips bit-exactly. Timestamps are written as
+``2023-04-15T00:00:00Z`` and read as any ISO-8601 date or datetime that
+:func:`~.timeutil.parse_utc` accepts. Dialect: comma separator, UTF-8, LF
+line endings, quoting only for fields that need it.
 """
 
 from __future__ import annotations

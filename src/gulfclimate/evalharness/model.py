@@ -102,7 +102,8 @@ class BenchmarkInstance:
 
 
 def load_instances(path: str | Path) -> list[BenchmarkInstance]:
-    """Read a line-delimited benchmark instance file."""
+    """Read a line-delimited benchmark instance file; a record that is not an
+    instance raises :class:`InstanceError` naming its line."""
     instances = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -110,7 +111,7 @@ def load_instances(path: str | Path) -> list[BenchmarkInstance]:
             continue
         try:
             instances.append(BenchmarkInstance.from_jsonable(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InstanceError(f"{path}:{lineno}: bad instance record: {exc}") from exc
     if not instances:
         raise InstanceError(f"{path}: no instances")

@@ -14,13 +14,13 @@ except ImportError:  # no per-thread resource usage on this platform
     RUSAGE_THREAD = getrusage = None
 
 from ..agent.backend import BackendFailure, LLMBackend
-from ..agent.runner import AgentSettings, run as agent_run, system_prompt
+from ..agent.runner import DEFAULT_BUDGET, AgentSettings, run as agent_run, system_prompt
 from ..agent.serialization import observation_message, render_observation
 from ..toolkit.grammar import parse_call, serialize_call
 from ..toolkit.registry import ToolRegistry, execute, validate_call
 from ..toolkit.types import ToolCall
 from .model import BenchmarkInstance, GoldStep, InstanceError
-from .scoring import PredictedStep, classify_error, score_step
+from .scoring import classify_error, score_step
 
 BackendFactory = Callable[[BenchmarkInstance], LLMBackend]
 R = TypeVar("R")
@@ -262,10 +262,8 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
             summary = ""
         messages.append({"role": "assistant", "content": summary})
 
-        pred = PredictedStep(parsed=parsed, verdict=verdict, summary=summary)
-        score = score_step(pred, gold)
-        rows.append(StepRow(instance.id, t, *score.as_tuple(),
-                            classify_error(pred, gold)))
+        rows.append(StepRow(instance.id, t, *score_step(parsed, summary, gold),
+                            classify_error(parsed, verdict, gold)))
     return rows
 
 
@@ -289,7 +287,7 @@ def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int,
 
 def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
                  registry: ToolRegistry, images_enabled: bool = False,
-                 budget: int = 8) -> MetricReport:
+                 budget: int = DEFAULT_BUDGET) -> MetricReport:
     """Free-running evaluation of the full execution outcome.
 
     An instance scores 1 iff every gold answer fact holds in the final

@@ -132,12 +132,15 @@ def _date_options(series: CanonicalSeries, gold: str, rng: random.Random,
 
 
 def check_categories(categories: Sequence[str], backend=None) -> None:
-    """Reject an unknown category, or a backend category without a backend."""
+    """Reject an unknown category, a backend category without a backend, or a
+    repeated one (its items would be written twice under the same ids)."""
     for category in categories:
         if category not in CATEGORIES:
             raise VisualQAError(f"unknown category {category!r}")
         if category in BACKEND_CATEGORIES and backend is None:
             raise VisualQAError(f"category {category!r} requires a backend")
+    if len(set(categories)) != len(categories):
+        raise VisualQAError(f"repeated categories in {list(categories)}")
 
 
 def synthesize_visual_qa(artifact: ChartArtifact, category: str,

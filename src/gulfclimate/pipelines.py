@@ -49,10 +49,13 @@ _FIXTURE_ROOTS_CACHED = 4
 
 
 def _check_formats(formats: tuple[str, ...]) -> None:
-    """Reject a QA format that neither forge can build."""
+    """Reject a QA format that neither forge can build, or one named twice
+    (its items would be written twice under the same ids)."""
     unknown = sorted(set(formats) - set(FORMATS))
     if unknown:
         raise ConfigError(f"unknown QA formats {unknown}; choose from {FORMATS}")
+    if len(set(formats)) != len(formats):
+        raise ConfigError(f"repeated QA formats in {list(formats)}")
 
 
 @functools.lru_cache(maxsize=_FIXTURE_ROOTS_CACHED)
@@ -160,13 +163,14 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     are each window's chart plus the chart and evidence fact that every
     :func:`synthesize_visual_qa` call returns; they are written in one pass
     over the sorted chart ids, each chart's SVG, its CSV and its row of
-    ``metadata.csv``. An unknown category raises ``VisualQAError`` and an
-    unknown format ``ConfigError`` (as in :func:`forge_text`), before any
-    file is written. A window whose items for one category cannot be made
-    (too few values to perturb, nothing left to chart, a malformed backend
-    emission) counts under ``dropped`` as ``<category>_windows_dropped`` and
-    the job goes on; an item that fails structural validation counts as
-    ``dropped_<reason>``, such as ``dropped_too_few_options``.
+    ``metadata.csv``. An unknown or repeated category raises
+    ``VisualQAError`` and an unknown or repeated format ``ConfigError`` (as in
+    :func:`forge_text`), before any file is written. A window whose items for
+    one category cannot be made (too few values to perturb, nothing left to
+    chart, a malformed backend emission) counts under ``dropped`` as
+    ``<category>_windows_dropped`` and the job goes on; an item that fails
+    structural validation counts as ``dropped_<reason>``, such as
+    ``dropped_too_few_options``.
     """
     check_categories(categories, backend)
     _check_formats(formats)

@@ -84,12 +84,6 @@ def validate_items(items: Iterable[QAItem], counters: Counter | None = None) -> 
     return kept
 
 
-def parse_qa_emission(emission: str, format: str, evidence: Sequence[str],
-                      split: str = "text") -> list[QAItem]:
-    """Decode a backend emission into candidate items (see :func:`qa_items`)."""
-    return qa_items(decode_qa_emission(emission), format, evidence, split)
-
-
 def decode_qa_emission(emission: str) -> list:
     """The entries of a backend emission, which must be a JSON array."""
     try:
@@ -172,7 +166,7 @@ def synthesize_qa(facts: Sequence[AtomicFact], format: str, backend,
     )
     emission = backend.complete([{"role": "user", "content": prompt}])
     evidence = tuple(f.fact_id for f in facts)
-    items = parse_qa_emission(emission, format, evidence=evidence)
+    items = qa_items(decode_qa_emission(emission), format, evidence, "text")
     return validate_items(items, counters=counters)
 
 

@@ -12,6 +12,7 @@ from ..errors import GulfClimateError
 from .types import (
     CATEGORIES,
     CATEGORY_TITLES,
+    REF_TYPES,
     Observation,
     ObservationStatus,
     ParamSpec,
@@ -37,11 +38,6 @@ class ToolExecutionError(GulfClimateError):
     """Raised by executors; surfaced as an error observation, never a crash."""
 
     code = "provider_failure"
-
-    def __init__(self, message: str = "", code: str | None = None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
 
 
 Executor = Callable[..., ToolResult]
@@ -125,17 +121,7 @@ def _coerce(value: Any, spec: ParamSpec) -> Any:
             return date.fromisoformat(value.strip())
         except ValueError:
             raise ValueError(f"expected an ISO date (YYYY-MM-DD), got {value!r}") from None
-    elif spec.type == "geopoint":
-        if isinstance(value, GeoPoint):
-            return value
-        if isinstance(value, str) and value.count(",") == 1:
-            lat_s, lon_s = value.split(",")
-            try:
-                return GeoPoint(lat=float(lat_s), lon=float(lon_s))
-            except Exception:
-                raise ValueError(f"expected 'lat,lon', got {value!r}") from None
-        raise ValueError(f"expected a geopoint, got {value!r}")
-    elif spec.type in ("image_ref", "audio_ref", "series_ref"):
+    elif spec.type in REF_TYPES:
         # References stay opaque here; resolution happens at execution time.
         return value
     else:  # pragma: no cover - signature construction rejects unknown types
@@ -179,9 +165,7 @@ def validate_call(call: ToolCall, registry: ToolRegistry) -> ValidationVerdict:
 
 _PAYLOAD_CHECKS: dict[str, Callable[[Any], bool]] = {
     "real": lambda p: isinstance(p, (int, float)) and not isinstance(p, bool),
-    "integer": lambda p: isinstance(p, int) and not isinstance(p, bool),
     "string": lambda p: isinstance(p, str),
-    "date": lambda p: isinstance(p, date),
     "geopoint": lambda p: isinstance(p, GeoPoint),
     "series_ref": lambda p: isinstance(p, CanonicalSeries),
     "mapping": lambda p: isinstance(p, dict),
@@ -196,8 +180,7 @@ def _payload_matches(payload: Any, returns: str) -> bool:
     # Artifact return types are validated structurally by their class name so
     # this module does not need to import every tool module.
     expected = {"image_ref": "RasterImage", "index_map": "IndexMap",
-                "change_report": "ChangeReport", "analysis_report": "AnalysisReport",
-                "audio_ref": "str"}.get(returns)
+                "change_report": "ChangeReport", "analysis_report": "AnalysisReport"}.get(returns)
     return expected is None or type(payload).__name__ == expected
 
 
@@ -221,7 +204,7 @@ def execute(call: ToolCall, registry: ToolRegistry,
     kwargs = dict(verdict.coerced_args or {})
     if refs:
         for spec in sig.params:
-            if spec.type in ("image_ref", "audio_ref", "series_ref"):
+            if spec.type in REF_TYPES:
                 value = kwargs.get(spec.name)
                 if isinstance(value, str) and value in refs:
                     kwargs[spec.name] = refs[value]

@@ -9,10 +9,11 @@ from typing import Any, Mapping
 from ..core import GeoPoint
 from ..errors import GulfClimateError
 
-PARAM_TYPES = ("real", "integer", "string", "date", "geopoint",
-               "image_ref", "audio_ref", "series_ref")
-RETURN_TYPES = PARAM_TYPES + ("index_map", "change_report", "analysis_report",
-                              "mapping", "list")
+PARAM_TYPES = ("real", "integer", "string", "date", "image_ref", "audio_ref")
+RETURN_TYPES = ("real", "string", "geopoint", "image_ref", "series_ref", "index_map",
+                "change_report", "analysis_report", "mapping", "list")
+# Parameter types whose value is an opaque reference, resolved at execution.
+REF_TYPES = ("image_ref", "audio_ref")
 
 # Category order fixed for prompt rendering: the six interface groups plus
 # the geospatial utility group.
@@ -138,7 +139,7 @@ class Observation:
 class ValidationVerdict:
     """Total verdict of call validation: never raises, always classifies."""
 
-    kind: str  # "ok" | "format_error" | "unknown_tool" | "arg_error"
+    kind: str  # "ok" | "unknown_tool" | "arg_error"
     details: tuple[str, ...] = ()
     coerced_args: Mapping[str, Any] | None = None
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import GeoPoint, normalize_timestamp
+from ..core import GeoPoint, midnight_utc
 from ..toolkit.types import ToolResult
 from .errors import NoImagery, UnresolvableReference
 from .providers import FixtureStore
@@ -25,7 +25,7 @@ def make_satellite_executor(store: FixtureStore):
                 image = RasterImage(
                     width=int(row["width"]), height=int(row["height"]),
                     bands={name: arr for name, arr in row["bands"].items()},
-                    acquired=normalize_timestamp(date),
+                    acquired=midnight_utc(date),
                     location=GeoPoint(float(row["lat"]), float(row["lon"])),
                     pixel_size_m=float(row.get("pixel_size_m", 10.0)),
                 )

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import TIMESTAMP_DTYPE, UTC, CanonicalSeries, GeoPoint, default_table, value_column
+from ..core import (TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, default_table, midnight_utc,
+                    value_column)
 from ..geoforge.gridmatch import nearest_grid_cell
 from ..core.geo import GridSpec
 from ..toolkit.types import ToolResult, ToolSignature
@@ -64,7 +65,7 @@ def _row_date(text: str) -> date:
 
 
 def _day_span(d: date) -> tuple[datetime, datetime]:
-    start = datetime(d.year, d.month, d.day, tzinfo=UTC)
+    start = midnight_utc(d)
     return (start, start)
 
 

@@ -1,4 +1,4 @@
-"""Intent routing with a scripted backend: reply labels, fallbacks and cues."""
+"""Intent routing with a scripted backend: reply labels and fallbacks."""
 
 import pytest
 
@@ -24,9 +24,7 @@ def route(query, *replies):
     ("  Label: numerical\n", "numerical"),
 ])
 def test_each_label_routes_to_its_categories(reply, label):
-    intent = route("What was the rainfall in Doha?", reply)
-    assert intent.label == label
-    assert intent.routed_categories == INTENT_CATEGORIES[label]
+    assert route("What was the rainfall in Doha?", reply) == INTENT_CATEGORIES[label]
 
 
 @pytest.mark.parametrize("reply, label", [
@@ -36,22 +34,14 @@ def test_each_label_routes_to_its_categories(reply, label):
     ("environmental rather than textual", "health_environmental"),
 ])
 def test_the_earliest_label_in_the_reply_wins(reply, label):
-    assert route("Doha rainfall", reply).label == label
+    assert route("Doha rainfall", reply) == INTENT_CATEGORIES[label]
 
 
-@pytest.mark.parametrize("query, label", [
-    ("Show the NDVI trend near Al Khor", "geospatial"),
-    ("What is the AQI in Doha today?", "health_environmental"),
-    ("Rainfall in Doha last April", "numerical"),
-    ("What did the ministry announce?", "textual"),
-])
 @pytest.mark.parametrize("replies", [("I cannot tell",), ("",), ()],
                          ids=["no_label", "empty_reply", "backend_failure"])
-def test_no_label_or_a_failed_backend_falls_back_to_every_category(query, label, replies):
+def test_no_label_or_a_failed_backend_falls_back_to_every_category(replies):
     # An empty script makes the backend raise BackendFailure on its first call.
-    intent = route(query, *replies)
-    assert intent.label == label
-    assert intent.routed_categories == CATEGORIES
+    assert route("Show the NDVI trend near Al Khor", *replies) == CATEGORIES
 
 
 def test_the_backend_is_asked_once_with_the_query():

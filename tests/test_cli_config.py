@@ -55,6 +55,14 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
      "unknown backend keys: seed"),
     ({"tool_settings": None}, "tool_settings: expected object, got None"),
     ({"budgte": 3}, "unknown config keys: budgte"),
+    ({"output_dir": 5}, "output_dir: expected str, got 5"),
+    ({"provider": {"fixture_root": 5}}, "fixture_root: expected str, got 5"),
+    ({"backend": {"replay": 5}}, "replay: expected str, got 5"),
+    ({"backend": {"kind": "remote", "endpoint": 5, "model": "m"}},
+     "endpoint: expected str, got 5"),
+    ({"backend": {"kind": "remote", "endpoint": "http://e", "model": ["m"]}},
+     "model: expected str, got ['m']"),
+    ({"backend": {"replay": "r.json", "api_key_env": 5}}, "api_key_env: expected str, got 5"),
 ])
 def test_malformed_values_are_configuration_errors(tmp_path, capsys, doc, message):
     doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)}, **doc}

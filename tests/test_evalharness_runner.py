@@ -16,7 +16,7 @@ from gulfclimate.agent import ScriptedBackend
 from gulfclimate.cli.main import EXIT_OK, main as cli_main
 from gulfclimate.evalharness import load_instances, run_e2e_mode, run_step_mode
 from gulfclimate.evalharness import runner as runner_module
-from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep
+from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep, InstanceError
 from gulfclimate.evalharness.replay import BenchReplay
 from gulfclimate.toolkit import ToolCall, serialize_call
 from gulfclimate.tools import ProviderConfig, build_registry
@@ -495,3 +495,20 @@ def test_step_mode_shows_the_model_the_system_message_of_e2e_mode(instances, reg
     system = {call[0]["content"] for call in step.calls + e2e.calls if call[0]["role"] == "system"}
     assert len(system) == 1
     assert "```tool_call" in system.pop()
+
+
+@pytest.mark.parametrize("change, cause", [
+    (lambda doc: doc["answer_facts"].append("mm"), "AttributeError"),
+    (lambda doc: doc["gold_trace"][0]["summary_facts"].append(12.0), "AttributeError"),
+    (lambda doc: doc["answer_facts"][0].update(tolerance="x"), "ValueError"),
+], ids=["answer_fact_not_an_object", "summary_fact_not_an_object", "tolerance_not_a_number"])
+def test_a_malformed_record_is_an_instance_error_naming_its_line(tmp_path, change, cause):
+    good, bad = INSTANCES.read_text(encoding="utf-8").splitlines()[:2]
+    doc = json.loads(bad)
+    change(doc)
+    path = tmp_path / "instances.jsonl"
+    path.write_text(f"{good}\n{json.dumps(doc)}\n", encoding="utf-8")
+    with pytest.raises(InstanceError) as raised:
+        load_instances(path)
+    assert str(raised.value).startswith(f"{path}:2: bad instance record: ")
+    assert type(raised.value.__cause__).__name__ == cause

@@ -146,14 +146,18 @@ def test_jobs_on_one_fixture_root_share_one_parsed_store(tmp_path):
         {k: v for k, v in first.items() if k not in ("dataset", "keyword_index")}
 
 
-def test_an_unknown_format_is_rejected_before_any_backend_call(tmp_path):
+@pytest.mark.parametrize("formats, match", [
+    (("mcq", "essay"), "essay"),
+    (("tf", "tf"), "repeated QA formats"),
+], ids=["unknown", "repeated"])
+def test_an_unknown_format_is_rejected_before_any_backend_call(tmp_path, formats, match):
     corpus, job, search = _one_job(tmp_path)
 
     class NoCalls:
         def complete(self, messages):
             raise AssertionError("the backend was called")
 
-    with pytest.raises(ConfigError, match="essay"):
+    with pytest.raises(ConfigError, match=match):
         forge_text(seeds=job["seeds"], constraints=[tuple(job["constraint"])],
                    backend=NoCalls(), fixture_root=corpus / "fixtures",
-                   out_dir=tmp_path / "out", formats=("mcq", "essay"))
+                   out_dir=tmp_path / "out", formats=formats)

@@ -10,6 +10,7 @@ import pytest
 from gulfclimate.agent import ScriptedBackend
 from gulfclimate.cli.main import EXIT_CONFIG, main as cli_main
 from gulfclimate.errors import ConfigError
+from gulfclimate.geoforge.visualqa import VisualQAError
 from gulfclimate.pipelines import forge_visual
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,16 +113,23 @@ def test_malformed_emission_drops_only_its_window(tmp_path):
     assert questions == [f"Question {w}?" for w in range(1, windows) for _fmt in formats]
 
 
-def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(tmp_path):
+@pytest.mark.parametrize("categories, formats, error, match", [
+    (("anomaly", "imputation"), ("xyz",), ConfigError, "xyz"),
+    (("anomaly", "imputation"), ("mcq", "mcq"), ConfigError, "repeated QA formats"),
+    (("anomaly", "anomaly"), ("mcq",), VisualQAError, "repeated categories"),
+], ids=["unknown_format", "repeated_format", "repeated_category"])
+def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(
+        tmp_path, categories, formats, error, match):
     out = tmp_path / "out"
-    with pytest.raises(ConfigError, match="xyz"):
+    with pytest.raises(error, match=match):
         forge_visual(GRIDDED, "Doha", "temperature", out,
-                     categories=("anomaly", "imputation"), formats=("xyz",), seed=5)
+                     categories=categories, formats=formats, seed=5)
     assert not out.exists()
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
     argv = ["forge", "visual", "--config", str(config), "--gridded", str(GRIDDED),
-            "--city", "Doha", "--variable", "temperature", "--formats", "mcq,xyz"]
+            "--city", "Doha", "--variable", "temperature",
+            "--categories", ",".join(categories), "--formats", ",".join(formats)]
     assert cli_main(argv) == EXIT_CONFIG
     assert not out.exists()

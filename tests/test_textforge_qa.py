@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from gulfclimate.core import Provenance, format_timestamp
 from gulfclimate.textforge.chunking import Chunk
 from gulfclimate.textforge.facts import AtomicFact
-from gulfclimate.textforge.qa import (BrokenEvidenceChain, QAItem, parse_qa_emission,
-                                      validate_items, write_dataset)
+from gulfclimate.textforge.qa import (BrokenEvidenceChain, QAItem, decode_qa_emission,
+                                      qa_items, validate_items, write_dataset)
 
 UTC = timezone.utc
 
@@ -223,7 +223,7 @@ def test_first_broken_item_raises_and_nothing_is_written(data, kinds):
 @pytest.mark.parametrize("options", ["5", '"abc"', "null"])
 def test_mcq_options_that_are_not_an_array_give_none_and_the_item_is_dropped(options):
     emission = f'[{{"question": "q", "answer": "a", "options": {options}}}]'
-    (item,) = parse_qa_emission(emission, "mcq", ["fact:1"])
+    (item,) = qa_items(decode_qa_emission(emission), "mcq", ["fact:1"], "text")
     assert item.options == ()
     counters = Counter()
     assert validate_items([item], counters) == []

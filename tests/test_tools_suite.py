@@ -6,6 +6,7 @@ import pytest
 from gulfclimate.tools import ProviderConfig, SIGNATURES, build_registry
 from gulfclimate.tools.carbon import EmissionFactorTable, carbon_footprint
 from gulfclimate.toolkit import ToolCall, execute
+from gulfclimate.toolkit.types import PARAM_TYPES, REF_TYPES, RETURN_TYPES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,6 +23,12 @@ def run(registry, tool, **args):
 def test_suite_has_22_tools_in_7_categories(registry):
     assert len(registry) == 22
     assert len({s.category for s in SIGNATURES}) == 7
+
+
+def test_the_type_vocabulary_is_what_the_suite_uses():
+    assert set(PARAM_TYPES) == {p.type for s in SIGNATURES for p in s.params}
+    assert set(RETURN_TYPES) == {s.returns for s in SIGNATURES}
+    assert set(REF_TYPES) <= set(PARAM_TYPES)
 
 
 def test_rain_inquiry_fixture_value(registry):

@@ -1,8 +1,9 @@
 """Every name a module of ``src/`` imports, and every private name it
-defines, is used in that module.
+defines, is used in that module; every name a package root re-exports is
+imported through that root.
 
-``__init__`` modules are skipped: their imports are the package's
-re-exports. An imported name counts as used when the module loads it
+``__init__`` modules are skipped by the first check: their imports are the
+package's re-exports, which the last check covers. An imported name counts as used when the module loads it
 anywhere, as a bare name or as the root of an attribute chain, or lists it
 in ``__all__``. ``from __future__`` imports are not names. A private name is
 one with a leading underscore, not a dunder, bound at module level by
@@ -13,7 +14,10 @@ it anywhere.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# Where a re-exported name may be imported through its package root.
+CLIENTS = ("src", "tests", "perfbench", "scripts")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -80,3 +84,62 @@ def test_the_checker_sees_an_unused_private_name_and_its_uses():
               "class _K:\n    x = _C\n"
               "def g():\n    _local = 5\n    return _K\n")
     assert unused_privates(source) == [(2, "_B"), (5, "_f")]
+
+
+def _module_name(path: Path, root: Path) -> str:
+    parts = path.relative_to(root).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imports_through(source: str, module: str, is_package: bool) -> set[tuple[str, str]]:
+    """``(origin, name)`` of each name the source of ``module`` imports by
+    ``from origin import name``, or reads as an attribute of a module it bound
+    by ``from parent import origin`` or ``import origin as alias``."""
+    tree = ast.parse(source)
+    here = module.split(".") if is_package else module.split(".")[:-1]
+    found: set[tuple[str, str]] = set()
+    bound: dict[str, str] = {}  # local name -> the module it may be bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = here[:len(here) - node.level + 1] if node.level else []
+            origin = ".".join(base + (node.module.split(".") if node.module else []))
+            for alias in node.names:
+                found.add((origin, alias.name))
+                bound[alias.asname or alias.name] = f"{origin}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.add((bound[node.value.id], node.attr))
+    return found
+
+
+def test_every_re_export_of_a_package_root_is_imported_through_it():
+    imported: set[tuple[str, str]] = set()
+    for client in CLIENTS:
+        base = SRC if client == "src" else ROOT
+        for path in sorted((ROOT / client).rglob("*.py")):
+            imported |= imports_through(path.read_text(encoding="utf-8"),
+                                        _module_name(path, base), path.name == "__init__.py")
+    unused = []
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = _module_name(init, SRC)
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom):
+                unused += [f"{package}: {alias.asname or alias.name}" for alias in node.names
+                           if (package, alias.asname or alias.name) not in imported]
+    assert unused == []
+
+
+def test_the_re_export_checker_resolves_relative_and_attribute_imports():
+    source = ("from ..core import parse_utc\nfrom . import grammar\n"
+              "from gulfclimate import tools\nimport gulfclimate.agent as agent\n"
+              "tools.build_registry\nagent.run\ngrammar.parse_call\n")
+    assert imports_through(source, "gulfclimate.toolkit.registry", False) == {
+        ("gulfclimate.core", "parse_utc"), ("gulfclimate.toolkit", "grammar"),
+        ("gulfclimate", "tools"), ("gulfclimate.tools", "build_registry"),
+        ("gulfclimate.agent", "run"), ("gulfclimate.toolkit.grammar", "parse_call"),
+    }
