@@ -120,14 +120,15 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
             action, observation = parsed, execute(parsed, registry, refs=refs)
         step = trajectory.append(action=action, observation=observation, emission=emission)
         body = render_observation(observation)
+        line = observation_message(body, step.index)
         if observation.status.is_ok:
             refs[f"obs_{step.index}"] = observation.payload
-            bodies[step.index] = body
+            bodies[step.index] = _shown_part(line, body)
         if observation.status.code in _INVALID_EMISSION_CODES:
             consecutive_failures += 1
         else:
             consecutive_failures = 0
-        messages.append({"role": "user", "content": observation_message(body, step.index)})
+        messages.append({"role": "user", "content": line})
         if consecutive_failures > MAX_CONSECUTIVE_FAILURES:
             break
 
@@ -144,8 +145,9 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
     Every numeric claim of a final answer must appear in a cited observation;
     numbers that do not are reported in ``ungrounded`` (the answer is still
     returned). The digest's step numbers are not claims and are not checked.
-    ``bodies`` maps the index of each ok observation to its encoded body
-    (:func:`render_observation`), the text the claims are checked against.
+    ``bodies`` maps the index of each ok observation to the part of its
+    encoded body (:func:`render_observation`) that its observation line
+    showed the model, the text the claims are checked against.
     """
     ok_steps = trajectory.ok_observations()
     if not trajectory.finished and not ok_steps:
@@ -180,6 +182,15 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
 
     return AgentAnswer(text=text, citations=cited, charts=charts,
                        incomplete=incomplete, ungrounded=ungrounded)
+
+
+def _shown_part(line: str, body: str) -> str:
+    """The part of ``body`` that its observation ``line`` shows: the line
+    without its ``observation[obs_N] `` prefix and any truncation note, whose
+    numbers are the program's own and ground no claim."""
+    if line.endswith(body):
+        return body
+    return line[line.index("] ") + 2:line.rindex(" …[truncated ")]
 
 
 def numeric_claims(text: str) -> list[tuple[str, float]]:

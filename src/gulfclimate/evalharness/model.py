@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -43,8 +44,25 @@ class KeyFact:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "KeyFact":
-        return cls(label=doc.get("label", ""), value=doc.get("value"),
-                   tolerance=float(doc.get("tolerance", DEFAULT_FACT_TOLERANCE)))
+        """A fact whose ``value`` is null, a string or a finite number and whose
+        ``tolerance`` is a finite number of at least 0; else ``ValueError``."""
+        value = doc.get("value")
+        if not (value is None or isinstance(value, str) or _finite_number(value)):
+            raise ValueError(f"fact value {value!r} is not null, a string or a finite number")
+        tolerance = doc.get("tolerance", DEFAULT_FACT_TOLERANCE)
+        if not (_finite_number(tolerance) and tolerance >= 0):
+            raise ValueError(f"fact tolerance {tolerance!r} is not a finite number >= 0")
+        return cls(label=doc.get("label", ""), value=value, tolerance=float(tolerance))
+
+
+def _finite_number(value: object) -> bool:
+    """Whether ``value`` is a finite JSON number; ``true`` and ``false`` are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -96,9 +114,17 @@ class BenchmarkInstance:
             gold_trace=gold,
             answer_facts=tuple(KeyFact.from_jsonable(f)
                                for f in doc.get("answer_facts", [])),
-            requires_chart=bool(doc.get("requires_chart", False)),
-            requires_tools=bool(doc.get("requires_tools", bool(gold))),
+            requires_chart=_flag(doc, "requires_chart", False),
+            requires_tools=_flag(doc, "requires_tools", bool(gold)),
         )
+
+
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    """``doc[key]`` if it is a JSON boolean, ``default`` if it is absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} {value!r} is not true or false")
+    return value
 
 
 def load_instances(path: str | Path) -> list[BenchmarkInstance]:

@@ -16,6 +16,8 @@ DEFAULT_RAIN_EVENT_MM = 10.0
 
 TREND_EPS = 1e-12
 
+FLAGGED_SHOWN = 5  # flagged points a report keeps of each kind
+
 
 @dataclass(frozen=True)
 class FlaggedPoint:
@@ -26,7 +28,14 @@ class FlaggedPoint:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Summary statistics, least-squares trend, and flagged points."""
+    """Summary statistics, least-squares trend, and flagged points.
+
+    Each kind of flagged point keeps its total in ``n_anomalies``,
+    ``n_exceedances`` or ``n_events`` and at most ``FLAGGED_SHOWN`` points:
+    the most extreme ones (largest |z| for anomalies, largest value for
+    exceedances and events), the earlier date first among equals, listed in
+    time order.
+    """
 
     kind: str  # weather | rain | aqi
     variable: str
@@ -43,6 +52,9 @@ class AnalysisReport:
     anomalies: tuple[FlaggedPoint, ...] = ()
     exceedances: tuple[FlaggedPoint, ...] = ()
     events: tuple[FlaggedPoint, ...] = ()
+    n_anomalies: int = 0
+    n_exceedances: int = 0
+    n_events: int = 0
     thresholds: dict = field(default_factory=dict)
 
 
@@ -57,7 +69,9 @@ def analyze_range(series: CanonicalSeries, kind: str,
     are points with |z| > ``z_threshold`` against the range mean/std; a
     zero-std range has no anomalies. ``aqi`` ranges also flag exceedances
     above ``aqi_exceedance``; ``rain`` ranges flag heavy-rain events above
-    ``rain_event_mm``.
+    ``rain_event_mm``. Of each kind the report keeps the count and the
+    ``FLAGGED_SHOWN`` most extreme points, ties going to the earlier date,
+    in time order (see :class:`AnalysisReport`).
     """
     present = series.present()
     if len(present) == 0:
@@ -71,17 +85,17 @@ def analyze_range(series: CanonicalSeries, kind: str,
         trend = "stable"
 
     values = present.values
-    anomalies: tuple[FlaggedPoint, ...] = ()
+    flagged: dict = {}  # the kinds a range has; the others keep their defaults
     if stats.std > 0.0:
         scores = (values - stats.mean) / stats.std
-        anomalies = _flagged(present, np.abs(scores) > z_threshold, scores)
-
-    exceedances: tuple[FlaggedPoint, ...] = ()
-    events: tuple[FlaggedPoint, ...] = ()
+        flagged["anomalies"], flagged["n_anomalies"] = _flagged(
+            present, scores, np.abs(scores), z_threshold)
     if kind == "aqi":
-        exceedances = _flagged(present, values > aqi_exceedance, values)
+        flagged["exceedances"], flagged["n_exceedances"] = _flagged(
+            present, values, values, aqi_exceedance)
     elif kind == "rain":
-        events = _flagged(present, values > rain_event_mm, values)
+        flagged["events"], flagged["n_events"] = _flagged(
+            present, values, values, rain_event_mm)
 
     start, end = present.span()
     return AnalysisReport(
@@ -92,19 +106,25 @@ def analyze_range(series: CanonicalSeries, kind: str,
         end=end,
         **stats._asdict(),
         trend=trend,
-        anomalies=anomalies,
-        exceedances=exceedances,
-        events=events,
+        **flagged,
         thresholds={"z": z_threshold, "aqi": aqi_exceedance, "rain_mm": rain_event_mm},
     )
 
 
-def _flagged(present: CanonicalSeries, mask: np.ndarray,
-             scores: np.ndarray) -> tuple[FlaggedPoint, ...]:
-    """The points of ``present`` where ``mask`` holds, with their scores."""
-    rows = np.flatnonzero(mask)
-    return tuple(
+def _flagged(present: CanonicalSeries, scores: np.ndarray, extremity: np.ndarray,
+             threshold: float) -> tuple[tuple[FlaggedPoint, ...], int]:
+    """The points of ``present`` whose ``extremity`` exceeds ``threshold``:
+    the ``FLAGGED_SHOWN`` most extreme (the earlier first among equals) with
+    their scores, in time order, and how many there are in all."""
+    rows = np.flatnonzero(extremity > threshold)
+    count = len(rows)
+    if count > FLAGGED_SHOWN:
+        kept = np.zeros(count, dtype=bool)
+        kept[np.argsort(-extremity[rows], kind="stable")[:FLAGGED_SHOWN]] = True
+        rows = rows[kept]  # a mask keeps time order
+    points = tuple(
         FlaggedPoint(timestamp=t, value=v, score=s)
         for t, v, s in zip(to_datetimes(present.timestamps[rows]),
                            present.values[rows].tolist(), scores[rows].tolist())
     )
+    return points, count

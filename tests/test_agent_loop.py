@@ -1,6 +1,7 @@
 """The act-observe-reason loop on the fixture registry with scripted emissions."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gulfclimate.agent import runner as runner_module
 from gulfclimate.agent.backend import ScriptedBackend
 from gulfclimate.agent.runner import AgentSettings, run
+from gulfclimate.agent.serialization import OBSERVATION_BYTE_CAP
 from gulfclimate.toolkit import FENCE_CLOSE, FENCE_OPEN
 from gulfclimate.toolkit import registry as registry_module
 from gulfclimate.tools import ProviderConfig, build_registry
@@ -122,6 +124,24 @@ def test_escaped_characters_of_an_observation_ground_no_digits(registry):
     assert answer.ungrounded == ("5",)
     answer, _, _ = ask(registry, [aqi, "The AQI in Doha was 87 [step 1]."])
     assert answer.ungrounded == ()
+
+
+def test_a_number_past_the_observation_cut_is_ungrounded(registry, monkeypatch):
+    render = runner_module.render_observation
+
+    def padded(observation):  # the rain observation, then 5000 bytes and 4242
+        return f'{render(observation)[:-1]}, "pad": "{"x" * 5000} 4242"}}'
+
+    monkeypatch.setattr(runner_module, "render_observation", padded)
+    answer, _, backend = ask(registry, [RAIN, "Doha got 12.0 mm, not 4242 [step 1]."])
+    line = backend.last_messages[1]
+    assert len(line.encode("utf-8")) > OBSERVATION_BYTE_CAP
+    assert "4242" not in line
+    assert answer.ungrounded == ("4242",)
+    # The truncation note is the program's own text and grounds nothing.
+    cut = re.fullmatch(r".* …\[truncated (\d+) bytes\]", line).group(1)
+    answer, _, _ = ask(registry, [RAIN, f"Doha got 12.0 mm, {cut} bytes cut [step 1]."])
+    assert answer.ungrounded == (cut,)
 
 
 def test_each_call_is_validated_once(registry, monkeypatch):

@@ -37,7 +37,7 @@ from gulfclimate.core import (
 from gulfclimate.geoforge.gridded import GriddedFormatError, GriddedProduct
 from gulfclimate.geoforge.visualqa import SpanMask, SpikeInjection, inject_spike, mask_span
 from gulfclimate.geoforge.windows import WindowSpec, window_slice
-from gulfclimate.tools.analysis import AnalysisReport, FlaggedPoint, analyze_range
+from gulfclimate.tools.analysis import FLAGGED_SHOWN, AnalysisReport, FlaggedPoint, analyze_range
 from gulfclimate.tools.providers import FixtureStore
 from gulfclimate.tools.weather import FixtureClimateSource
 
@@ -88,9 +88,20 @@ def ref_analyze(meta, rows, kind, z=3.0, aqi=100.0, rain=10.0):
     return AnalysisReport(
         kind=kind, variable=meta[0], unit=meta[1], start=present[0][0], end=present[-1][0],
         count=stats[0], vmin=stats[1], vmax=stats[2], mean=stats[3], std=stats[4],
-        slope_per_day=stats[5], trend=trend, anomalies=tuple(anomalies),
-        exceedances=tuple(exceedances), events=tuple(events),
+        slope_per_day=stats[5], trend=trend,
+        anomalies=ref_most_extreme(anomalies, lambda p: abs(p.score)),
+        exceedances=ref_most_extreme(exceedances, lambda p: p.value),
+        events=ref_most_extreme(events, lambda p: p.value),
+        n_anomalies=len(anomalies), n_exceedances=len(exceedances), n_events=len(events),
         thresholds={"z": z, "aqi": aqi, "rain_mm": rain})
+
+
+def ref_most_extreme(points, extremity):
+    """The report's bound on a full flagged list in time order: its
+    ``FLAGGED_SHOWN`` largest by ``extremity``, the earlier first among equals
+    (``sorted`` is stable), back in time order."""
+    kept = sorted(points, key=lambda p: -extremity(p))[:FLAGGED_SHOWN]
+    return tuple(sorted(kept, key=lambda p: p.timestamp))
 
 
 def ref_inject_spike(rows, seed, k_sigma=5.0):

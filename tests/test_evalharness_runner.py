@@ -501,7 +501,16 @@ def test_step_mode_shows_the_model_the_system_message_of_e2e_mode(instances, reg
     (lambda doc: doc["answer_facts"].append("mm"), "AttributeError"),
     (lambda doc: doc["gold_trace"][0]["summary_facts"].append(12.0), "AttributeError"),
     (lambda doc: doc["answer_facts"][0].update(tolerance="x"), "ValueError"),
-], ids=["answer_fact_not_an_object", "summary_fact_not_an_object", "tolerance_not_a_number"])
+    (lambda doc: doc["answer_facts"][0].update(value=[1]), "ValueError"),
+    (lambda doc: doc["answer_facts"][0].update(value=True), "ValueError"),
+    (lambda doc: doc["answer_facts"][0].update(tolerance=-1), "ValueError"),
+    (lambda doc: doc["answer_facts"][0].update(tolerance=float("inf")), "ValueError"),
+    (lambda doc: doc["gold_trace"][0]["summary_facts"][0].update(value={"v": 1}), "ValueError"),
+    (lambda doc: doc.update(requires_chart="false"), "ValueError"),
+    (lambda doc: doc.update(requires_tools=1), "ValueError"),
+], ids=["answer_fact_not_an_object", "summary_fact_not_an_object", "tolerance_not_a_number",
+        "value_a_list", "value_a_bool", "tolerance_negative", "tolerance_infinite",
+        "summary_value_an_object", "requires_chart_a_string", "requires_tools_a_number"])
 def test_a_malformed_record_is_an_instance_error_naming_its_line(tmp_path, change, cause):
     good, bad = INSTANCES.read_text(encoding="utf-8").splitlines()[:2]
     doc = json.loads(bad)
@@ -512,3 +521,16 @@ def test_a_malformed_record_is_an_instance_error_naming_its_line(tmp_path, chang
         load_instances(path)
     assert str(raised.value).startswith(f"{path}:2: bad instance record: ")
     assert type(raised.value.__cause__).__name__ == cause
+
+
+def test_boolean_flags_and_fact_bounds_load_as_written(tmp_path):
+    doc = json.loads(INSTANCES.read_text(encoding="utf-8").splitlines()[1])
+    doc.update(requires_chart=False, requires_tools=True)
+    doc["answer_facts"] = [{"label": "aqi", "value": 0, "tolerance": 0},
+                           {"value": "kuwait", "tolerance": 2}, {"label": "aqi"}]
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    (instance,) = load_instances(path)
+    assert (instance.requires_chart, instance.requires_tools) == (False, True)
+    assert [(f.value, f.tolerance) for f in instance.answer_facts] == [
+        (0, 0.0), ("kuwait", 2.0), (None, 1e-6)]

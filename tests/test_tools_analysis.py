@@ -11,7 +11,7 @@ from gulfclimate.core import (
     to_datetimes,
     value_column,
 )
-from gulfclimate.tools.analysis import analyze_range
+from gulfclimate.tools.analysis import FLAGGED_SHOWN, analyze_range
 from gulfclimate.tools.errors import EmptyRange
 
 DOHA = GeoPoint(25.2854, 51.5310)
@@ -84,6 +84,54 @@ def test_rain_events_threshold():
     values = [0.0, 3.0, 14.5, 9.9, 22.0]
     report = analyze_range(daily_series(values, "precipitation", "mm"), kind="rain")
     assert [e.value for e in report.events] == [14.5, 22.0]
+
+
+def brute_force_flagged(values, kind, z=3.0, aqi=100.0, rain=10.0):
+    """Every flagged point of each kind as (index, extremity), in time order."""
+    arr = np.asarray(values, dtype=float)
+    mean, std = arr.mean(), arr.std()
+    anomalies = [] if std == 0 else [(i, abs((v - mean) / std)) for i, v in enumerate(arr)
+                                     if abs((v - mean) / std) > z]
+    cut = {"aqi": aqi, "rain": rain}.get(kind)
+    above = [] if cut is None else [(i, v) for i, v in enumerate(arr) if v > cut]
+    return {"anomalies": anomalies,
+            "exceedances": above if kind == "aqi" else [],
+            "events": above if kind == "rain" else []}
+
+
+def most_extreme_rows(flagged):
+    """The rows a bounded report keeps: the FLAGGED_SHOWN largest extremities,
+    the earlier row first among equals, in time order."""
+    ranked = sorted(flagged, key=lambda row: (-row[1], row[0]))
+    return sorted(i for i, _ in ranked[:FLAGGED_SHOWN])
+
+
+@pytest.mark.parametrize("kind", ["weather", "aqi", "rain"])
+def test_bounded_flagged_points_equal_brute_force(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        # Up to 12 spikes of two heights make many anomalies and exceedances,
+        # and whole numbers tie often.
+        values = np.round(rng.normal(60.0, 3.0, size=200))
+        spikes = rng.choice(200, size=int(rng.integers(0, 13)), replace=False)
+        values[spikes] = rng.choice([160.0, 175.0], size=len(spikes))
+        values = values.tolist()
+        series = daily_series(values)
+        report = analyze_range(series, kind=kind)
+        for name, flagged in brute_force_flagged(values, kind).items():
+            kept = getattr(report, name)
+            assert getattr(report, f"n_{name}") == len(flagged)
+            assert len(kept) == min(len(flagged), FLAGGED_SHOWN)
+            rows = most_extreme_rows(flagged)
+            assert [p.timestamp for p in kept] == to_datetimes(series.timestamps[rows])
+            assert [p.value for p in kept] == [values[i] for i in rows]
+
+
+def test_ties_keep_the_earlier_date():
+    values = [150.0, 120.0, 150.0, 150.0, 101.0, 150.0, 150.0, 150.0, 99.0]
+    report = analyze_range(daily_series(values, "aqi", "index"), kind="aqi")
+    assert report.n_exceedances == 8
+    assert [p.timestamp.day for p in report.exceedances] == [1, 3, 4, 6, 7]
 
 
 def test_stats_over_valid_points_only():
