@@ -8,7 +8,11 @@ field reads back as missing. Floats are written with ``repr`` of a Python
 float, so the file round-trips bit-exactly. Timestamps are written as
 ``2023-04-15T00:00:00Z`` and read as any ISO-8601 date or datetime that
 :func:`~.timeutil.parse_utc` accepts. Dialect: comma separator, UTF-8, LF
-line endings, quoting only for fields that need it.
+line endings. A field is quoted only when it holds a comma, a double quote,
+a line feed or a carriage return; a quote inside it is doubled. (The
+stdlib writer with ``lineterminator="\n"`` leaves a CR unquoted, which its
+reader then rejects; this writer quotes it.) Input the CSV reader cannot
+split raises :class:`CsvSchemaError`.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import IO
 from ..errors import GulfClimateError
 from .geo import GeoPoint
 from .records import CanonicalSeries, RecordValidationError, timestamp_column, value_column
-from .timeutil import format_timestamps, parse_utc
+from .timeutil import parse_utc
 
 HEADER = ("timestamp", "variable", "value", "unit", "lat", "lon", "city", "source")
+HEADER_LINE = ",".join(HEADER) + "\n"
 
 
 class SinkFailure(GulfClimateError, OSError):
@@ -33,20 +38,33 @@ class CsvSchemaError(GulfClimateError, ValueError):
     """Input does not match the canonical CSV schema."""
 
 
+def _field(text: str) -> str:
+    """``text`` as one CSV field, quoted only if it needs to be."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_canonical_csv(series: CanonicalSeries, sink: IO[str]) -> int:
     """Write ``series`` to the text stream ``sink`` and return the number of
-    data rows."""
+    data rows.
+
+    The fields every row shares are formatted and quoted once; each row is
+    one f-string of the instant's text (:attr:`CanonicalSeries.timestamp_text`),
+    those fields and ``repr`` of the value (an empty field for NaN).
+    """
     try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(HEADER)
-        if len(series):
-            variable, unit = series.variable, series.unit
-            lat, lon = repr(series.location.lat), repr(series.location.lon)
-            city = series.city or ""
-            writer.writerows(
-                (ts, variable, "" if v != v else repr(v), unit, lat, lon, city, series.source)
-                for ts, v in zip(format_timestamps(series.timestamps), series.values.tolist())
-            )
+        if not len(series):
+            sink.write(HEADER_LINE)
+            return 0
+        variable = _field(series.variable)
+        rest = ",".join(map(_field, (series.unit, repr(series.location.lat),
+                                     repr(series.location.lon), series.city or "",
+                                     series.source)))
+        sink.write(HEADER_LINE + "".join([
+            f"{ts},{variable},{v!r},{rest}\n" if v == v else f"{ts},{variable},,{rest}\n"
+            for ts, v in zip(series.timestamp_text, series.values.tolist())
+        ]))
         return len(series)
     except OSError as exc:
         raise SinkFailure(str(exc)) from exc
@@ -62,18 +80,20 @@ def read_canonical_csv(source: IO[str]) -> CanonicalSeries:
     """Read a canonical CSV text stream back into a validated series."""
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvSchemaError("empty input, header row required") from None
-    if tuple(header) != HEADER:
-        raise CsvSchemaError(f"unexpected header: {header}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(HEADER):
-            raise CsvSchemaError(f"row {lineno}: expected {len(HEADER)} fields, got {len(row)}")
-        rows.append(row)
+        header = next(reader, None)
+        if header is None:
+            raise CsvSchemaError("empty input, header row required")
+        if tuple(header) != HEADER:
+            raise CsvSchemaError(f"unexpected header: {header}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(HEADER):
+                raise CsvSchemaError(f"row {lineno}: expected {len(HEADER)} fields, got {len(row)}")
+            rows.append(row)
+    except csv.Error as exc:
+        raise CsvSchemaError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         return CanonicalSeries()
     timestamps, variables, values, units, lats, lons, cities, sources = zip(*rows)

@@ -17,6 +17,15 @@ Both columns are stored as read-only copies, so a built series stays valid;
 a derived series (:meth:`CanonicalSeries.select`,
 :meth:`CanonicalSeries.with_values`) is checked again.
 
+:attr:`CanonicalSeries.timestamp_text` is the ISO-8601 text of the instants
+(:func:`~.timeutil.format_timestamps`), formatted on first use and kept with
+the series. A derived series takes it over instead of formatting its instants
+again: :meth:`~CanonicalSeries.with_values` shares it, since the instants are
+the same, and :meth:`~CanonicalSeries.select` (so also
+:meth:`~CanonicalSeries.present`) indexes it as it indexes the timestamps.
+The CSV writer and the visual QA builders read it, so each chart window's
+instants are formatted once.
+
 NaN is the only marker of a missing value, so a NaN sent by a source must not
 reach a series as if it were one. Producers turn raw source values into a
 column with :func:`value_column`: an explicit ``None`` becomes NaN, and a NaN
@@ -28,13 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import GulfClimateError
 from .geo import GeoPoint
-from .timeutil import UTC
+from .timeutil import UTC, format_timestamps
 from .units import default_table
 
 TIMESTAMP_DTYPE = np.dtype("datetime64[us]")
@@ -120,14 +130,34 @@ class CanonicalSeries:
                 and np.array_equal(self.timestamps, other.timestamps)
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
+    @property
+    def timestamp_text(self) -> tuple[str, ...]:
+        """The ISO-8601 text of each instant, formatted on first use (see
+        the module docstring)."""
+        # Not functools.cached_property: on Python 3.11 it holds one lock for
+        # every instance while it computes. Two threads may both format a
+        # series here; they store equal tuples.
+        text = self.__dict__.get("_timestamp_text")
+        if text is None:
+            text = self.__dict__["_timestamp_text"] = tuple(format_timestamps(self.timestamps))
+        return text
+
     def select(self, index: slice | np.ndarray) -> "CanonicalSeries":
         """The rows picked by ``index`` (a slice or a boolean mask),
         with this series' variable, unit, location, city and source."""
-        return replace(self, timestamps=self.timestamps[index], values=self.values[index])
+        derived = replace(self, timestamps=self.timestamps[index], values=self.values[index])
+        text = self.__dict__.get("_timestamp_text")
+        if text is not None:
+            derived.__dict__["_timestamp_text"] = (
+                text[index] if isinstance(index, slice) else tuple(compress(text, index.tolist())))
+        return derived
 
     def with_values(self, values: np.ndarray) -> "CanonicalSeries":
         """This series with another value column of the same length."""
-        return replace(self, values=values)
+        derived = replace(self, values=values)
+        if "_timestamp_text" in self.__dict__:
+            derived.__dict__["_timestamp_text"] = self.__dict__["_timestamp_text"]
+        return derived
 
     def present(self) -> "CanonicalSeries":
         """The sub-series with every explicitly missing (NaN) row removed."""

@@ -13,11 +13,12 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from ..core import CanonicalSeries, format_timestamps
+from ..core import CanonicalSeries
 from ..errors import GulfClimateError
 from ..textforge.chunking import Chunk
 from ..textforge.facts import AtomicFact
@@ -106,7 +107,7 @@ def mask_span(series: CanonicalSeries, seed: int) -> tuple[CanonicalSeries, Span
 
 def _day(series: CanonicalSeries, row: int) -> str:
     """The ISO day of one row."""
-    return format_timestamps(series.timestamps[row:row + 1])[0][:10]
+    return series.timestamp_text[row][:10]
 
 
 def _chart_fact(chart: ChartArtifact) -> AtomicFact:
@@ -123,7 +124,8 @@ def _chart_fact(chart: ChartArtifact) -> AtomicFact:
 
 def _date_options(series: CanonicalSeries, gold: str, rng: random.Random,
                   n_options: int = 4) -> list[str]:
-    days = sorted({ts[:10] for ts in format_timestamps(series.present().timestamps)})
+    present = (~np.isnan(series.values)).tolist()
+    days = sorted({ts[:10] for ts in compress(series.timestamp_text, present)})
     distractors = [d for d in days if d != gold]
     rng.shuffle(distractors)
     options = [gold] + distractors[:n_options - 1]

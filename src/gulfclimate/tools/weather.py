@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import (TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, default_table, midnight_utc,
-                    value_column)
+from ..core import (TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, RecordValidationError,
+                    default_table, midnight_utc, value_column)
 from ..geoforge.gridmatch import nearest_grid_cell
 from ..core.geo import GridSpec
 from ..toolkit.types import ToolResult, ToolSignature
@@ -73,11 +73,11 @@ def _normalize(value: float, unit: str, variable: str) -> tuple[float, str]:
     return default_table().normalize(value, unit, variable)
 
 
-def _series(days: np.ndarray, raw: list, unit: str, variable: str,
+def _series(days: np.ndarray, values: np.ndarray, unit: str, variable: str,
             location: GeoPoint, city: str | None, source: str) -> CanonicalSeries:
-    """The canonical series of raw values on ``datetime64[D]`` days; a ``None``
-    value is an explicit missing one."""
-    values, canonical = default_table().normalize_column(value_column(raw), unit, variable)
+    """The canonical series of a raw value column (see :func:`value_column`)
+    on ``datetime64[D]`` days."""
+    values, canonical = default_table().normalize_column(values, unit, variable)
     return CanonicalSeries(days.astype(TIMESTAMP_DTYPE), values, variable, canonical,
                            location, city, source)
 
@@ -86,7 +86,7 @@ def _daily_series(values: list[float | None], unit: str, variable: str,
                   start: date, location: GeoPoint, city: str | None,
                   source: str) -> CanonicalSeries:
     days = np.datetime64(start, "D") + np.arange(len(values))
-    return _series(days, values, unit, variable, location, city, source)
+    return _series(days, value_column(values), unit, variable, location, city, source)
 
 
 def _reply_days(data: dict, key: str) -> tuple[list[str], list[float | None]]:
@@ -107,6 +107,8 @@ class FixtureClimateSource:
 
     def __init__(self, store: FixtureStore):
         self.store = store
+        # (tool, lat, lon) of a row -> its day and value columns; see _record_columns.
+        self._columns: dict[tuple[str, float, float], tuple[np.ndarray, ...]] = {}
 
     # -- point inquiries ---------------------------------------------------
 
@@ -192,13 +194,34 @@ class FixtureClimateSource:
         if not rows:
             raise EmptyRange(f"no {tool} fixture near ({lat}, {lon})")
         row = rows[0]
-        items = row["records"]
-        days = np.array([item["date"] for item in items], dtype="datetime64[D]")
+        days, values, missing = self._record_columns(tool, row)
         keep = (days >= np.datetime64(start, "D")) & (days <= np.datetime64(end, "D"))
-        raw = [item.get("value") for item, kept in zip(items, keep.tolist()) if kept]
-        return _series(days[keep], raw, row.get("unit", ""), variable,
+        values = values[keep]
+        if (np.isnan(values) != missing[keep]).any():
+            raise RecordValidationError("non-finite value: nan (only None marks a missing value)")
+        return _series(days[keep], values, row.get("unit", ""), variable,
                        GeoPoint(float(row["lat"]), float(row["lon"])),
                        row.get("city"), f"fixture:{tool}")
+
+    def _record_columns(self, tool: str, row: dict) -> tuple[np.ndarray, ...]:
+        """The ``datetime64[D]`` day column of a fixture row's records, its
+        float64 value column (``None`` read as NaN) and the mask of its
+        ``None`` values, read from the record dicts on the first call only.
+
+        The fixture rows do not change, so the columns are kept per row. An
+        entry is stored only once all three columns are built, so concurrent
+        callers see a whole entry or none (and may both build it).
+        """
+        key = (tool, float(row["lat"]), float(row["lon"]))
+        columns = self._columns.get(key)
+        if columns is None:
+            items = row["records"]
+            raw = [item.get("value") for item in items]
+            columns = (np.array([item["date"] for item in items], dtype="datetime64[D]"),
+                       np.array(raw, dtype=np.float64),
+                       np.array([value is None for value in raw], dtype=bool))
+            self._columns[key] = columns
+        return columns
 
 
 class LiveClimateSource:
@@ -286,8 +309,8 @@ class LiveClimateSource:
         days, values = days[1:horizon + 1], values[1:horizon + 1]
         if len(values) < horizon:
             raise HorizonTooLong(f"provider returned {len(values)} of {horizon} days")
-        series = _series(np.array(days, dtype="datetime64[D]"), values, spec.unit,
-                         spec.variable, GeoPoint(lat, lon), None, source=f"live:{tool}")
+        series = _series(np.array(days, dtype="datetime64[D]"), value_column(values),
+                         spec.unit, spec.variable, GeoPoint(lat, lon), None, source=f"live:{tool}")
         return ToolResult(payload=series, units=series.unit,
                           timestamps=series.span(), location=series.location)
 
@@ -296,8 +319,9 @@ class LiveClimateSource:
         spec = CLIMATE_TOOLS[tool]
         days, values = self._days(tool, lat, lon, start_date=start.isoformat(),
                                   end_date=end.isoformat())
-        return _series(np.array(days, dtype="datetime64[D]"), values, spec.unit,
-                       spec.variable, GeoPoint(lat, lon), None, source=f"live:{tool}")
+        return _series(np.array(days, dtype="datetime64[D]"), value_column(values),
+                       spec.unit, spec.variable, GeoPoint(lat, lon), None,
+                       source=f"live:{tool}")
 
 
 def make_point_executor(source, tool: str):

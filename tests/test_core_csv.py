@@ -1,9 +1,13 @@
+import csv
 import io
 import random
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gulfclimate.core import (
     CanonicalSeries,
@@ -16,6 +20,8 @@ from gulfclimate.core import (
     value_column,
     write_canonical_csv,
 )
+from gulfclimate.core import records
+from gulfclimate.core.csvio import HEADER, CsvSchemaError
 
 DOHA = GeoPoint(25.2854, 51.5310)
 
@@ -136,3 +142,81 @@ def test_columns_are_read_only_copies():
     assert series.values[0] == 1.0
     with pytest.raises(ValueError):
         series.values[0] = 5.0
+
+
+def test_carriage_return_in_a_text_field_is_quoted_and_round_trips():
+    series = CanonicalSeries(_series(3).timestamps, [1.0, None, 3.0], "temperature", "°C",
+                             DOHA, city="cr\rhere", source="a\r\nb")
+    text = series_to_csv(series)
+    assert ',"cr\rhere","a\r\nb"\n' in text
+    assert series_from_csv(text) == series
+
+
+def test_unreadable_csv_raises_a_schema_error():
+    # What the stdlib writer made of a CR in a field: left unquoted.
+    text = series_to_csv(_series(2)).replace(",Doha,", ",cr\rhere,")
+    with pytest.raises(CsvSchemaError, match="new-line character"):
+        series_from_csv(text)
+
+
+# -- the row template against the stdlib writer ------------------------------------
+#
+# The reference is ``csv.writer`` with a CRLF line terminator, which quotes a
+# field holding CR or LF alike; each row's CRLF ending then becomes LF. It is
+# the writer the package used before (which ended rows with LF and so left a
+# CR unquoted), with that one difference.
+
+def ref_csv(series):
+    rows = [HEADER]
+    rows += [(ts, series.variable, "" if v != v else repr(v), series.unit,
+              repr(series.location.lat), repr(series.location.lon), series.city or "",
+              series.source)
+             for ts, v in zip(_iso(series.timestamps), series.values.tolist())]
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+def _iso(timestamps):
+    return [ts.isoformat() + "Z" for ts in timestamps.astype("datetime64[s]").tolist()]
+
+
+class _AnyVariable:
+    """A unit table under which every variable's canonical unit is °C, so a
+    series may carry arbitrary variable text."""
+
+    def canonical_unit(self, variable):
+        return "°C"
+
+
+field_text = st.lists(st.one_of(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\u2028",
+                                                  "é", "°", " ", "Doha"]),
+                                st.characters(blacklist_categories=("Cs",))),
+                      max_size=8).map("".join)
+csv_values = st.lists(st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([float("nan"), -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                     1e300, -1e300]),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_text, st.one_of(st.none(), field_text), field_text, csv_values,
+       st.floats(-90, 90), st.floats(-180, 180))
+def test_row_template_matches_the_reference_writer_and_round_trips(
+        variable, city, source, values, lat, lon):
+    start = np.datetime64("2023-01-01T00:00:00", "us")
+    with mock.patch.object(records, "default_table", _AnyVariable):
+        series = CanonicalSeries(start + np.arange(len(values)) * np.timedelta64(1, "D"),
+                                 values, variable, "°C", GeoPoint(lat, lon), city, source)
+        text = series_to_csv(series)
+        back = series_from_csv(text)
+    assert text == ref_csv(series)
+    assert (back.variable, back.unit, back.location, back.city, back.source) == (
+        (variable, "°C", GeoPoint(lat, lon), city or None, source) if len(values)
+        else (None, None, None, None, ""))
+    assert np.array_equal(back.timestamps, series.timestamps)
+    assert [repr(v) for v in back.values.tolist()] == [repr(v) for v in series.values.tolist()]

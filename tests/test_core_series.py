@@ -14,7 +14,9 @@ import io
 import json
 import random
 import re
-from datetime import datetime, timedelta, timezone
+from collections import Counter
+from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from gulfclimate.core import (
     CanonicalSeries,
     GeoPoint,
     RecordValidationError,
+    default_table,
     format_timestamp,
     series_from_csv,
     series_to_csv,
@@ -34,6 +37,7 @@ from gulfclimate.core import (
     to_datetimes,
     value_column,
 )
+from gulfclimate.core import records
 from gulfclimate.geoforge.gridded import GriddedFormatError, GriddedProduct
 from gulfclimate.geoforge.visualqa import SpanMask, SpikeInjection, inject_spike, mask_span
 from gulfclimate.geoforge.windows import WindowSpec, window_slice
@@ -251,6 +255,28 @@ def test_window_slice_matches_the_reference(drawn, data):
         assert (sliced.variable, sliced.unit, sliced.location, sliced.city, sliced.source) == meta
 
 
+@settings(max_examples=100, deadline=None)
+@given(series_rows(), st.data())
+def test_derived_series_take_over_the_formatted_instants(drawn, data):
+    meta, rows, _kind = drawn
+    series = build(meta, rows)
+    assert series.timestamp_text == tuple(format_timestamp(t) for t, _ in rows)
+    lo, hi = sorted(data.draw(st.tuples(st.integers(0, len(rows)), st.integers(0, len(rows)))))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    derived = [(series.select(slice(lo, hi)), rows[lo:hi]),
+               (series.select(np.array(mask, dtype=bool)), [r for r, k in zip(rows, mask) if k]),
+               (series.present(), [r for r in rows if r[1] is not None]),
+               (series.with_values(np.zeros(len(rows))), rows)]
+    with mock.patch.object(records, "format_timestamps", side_effect=AssertionError("again")):
+        for sub, kept in derived:
+            assert sub.timestamp_text == tuple(format_timestamp(t) for t, _ in kept)
+    assert derived[-1][0].timestamp_text is series.timestamp_text
+    # A series not yet formatted hands nothing on: each derived one formats its own rows.
+    fresh = build(meta, rows).select(slice(lo, hi))
+    assert "_timestamp_text" not in vars(fresh)
+    assert fresh.timestamp_text == derived[0][0].timestamp_text
+
+
 @settings(max_examples=150, deadline=None)
 @given(series_rows(), st.integers(0, 10_000))
 def test_inject_spike_and_mask_span_match_the_reference(drawn, seed):
@@ -286,8 +312,58 @@ def test_fixture_analysis_rejects_a_raw_nan(tmp_path):
         row["records"][1]["value"] = bad
         text = json.dumps({"rows": [row]}).replace(f'"{bad}"', bad)
         (tmp_path / "weather_analysis.json").write_text(text)
+        source = FixtureClimateSource(FixtureStore(tmp_path))
+        # Only a bad value inside the requested range is an error.
+        assert as_rows(source.analysis_series(*args[:3], args[4], args[4]))[0][1] == 26.0
         with pytest.raises(RecordValidationError, match="non-finite"):
-            FixtureClimateSource(FixtureStore(tmp_path)).analysis_series(*args)
+            source.analysis_series(*args)
+
+
+def ref_fixture_series(row, tool, variable, start, end):
+    """The series ``FixtureClimateSource.analysis_series`` built from the
+    record dicts on every call before it kept their columns."""
+    items = row["records"]
+    days = np.array([item["date"] for item in items], dtype="datetime64[D]")
+    keep = (days >= np.datetime64(start, "D")) & (days <= np.datetime64(end, "D"))
+    raw = [item.get("value") for item, kept in zip(items, keep.tolist()) if kept]
+    values, unit = default_table().normalize_column(value_column(raw), row["unit"], variable)
+    return CanonicalSeries(days[keep].astype("datetime64[us]"), values, variable, unit,
+                           GeoPoint(float(row["lat"]), float(row["lon"])), row.get("city"),
+                           f"fixture:{tool}")
+
+
+class CountingRecord(dict):
+    reads: Counter = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+
+def test_fixture_analysis_reads_the_records_once_and_slices_like_before(tmp_path):
+    first = date(2023, 1, 1)
+    items = [{"date": (first + timedelta(days=k)).isoformat(),
+              "value": None if k % 5 == 0 else 70.0 + 0.25 * k} for k in range(40)]
+    row = {"city": "Doha", "lat": 25.2854, "lon": 51.531, "unit": "°F", "records": items}
+    (tmp_path / "weather_analysis.json").write_text(json.dumps({"rows": [row]}))
+    store = FixtureStore(tmp_path)
+    stored = store.document("weather_analysis")["rows"][0]
+    stored["records"] = [CountingRecord(record) for record in stored["records"]]
+    CountingRecord.reads.clear()
+    source = FixtureClimateSource(store)
+    ranges = [(0, 39), (3, 17), (5, 5), (30, 60), (-10, -1), (41, 50), (0, 0)]
+    for a, b in ranges:
+        start, end = first + timedelta(days=a), first + timedelta(days=b)
+        got = source.analysis_series("weather_analysis", 25.2854, 51.531, start, end)
+        assert got == ref_fixture_series(row, "weather_analysis", "temperature", start, end)
+        assert [v.tobytes() for v in got.values] == [
+            v.tobytes() for v in ref_fixture_series(row, "weather_analysis", "temperature",
+                                                    start, end).values]
+    assert CountingRecord.reads == {"date": 40, "value": 40}
 
 
 GRID = """# gridded-fixture v1

@@ -3,11 +3,15 @@
 import hashlib
 import importlib.util
 import json
+import sys
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from gulfclimate.agent import ScriptedBackend
+from gulfclimate.core import timeutil
 from gulfclimate.cli.main import EXIT_CONFIG, main as cli_main
 from gulfclimate.errors import ConfigError
 from gulfclimate.geoforge.visualqa import VisualQAError
@@ -133,3 +137,27 @@ def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(
             "--categories", ",".join(categories), "--formats", ",".join(formats)]
     assert cli_main(argv) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_each_window_is_formatted_once(tmp_path):
+    """The window chart's CSV, both perturbed charts' CSVs and the anomaly
+    items' dates all read one text column per window."""
+    calls = []
+    original = timeutil.format_timestamps
+
+    def counting(column):
+        calls.append(len(column))
+        return original(column)
+
+    # Every module of the package that imported the function by name.
+    holders = [module for name, module in list(sys.modules.items())
+               if name.startswith("gulfclimate")
+               and getattr(module, "format_timestamps", None) is original]
+    with ExitStack() as patches:
+        for module in holders:
+            patches.enter_context(mock.patch.object(module, "format_timestamps", counting))
+        result = forge_visual(GRIDDED, "Doha", "temperature", tmp_path,
+                              categories=("anomaly", "imputation"),
+                              formats=("mcq", "tf", "open"), seed=5)
+    assert result["windows_kept"] == 7
+    assert len(calls) <= result["windows_kept"] + 2
