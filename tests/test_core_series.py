@@ -14,7 +14,9 @@ import io
 import json
 import random
 import re
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
@@ -364,6 +366,36 @@ def test_fixture_analysis_reads_the_records_once_and_slices_like_before(tmp_path
             v.tobytes() for v in ref_fixture_series(row, "weather_analysis", "temperature",
                                                     start, end).values]
     assert CountingRecord.reads == {"date": 40, "value": 40}
+
+
+def test_fixture_analysis_columns_are_safe_under_threads(tmp_path):
+    first = date(2023, 1, 1)
+    items = [{"date": (first + timedelta(days=k)).isoformat(),
+              "value": None if k % 7 == 0 else 20.0 + 0.5 * k} for k in range(366)]
+    rows = [{"city": "Doha", "lat": 25.2854, "lon": 51.531, "unit": "°C", "records": items}]
+    (tmp_path / "weather_analysis.json").write_text(json.dumps({"rows": rows}))
+    (tmp_path / "rain_analysis.json").write_text(
+        json.dumps({"rows": [dict(rows[0], unit="mm")]}))
+    calls = [(tool, first + timedelta(days=a), first + timedelta(days=a + span))
+             for tool in ("weather_analysis", "rain_analysis")
+             for a in range(0, 360, 9) for span in (0, 30, 400)]
+    expected = {(tool, start, end): ref_fixture_series(
+        rows[0] if tool == "weather_analysis" else dict(rows[0], unit="mm"), tool,
+        "temperature" if tool == "weather_analysis" else "precipitation", start, end)
+        for tool, start, end in calls}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # a fresh source each round, so the columns are built under contention
+            source = FixtureClimateSource(FixtureStore(tmp_path))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {pool.submit(source.analysis_series, tool, 25.2854, 51.531,
+                                       start, end): (tool, start, end)
+                           for tool, start, end in calls * 2}
+                for future, key in futures.items():
+                    assert future.result(timeout=60) == expected[key]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 GRID = """# gridded-fixture v1
