@@ -12,14 +12,15 @@ line endings. A field is quoted only when it holds a comma, a double quote,
 a line feed or a carriage return; a quote inside it is doubled. (The
 stdlib writer with ``lineterminator="\n"`` leaves a CR unquoted, which its
 reader then rejects; this writer quotes it.) Input the CSV reader cannot
-split raises :class:`CsvSchemaError`.
+split raises :class:`CsvSchemaError`. Every other CSV file of the package
+writes its rows with :func:`format_row`, under the same quoting rule.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import IO
+from typing import IO, Iterable
 
 from ..errors import GulfClimateError
 from .geo import GeoPoint
@@ -43,6 +44,12 @@ def _field(text: str) -> str:
     if any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def format_row(fields: Iterable) -> str:
+    """One LF-terminated CSV line: ``None`` is an empty field, any other
+    value its ``str``, quoted by the rule above."""
+    return ",".join(_field("" if f is None else str(f)) for f in fields) + "\n"
 
 
 def write_canonical_csv(series: CanonicalSeries, sink: IO[str]) -> int:

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from ..errors import GulfClimateError
 
 
@@ -51,30 +49,17 @@ def _validated_axis(values: Iterable[float], name: str) -> tuple[float, ...]:
 class GridSpec:
     """Axes of a regular lat/lon product grid.
 
-    ``lats`` and ``lons`` are the cell-center coordinates, strictly increasing.
-    ``resolution_deg`` is the nominal spacing; heterogeneous products may carry
-    slightly irregular axes, so it is informational rather than enforced.
+    ``lats`` and ``lons`` are the cell-center coordinates, strictly increasing
+    and never empty. Products may carry slightly irregular axes, so no spacing
+    is enforced.
     """
 
     lats: tuple[float, ...]
     lons: tuple[float, ...]
-    resolution_deg: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lats", _validated_axis(self.lats, "lat"))
         object.__setattr__(self, "lons", _validated_axis(self.lons, "lon"))
-        if not (math.isfinite(self.resolution_deg) and self.resolution_deg > 0):
-            raise GeoValidationError(f"resolution must be positive: {self.resolution_deg}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.lats), len(self.lons))
-
-    def lat_array(self) -> np.ndarray:
-        return np.asarray(self.lats, dtype=np.float64)
-
-    def lon_array(self) -> np.ndarray:
-        return np.asarray(self.lons, dtype=np.float64)
 
     def point(self, i: int, j: int) -> GeoPoint:
         return GeoPoint(lat=self.lats[i], lon=self.lons[j])

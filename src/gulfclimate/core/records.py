@@ -21,10 +21,11 @@ a derived series (:meth:`CanonicalSeries.select`,
 (:func:`~.timeutil.format_timestamps`), formatted on first use and kept with
 the series. A derived series takes it over instead of formatting its instants
 again: :meth:`~CanonicalSeries.with_values` shares it, since the instants are
-the same, and :meth:`~CanonicalSeries.select` (so also
-:meth:`~CanonicalSeries.present`) indexes it as it indexes the timestamps.
-The CSV writer and the visual QA builders read it, so each chart window's
-instants are formatted once.
+the same, and :meth:`~CanonicalSeries.select` with a slice slices it. A
+series selected by a boolean mask, such as one from
+:meth:`~CanonicalSeries.present`, formats its own on first use. The CSV
+writer and the visual QA builders read it, so each chart window's instants
+are formatted once.
 
 NaN is the only marker of a missing value, so a NaN sent by a source must not
 reach a series as if it were one. Producers turn raw source values into a
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,9 +147,8 @@ class CanonicalSeries:
         with this series' variable, unit, location, city and source."""
         derived = replace(self, timestamps=self.timestamps[index], values=self.values[index])
         text = self.__dict__.get("_timestamp_text")
-        if text is not None:
-            derived.__dict__["_timestamp_text"] = (
-                text[index] if isinstance(index, slice) else tuple(compress(text, index.tolist())))
+        if text is not None and isinstance(index, slice):
+            derived.__dict__["_timestamp_text"] = text[index]
         return derived
 
     def with_values(self, values: np.ndarray) -> "CanonicalSeries":

@@ -73,10 +73,6 @@ class UnitTable:
         text = resources.files("gulfclimate.core.data").joinpath("units.cfg").read_text("utf-8")
         return cls.from_text(text)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self._canonical)
-
     def canonical_unit(self, variable: str) -> str:
         try:
             return self._canonical[variable]
@@ -85,11 +81,6 @@ class UnitTable:
 
     def canonical_units(self) -> frozenset[str]:
         return frozenset(self._canonical.values())
-
-    def units_for(self, variable: str) -> tuple[str, ...]:
-        if variable not in self._conversions:
-            raise UnknownVariable(variable)
-        return tuple(self._conversions[variable])
 
     def _conversion(self, unit: str, variable: str) -> _Conversion:
         if variable not in self._conversions:
@@ -113,11 +104,6 @@ class UnitTable:
             return values, self.canonical_unit(variable)
         conv = self._conversion(from_unit, variable)
         return values * conv.factor + conv.offset, self._canonical[variable]
-
-    def denormalize(self, value: float, to_unit: str, variable: str) -> float:
-        """Convert a canonical value back into ``to_unit`` (inverse affine map)."""
-        conv = self._conversion(to_unit, variable)
-        return (value - conv.offset) / conv.factor
 
 
 _DEFAULT: UnitTable | None = None

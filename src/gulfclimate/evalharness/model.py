@@ -146,11 +146,13 @@ def load_instances(path: str | Path) -> list[BenchmarkInstance]:
 
 def check_against_registry(instances: Iterable[BenchmarkInstance],
                            registry: ToolRegistry) -> None:
-    """Gold arg-name sets must match each tool's required params exactly."""
+    """Every allowed tool (so every gold tool) must be in the registry, and
+    gold arg-name sets must match each tool's required params exactly."""
     for instance in instances:
+        for tool in instance.allowed_tools:
+            if tool not in registry:
+                raise InstanceError(f"{instance.id}: unknown allowed tool {tool!r}")
         for step in instance.gold_trace:
-            if step.tool not in registry:
-                raise InstanceError(f"{instance.id}: unknown gold tool {step.tool!r}")
             required = registry.signature(step.tool).required_params()
             if step.arg_names != required:
                 raise InstanceError(

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable
 
-from ..core.csvio import SinkFailure
+from ..core.csvio import SinkFailure, format_row
 from .runner import MetricReport
 
 REPORT_CSV_VERSION = 1
@@ -41,7 +40,7 @@ def render_report(report: MetricReport) -> str:
 def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            fh.writelines(map(format_row, rows))
     except OSError as exc:
         raise SinkFailure(str(exc)) from exc
 

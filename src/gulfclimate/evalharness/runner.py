@@ -231,7 +231,7 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
 
 def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
                         registry: ToolRegistry) -> list[StepRow]:
-    sub = registry.subset([t for t in instance.allowed_tools if t in registry.names()])
+    sub = registry.subset(instance.allowed_tools)
     messages = [
         {"role": "system", "content": system_prompt(sub, None)},
         {"role": "user", "content": instance.query},
@@ -318,7 +318,7 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory
 def _e2e_instance(instance: BenchmarkInstance, backend: LLMBackend,
                   registry: ToolRegistry, images_enabled: bool,
                   budget: int) -> InstanceRow:
-    sub = registry.subset([t for t in instance.allowed_tools if t in registry.names()])
+    sub = registry.subset(instance.allowed_tools)
     settings = AgentSettings(budget=budget, route=False, images_enabled=images_enabled)
     answer, _trajectory = agent_run(instance.query, sub, backend, settings=settings)
 

@@ -2,10 +2,11 @@
 
 Format (``gridded-fixture v1``): the line ``# gridded-fixture v1``, a header
 of ``key: value`` lines (variable, unit, cadence, source, retrieved, grid
-axes), a ``---`` separator, then the body. Lines end at ``\n``, ``\r\n`` or
-``\r`` only. Each body line is stripped of surrounding whitespace; blank lines
-and lines starting with ``#`` are skipped, and every other line is one row
-``date,i,j,value`` with exactly three commas:
+axes), a ``---`` separator, then the body. Rows are date-keyed, so ``cadence``
+must be ``daily``; a ``resolution_deg`` line is accepted and ignored. Lines
+end at ``\n``, ``\r\n`` or ``\r`` only. Each body line is stripped of
+surrounding whitespace; blank lines and lines starting with ``#`` are skipped,
+and every other line is one row ``date,i,j,value`` with exactly three commas:
 
 - ``date`` is anything ``date.fromisoformat`` reads, such as ``2022-01-31``;
 - ``i`` and ``j`` are integers as ``int`` reads them, with ``0 <= i < len(lats)``
@@ -45,9 +46,6 @@ from ..errors import GulfClimateError
 
 FORMAT_TAG = "gridded-fixture v1"
 
-# v1 rows are date-keyed, so only daily cadence is representable.
-CADENCES = {"daily": np.timedelta64(1, "D")}
-
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 # Body lines parsed per block: enough to amortise the per-block column work,
@@ -72,7 +70,6 @@ class GriddedProduct:
 
     variable: str
     unit: str
-    cadence: str
     grid: GridSpec
     source: str
     retrieved_at: datetime
@@ -113,18 +110,16 @@ class GriddedProduct:
         for required in ("variable", "unit", "cadence", "lats", "lons"):
             if required not in header:
                 raise GriddedFormatError(f"missing header field {required!r}")
-        if header["cadence"] not in CADENCES:
+        if header["cadence"] != "daily":
             raise GriddedFormatError(f"unsupported cadence {header['cadence']!r}")
         grid = GridSpec(
             lats=tuple(float(v) for v in header["lats"].split(",")),
             lons=tuple(float(v) for v in header["lons"].split(",")),
-            resolution_deg=float(header.get("resolution_deg", "0.1")),
         )
         cells = _cells(*_read_body(lines, lineno, len(grid.lats), len(grid.lons)), len(grid.lons))
         retrieved = header.get("retrieved", "1970-01-01T00:00:00Z")
         return cls(
-            variable=header["variable"], unit=header["unit"],
-            cadence=header["cadence"], grid=grid,
+            variable=header["variable"], unit=header["unit"], grid=grid,
             source=header.get("source", source_name),
             retrieved_at=parse_utc(retrieved),
             cells=cells,
@@ -256,9 +251,9 @@ def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str
                    city: str | None = None) -> CanonicalSeries:
     """The unit/time-normalized series at one grid cell.
 
-    Covers the full calendar between the cell's first and last observations
-    at the product cadence; timesteps without data become explicit-missing
-    (NaN) values so completeness fractions stay computable.
+    Covers every day between the cell's first and last observations; days
+    without data become explicit-missing (NaN) values so completeness
+    fractions stay computable.
     """
     if variable != product.variable:
         raise VariableAbsent(
@@ -268,10 +263,9 @@ def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str
     if observed is None:
         raise VariableAbsent(f"cell {tuple(cell)} has no data")
     days, raw = observed
-    step = CADENCES[product.cadence]
-    calendar = np.arange(days[0], days[-1] + step, step)
+    calendar = np.arange(days[0], days[-1] + 1)
     values = np.full(len(calendar), np.nan)
-    values[(days - days[0]) // step] = raw
+    values[(days - days[0]).astype(np.int64)] = raw
     values, canonical_unit = default_table().normalize_column(values, product.unit, variable)
     return CanonicalSeries(
         timestamps=calendar.astype(TIMESTAMP_DTYPE),

@@ -12,13 +12,13 @@ EARTH_RADIUS_KM = 6371.0088
 
 
 class EmptyGrid(GulfClimateError, ValueError):
-    """Grid has no candidate cells (empty axes or an all-false mask)."""
+    """The mask excludes every grid cell."""
 
 
 def _distance_matrix(city: GeoPoint, grid: GridSpec) -> np.ndarray:
     """Great-circle distance in kilometres from ``city`` to every grid cell."""
-    lat = np.radians(grid.lat_array())[:, None]
-    lon = np.radians(grid.lon_array())[None, :]
+    lat = np.radians(grid.lats)[:, None]
+    lon = np.radians(grid.lons)[None, :]
     clat = np.radians(city.lat)
     clon = np.radians(city.lon)
     dlat = np.abs(lat - clat)
@@ -35,8 +35,6 @@ def nearest_grid_cell(city: GeoPoint, grid: GridSpec,
     ``valid_mask`` (same shape as the grid) restricts candidates, e.g. to
     river cells of a hydrology product.
     """
-    if not grid.lats or not grid.lons:
-        raise EmptyGrid("grid has empty axes")
     dist = _distance_matrix(city, grid)
     if valid_mask is not None:
         mask = np.asarray(valid_mask, dtype=bool)

@@ -38,10 +38,8 @@ class VisualQAError(GulfClimateError, ValueError):
 
 @dataclass(frozen=True)
 class SpikeInjection:
-    index: int  # position among the present values
     timestamp: str  # ISO day
     direction: str  # "upward" | "downward"
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,7 @@ def inject_spike(series: CanonicalSeries, seed: int) -> tuple[CanonicalSeries, S
 
     values = series.values.copy()
     values[rows[target]] += delta
-    injection = SpikeInjection(index=target,
-                               timestamp=_day(series, rows[target]),
-                               direction=direction, magnitude=magnitude)
+    injection = SpikeInjection(timestamp=_day(series, rows[target]), direction=direction)
     return series.with_values(values), injection
 
 
@@ -146,14 +142,14 @@ def check_categories(categories: Sequence[str], backend=None) -> None:
 
 
 def synthesize_visual_qa(artifact: ChartArtifact, category: str,
-                         formats: str | Sequence[str], backend=None, *,
+                         formats: Sequence[str], backend=None, *,
                          series: CanonicalSeries, seed: int = 0,
                          counters: Counter | None = None
                          ) -> tuple[list[QAItem], ChartArtifact, AtomicFact]:
     """Generate QA items for one chart window, format by format.
 
     Returns ``(items, chart, fact)``: every item refers to ``chart`` and
-    cites ``fact`` alone. ``formats`` is one format or a sequence of them.
+    cites ``fact`` alone.
     ``anomaly`` and ``imputation`` run deterministically (seeded) with gold
     answers known by construction: the window is perturbed and charted once,
     that perturbed chart is ``chart``, and each format's one entry draws from
@@ -168,7 +164,6 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
     the artifact was charted from.
     """
     check_categories((category,), backend)
-    formats = (formats,) if isinstance(formats, str) else tuple(formats)
     if category in BACKEND_CATEGORIES:
         chart, tolerance = artifact, None
         metadata = json.dumps(metadata_to_jsonable(artifact.metadata), sort_keys=True)

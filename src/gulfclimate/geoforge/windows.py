@@ -26,16 +26,7 @@ class WindowSpec:
     index: int
     start: datetime
     end: datetime
-    delta_days: int
     completeness: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.completeness <= 1.0:
-            raise WindowingError(f"completeness out of range: {self.completeness}")
-
-    def contains(self, ts: datetime) -> bool:
-        return self.start <= ts < self.end
 
 
 def segment_windows(series: CanonicalSeries, delta_days: int = DEFAULT_DELTA_DAYS,
@@ -75,8 +66,7 @@ def segment_windows(series: CanonicalSeries, delta_days: int = DEFAULT_DELTA_DAY
     completeness = np.minimum(1.0, (present_before[hi] - present_before[lo]) / expected)
     kept = np.flatnonzero(completeness >= rho)
     return [
-        WindowSpec(index=t, start=start, end=end, delta_days=delta_days,
-                   completeness=c, rho=rho)
+        WindowSpec(index=t, start=start, end=end, completeness=c)
         for t, start, end, c in zip(kept.tolist(), to_datetimes(starts[kept]),
                                     to_datetimes(starts[kept] + delta),
                                     completeness[kept].tolist())

@@ -18,12 +18,12 @@ forge fixes the order in which it calls the backend:
 
 from __future__ import annotations
 
-import csv
 import functools
 from collections import Counter
 from pathlib import Path
 
 from .core import format_timestamp
+from .core.csvio import format_row
 from .errors import ConfigError
 from .geoforge.charts import EmptySlice, build_chart
 from .geoforge.gridded import GriddedProduct, extract_series
@@ -208,20 +208,19 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
 
     meta_path = charts_dir / "metadata.csv"
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chart_id", "city", "variable", "unit", "span_start",
-                         "span_end", "count", "min", "max", "mean", "std",
-                         "slope_per_day"])
+        fh.write(format_row(["chart_id", "city", "variable", "unit", "span_start",
+                             "span_end", "count", "min", "max", "mean", "std",
+                             "slope_per_day"]))
         for chart_id in sorted(charts):
             chart = charts[chart_id]
             (charts_dir / f"{chart_id}.svg").write_text(chart.svg, encoding="utf-8")
             (charts_dir / f"{chart_id}.csv").write_text(chart.data_csv, encoding="utf-8")
             meta = chart.metadata
-            writer.writerow([chart_id, meta.city, meta.variable, meta.unit,
-                             format_timestamp(meta.span_start),
-                             format_timestamp(meta.span_end), meta.count,
-                             repr(meta.vmin), repr(meta.vmax), repr(meta.mean),
-                             repr(meta.std), repr(meta.slope_per_day)])
+            fh.write(format_row([chart_id, meta.city, meta.variable, meta.unit,
+                                 format_timestamp(meta.span_start),
+                                 format_timestamp(meta.span_end), meta.count,
+                                 repr(meta.vmin), repr(meta.vmax), repr(meta.mean),
+                                 repr(meta.std), repr(meta.slope_per_day)]))
 
     dataset_path = out_dir / "qa_visual.jsonl"
     written = write_dataset(items, facts_by_id, dataset_path)

@@ -24,10 +24,6 @@ INDEX_FORMAT = "keyword-index"
 INDEX_VERSION = 1
 
 
-class DimensionMismatch(GulfClimateError, ValueError):
-    pass
-
-
 class KeywordIndexError(GulfClimateError, ValueError):
     pass
 
@@ -50,7 +46,6 @@ class Keyword:
 @dataclass(frozen=True)
 class FilterVerdict:
     kept: bool
-    max_sim: float
 
 
 @dataclass
@@ -70,28 +65,15 @@ class KeywordIndex:
     def __len__(self) -> int:
         return len(self.keywords)
 
-    def _check_dim(self, keyword: Keyword) -> None:
-        if keyword.embedding.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected dimension {self.dim}, got {keyword.embedding.shape}"
-            )
-
-    def max_similarity(self, keyword: Keyword) -> float:
-        self._check_dim(keyword)
-        if not self.keywords:
-            return 0.0
-        sims = self._matrix @ _unit(keyword.embedding)
-        return float(sims.max())
-
     def filter(self, candidate: Keyword) -> FilterVerdict:
         """Keep the candidate iff max cosine < tau; kept ones insert atomically."""
         with self._lock:
-            max_sim = self.max_similarity(candidate)
-            if max_sim < self.tau:
+            unit = _unit(candidate.embedding)
+            kept = not self.keywords or bool((self._matrix @ unit).max() < self.tau)
+            if kept:
+                self._matrix = np.vstack([self._matrix, unit])
                 self.keywords.append(candidate)
-                self._matrix = np.vstack([self._matrix, _unit(candidate.embedding)])
-                return FilterVerdict(kept=True, max_sim=max_sim)
-            return FilterVerdict(kept=False, max_sim=max_sim)
+            return FilterVerdict(kept=kept)
 
     # -- persistence (versioned line-delimited file) --------------------------
 

@@ -59,8 +59,6 @@ def validate_item(item: QAItem) -> str | None:
             return "duplicate_options"
         if item.answer not in item.options:
             return "answer_not_in_options"
-        if sum(1 for o in item.options if o == item.answer) != 1:
-            return "multiple_correct"
     elif item.format == "tf":
         if item.answer not in ("true", "false"):
             return "bad_tf_answer"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from datetime import date
 from typing import Any, Callable, Collection, Mapping
@@ -65,9 +66,6 @@ class ToolRegistry:
     def __len__(self) -> int:
         return len(self._by_name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._by_name)
-
     def signature(self, name: str) -> ToolSignature:
         return self._by_name[name][0]
 
@@ -97,6 +95,8 @@ def _coerce(value: Any, spec: ParamSpec) -> Any:
             out = float(value.strip())
         else:
             raise ValueError(f"expected a real number, got {value!r}")
+        if not math.isfinite(out):
+            raise ValueError(f"expected a finite real number, got {value!r}")
     elif spec.type == "integer":
         if isinstance(value, bool):
             raise ValueError("boolean is not an integer")
@@ -137,7 +137,8 @@ def validate_call(call: ToolCall, registry: ToolRegistry) -> ValidationVerdict:
     """Validate a parsed call against the registry. Total: never raises.
 
     ``ok`` iff the tool exists, every required parameter is present, no
-    unknown parameters appear, and all values coerce to their semantic types.
+    unknown parameters appear, and all values coerce to their semantic types
+    (a real must be finite: ``json.loads`` reads ``NaN`` and ``Infinity``).
     ``arg_error`` lists every offending field.
     """
     if call.tool not in registry:

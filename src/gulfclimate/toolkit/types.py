@@ -81,11 +81,6 @@ class ToolCall:
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", dict(self.args))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ToolCall):
-            return NotImplemented
-        return self.tool == other.tool and dict(self.args) == dict(other.args)
-
     def __hash__(self):
         return hash((self.tool, tuple(sorted(self.args.items(), key=lambda kv: kv[0]))))
 

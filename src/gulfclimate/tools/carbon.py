@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 
 from ..errors import GulfClimateError
@@ -29,15 +28,12 @@ class EmissionFactorTable:
         return len(self._entries)
 
     @classmethod
-    def from_csv_text(cls, text: str) -> "EmissionFactorTable":
-        entries: dict[tuple[str, str, int], float] = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            entries[(row["country"], row["industry"], int(row["year"]))] = float(row["factor"])
-        return cls(entries)
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "EmissionFactorTable":
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"))
+        entries: dict[tuple[str, str, int], float] = {}
+        with open(path, encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                entries[(row["country"], row["industry"], int(row["year"]))] = float(row["factor"])
+        return cls(entries)
 
     def factor(self, country: str, industry: str, year: int) -> float:
         key = (country.casefold(), industry.casefold(), year)

@@ -13,9 +13,10 @@ query is matched on, then its data:
   ``start`` (the first ISO date), ``unit`` and one entry of ``values`` per day;
 - range analyses (``*_analysis``): ``lat``, ``lon``, ``city``, ``unit`` and
   ``records`` of ``{"date", "value"}``, where ``value`` may be null;
-- ``river_discharge_check``: a ``grid`` (``lats``, ``lons``,
-  ``resolution_deg`` and a 0/1 ``river_mask``) beside rows of ``i``, ``j``,
-  ``date``, ``value`` and ``unit`` for one grid cell;
+- ``river_discharge_check``: a ``grid`` (``lats``, ``lons`` and a 0/1
+  ``river_mask``; a ``resolution_deg`` key is accepted and ignored) beside
+  daily rows of ``i``, ``j``, ``date``, ``value`` and ``unit`` for one grid
+  cell;
 - ``get_satellite_image``: ``lat``, ``lon``, ``date``, ``width``, ``height``,
   ``pixel_size_m`` and ``bands`` (``red``, ``green``, ``nir``, each a list of
   pixel rows);

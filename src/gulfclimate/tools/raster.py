@@ -70,8 +70,6 @@ class IndexMap:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         finite = values[np.isfinite(values)]
-        if finite.size and (finite.min() < -1.0 or finite.max() > 1.0):
-            raise RasterValidationError(f"{self.index_name} values outside [-1, 1]")
         if finite.size:
             stats = IndexStats(vmin=float(finite.min()), vmax=float(finite.max()),
                                mean=float(finite.mean()),

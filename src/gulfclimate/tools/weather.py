@@ -59,11 +59,6 @@ CLIMATE_TOOLS = {
 }
 
 
-def _row_date(text: str) -> date:
-    """The date of an ISO string in a fixture row."""
-    return date.fromisoformat(text)
-
-
 def _day_span(d: date) -> tuple[datetime, datetime]:
     start = midnight_utc(d)
     return (start, start)
@@ -80,13 +75,6 @@ def _series(days: np.ndarray, values: np.ndarray, unit: str, variable: str,
     values, canonical = default_table().normalize_column(values, unit, variable)
     return CanonicalSeries(days.astype(TIMESTAMP_DTYPE), values, variable, canonical,
                            location, city, source)
-
-
-def _daily_series(values: list[float | None], unit: str, variable: str,
-                  start: date, location: GeoPoint, city: str | None,
-                  source: str) -> CanonicalSeries:
-    days = np.datetime64(start, "D") + np.arange(len(values))
-    return _series(days, value_column(values), unit, variable, location, city, source)
 
 
 def _reply_days(data: dict, key: str) -> tuple[list[str], list[float | None]]:
@@ -146,8 +134,7 @@ class FixtureClimateSource:
     def river_discharge(self, lat: float, lon: float, when: date) -> ToolResult:
         doc = self.store.document("river_discharge_check")
         grid_doc = doc.get("grid", {})
-        grid = GridSpec(lats=tuple(grid_doc["lats"]), lons=tuple(grid_doc["lons"]),
-                        resolution_deg=float(grid_doc.get("resolution_deg", 0.1)))
+        grid = GridSpec(lats=tuple(grid_doc["lats"]), lons=tuple(grid_doc["lons"]))
         mask = np.asarray(grid_doc["river_mask"], dtype=bool)
         i, j = nearest_grid_cell(GeoPoint(lat, lon), grid, valid_mask=mask)
         for row in doc.get("rows", []):
@@ -177,10 +164,11 @@ class FixtureClimateSource:
         values = row["values"]
         if horizon > len(values):
             raise HorizonTooLong(f"horizon {horizon} exceeds provider max {len(values)}")
-        series = _daily_series(
-            values[:horizon], row.get("unit", ""), variable,
-            _row_date(row["start"]), GeoPoint(float(row["lat"]), float(row["lon"])),
-            row.get("city"), source=f"fixture:{tool}",
+        series = _series(
+            np.datetime64(date.fromisoformat(row["start"]), "D") + np.arange(horizon),
+            value_column(values[:horizon]), row.get("unit", ""), variable,
+            GeoPoint(float(row["lat"]), float(row["lon"])), row.get("city"),
+            source=f"fixture:{tool}",
         )
         return ToolResult(payload=series, units=series.unit,
                           timestamps=series.span(), location=series.location)

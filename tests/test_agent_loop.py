@@ -82,6 +82,19 @@ def test_three_consecutive_invalid_emissions_end_the_run(registry):
     assert backend.last_messages[2].startswith('observation[obs_2] {"error_code": "unknown_tool"')
 
 
+def test_non_finite_reals_count_as_invalid_emissions(registry):
+    revenue = {"country": "Qatar", "industry": "energy", "year": 2022}
+    answer, trajectory, backend = ask(
+        registry, [call("rain_inquiry", lat=float("nan"), lon=51.531, date="2023-04-15"),
+                   call("carbon_footprint_calculation", revenue=float("inf"), **revenue),
+                   FORMAT_ERROR, "Never read [step 1]."])
+    assert codes(trajectory) == ["arg_error", "arg_error", "format_error"]
+    assert backend.remaining == 1
+    assert answer.incomplete
+    assert all("Infinity" not in message and "NaN" not in message
+               for message in backend.last_messages[1:])
+
+
 def test_executor_failure_resets_the_failure_count(registry):
     answer, trajectory, backend = ask(
         registry, [FORMAT_ERROR, BAD_ARGS, NO_DATA, UNKNOWN_TOOL, FORMAT_ERROR, RAIN,

@@ -21,7 +21,7 @@ from gulfclimate.core import (
     write_canonical_csv,
 )
 from gulfclimate.core import records
-from gulfclimate.core.csvio import HEADER, CsvSchemaError
+from gulfclimate.core.csvio import HEADER, CsvSchemaError, format_row
 
 DOHA = GeoPoint(25.2854, 51.5310)
 
@@ -220,3 +220,15 @@ def test_row_template_matches_the_reference_writer_and_round_trips(
         else (None, None, None, None, ""))
     assert np.array_equal(back.timestamps, series.timestamps)
     assert [repr(v) for v in back.values.tolist()] == [repr(v) for v in series.values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(field_text, st.none(), st.integers(), st.booleans(),
+                          st.floats(allow_nan=False)), min_size=2, max_size=8))
+def test_format_row_matches_the_reference_writer_and_round_trips(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    line = format_row(fields)
+    assert line == buf.getvalue()[:-2] + "\n"
+    assert list(csv.reader(io.StringIO(line, newline=""))) == [
+        ["" if f is None else str(f) for f in fields]]

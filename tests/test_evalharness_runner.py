@@ -455,6 +455,39 @@ def test_every_report_writer_turns_an_os_error_into_a_sink_failure(tmp_path, wri
         getattr(evalharness, writer)(report, tmp_path / "missing" / "report.csv")
 
 
+@pytest.mark.parametrize("mode", ["step", "e2e"])
+def test_an_unknown_allowed_tool_fails_its_instance(mode, instances, registry):
+    from gulfclimate.evalharness import check_against_registry
+
+    first = instances[0]
+    misspelled = replace(first, allowed_tools=(*first.allowed_tools, "rain_inquery"))
+    with pytest.raises(InstanceError, match=f"{first.id}: unknown allowed tool 'rain_inquery'"):
+        check_against_registry([instances[1], misspelled], registry)
+    replay = _replay("bench_gold")
+    make = replay.step_backend if mode == "step" else replay.e2e_backend
+    got = _run(mode, [misspelled, *instances[1:]], registry, make)
+    failures = {row.instance_id: row.failure for row in got.instance_rows if row.failure}
+    assert failures == {misspelled.id: "RegistryError: unknown tools in subset: ['rain_inquery']"}
+
+
+def test_report_rows_holding_a_carriage_return_round_trip(tmp_path):
+    import csv
+
+    from gulfclimate.evalharness import write_instance_rows_csv, write_step_rows_csv
+    from gulfclimate.evalharness.runner import InstanceRow, MetricReport, StepRow
+
+    report = MetricReport(mode="e2e", step_rows=[StepRow("doha\rrain", 0, 1, 0, 1, 0, "ok")],
+                          instance_rows=[InstanceRow("doha\rrain", 1, None, True,
+                                                     ("a,b", 'say "hi"'), "bad\rreply\nhere")])
+    write_step_rows_csv(report, tmp_path / "step_rows.csv")
+    write_instance_rows_csv(report, tmp_path / "instance_rows.csv")
+    with open(tmp_path / "step_rows.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["doha\rrain", "0", "1", "0", "1", "0", "ok"]]
+    with open(tmp_path / "instance_rows.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            ["doha\rrain", "1", "", "1", 'a,b|say "hi"', "bad\rreply\nhere"]]
+
+
 class MessageLog:
     """A scripted backend that keeps a copy of every message list it gets."""
 

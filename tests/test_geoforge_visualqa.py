@@ -71,7 +71,7 @@ def test_once_per_category_equals_per_format_calls(charted_windows, category):
     for index, window_series, artifact in charted_windows:
         for fmt in FORMATS:
             items, chart, fact = synthesize_visual_qa(
-                artifact, category, fmt, seed=index, series=window_series)
+                artifact, category, (fmt,), seed=index, series=window_series)
             per_format[0].extend(items)
             per_format[1].append(chart)
             per_format[2].append(fact)
@@ -124,7 +124,7 @@ def test_backend_category_consumes_one_emission_per_format(charted_windows, cate
     assert {item.chart_ref for item in items} == {artifact.chart_id}
 
     per_format = RecordingBackend(emissions)
-    made = [synthesize_visual_qa(artifact, category, fmt, per_format, series=window_series)
+    made = [synthesize_visual_qa(artifact, category, (fmt,), per_format, series=window_series)
             for fmt in FORMATS]
     assert items == [item for batch, _chart, _fact in made for item in batch]
     assert [(c, f) for _items, c, f in made] == [(artifact, fact)] * len(FORMATS)

@@ -67,14 +67,13 @@ def reference_windows(series, delta_days, rho):
         end = start + delta
         completeness = reference_completeness(table, start, end)
         if completeness >= rho:
-            kept.append(WindowSpec(index=t, start=start, end=end, delta_days=delta_days,
-                                   completeness=completeness, rho=rho))
+            kept.append(WindowSpec(index=t, start=start, end=end, completeness=completeness))
         t += 1
     return kept
 
 
 def reference_slice(series, window):
-    return [(ts, v) for ts, v in rows(series) if window.contains(ts)]
+    return [(ts, v) for ts, v in rows(series) if window.start <= ts < window.end]
 
 
 # -- random series ---------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_window_slice_matches_reference(args, delta_days, data):
         offset = data.draw(st.integers(-delta_days * 2, (last - first).days + 2))
         start = first + timedelta(days=offset)
         windows.append(WindowSpec(index=0, start=start, end=start + timedelta(days=delta_days),
-                                  delta_days=delta_days, completeness=0.0, rho=1.0))
+                                  completeness=0.0))
     for window in windows:
         sliced = window_slice(series, window)
         assert rows(sliced) == reference_slice(series, window)

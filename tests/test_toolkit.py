@@ -125,6 +125,27 @@ def test_validate_horizon_minimum(registry):
     assert verdict.kind == "arg_error"
 
 
+NON_FINITE_CALLS = [
+    '{"tool": "rain_inquiry", "args": {"lat": NaN, "lon": 51.531, "date": "2023-04-15"}}',
+    '{"tool": "carbon_footprint_calculation", "args": {"country": "Qatar", '
+    '"industry": "energy", "year": 2022, "revenue": Infinity}}',
+]
+
+
+@pytest.mark.parametrize("body", NON_FINITE_CALLS, ids=["nan-lat", "infinite-revenue"])
+def test_a_non_finite_real_is_an_arg_error(registry, body):
+    from gulfclimate.evalharness.scoring import classify_error
+
+    parsed = parse_call(f"```tool_call\n{body}\n```")
+    assert isinstance(parsed, ToolCall)
+    verdict = validate_call(parsed, registry)
+    assert verdict.kind == "arg_error"
+    assert "finite" in verdict.details[0]
+    assert classify_error(parsed, verdict, None) == "arg_err"
+    obs = execute(parsed, registry)
+    assert obs.status.code == "arg_error" and obs.payload is None
+
+
 def test_validate_is_total_over_junk(registry):
     for args in ({}, {"lat": None}, {"lat": True}, {"date": 17}):
         verdict = validate_call(ToolCall("rain_inquiry", dict(args)), registry)
