@@ -12,7 +12,7 @@ from ..toolkit.types import CallFormatError, FinalAnswer, Observation, Observati
 from ..core import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
 from .intent import route_intent
-from .serialization import observation_message, render_observation
+from .serialization import observation_message, render_observation, shown_part
 from .trajectory import Trajectory
 
 _CITATION_RE = re.compile(r"\[step\s+(\d+)\]")
@@ -123,7 +123,7 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
         line = observation_message(body, step.index)
         if observation.status.is_ok:
             refs[f"obs_{step.index}"] = observation.payload
-            bodies[step.index] = _shown_part(line, body)
+            bodies[step.index] = shown_part(line, body)
         if observation.status.code in _INVALID_EMISSION_CODES:
             consecutive_failures += 1
         else:
@@ -182,15 +182,6 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
 
     return AgentAnswer(text=text, citations=cited, charts=charts,
                        incomplete=incomplete, ungrounded=ungrounded)
-
-
-def _shown_part(line: str, body: str) -> str:
-    """The part of ``body`` that its observation ``line`` shows: the line
-    without its ``observation[obs_N] `` prefix and any truncation note, whose
-    numbers are the program's own and ground no claim."""
-    if line.endswith(body):
-        return body
-    return line[line.index("] ") + 2:line.rindex(" …[truncated ")]
 
 
 def numeric_claims(text: str) -> list[tuple[str, float]]:

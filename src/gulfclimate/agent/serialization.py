@@ -92,5 +92,14 @@ def observation_message(body: str, index: int) -> str:
     return text
 
 
+def shown_part(line: str, body: str) -> str:
+    """The part of ``body`` that its :func:`observation_message` ``line``
+    shows: the line without its ``observation[obs_N] `` prefix and any
+    truncation note, whose numbers are the program's own and ground no claim."""
+    if line.endswith(body):
+        return body
+    return line[line.index("] ") + 2:line.rindex(" …[truncated ")]
+
+
 def dumps_stable(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"

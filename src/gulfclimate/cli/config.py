@@ -114,8 +114,8 @@ def load_config(path: str | Path) -> RunConfig:
     any level, a malformed value, a string-typed key or a ``timeout_s``,
     ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
     does not have its type (an int passes for a float, and only ``true`` or
-    ``false`` for a boolean) or a ``forecast_default_horizon`` below 1 raises
-    :class:`ConfigError`.
+    ``false`` for a boolean) or a ``budget`` or ``forecast_default_horizon``
+    below 1 raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
@@ -164,13 +164,16 @@ def load_config(path: str | Path) -> RunConfig:
     if horizon < 1:
         raise ConfigError(f"tool_settings.forecast_default_horizon: expected at least 1, "
                           f"got {horizon!r}")
+    budget = _checked(doc.get("budget", DEFAULT_BUDGET), int, "budget")
+    if budget < 1:
+        raise ConfigError(f"budget: expected at least 1, got {budget!r}")
 
     return RunConfig(
         provider=provider,
         backend=backend,
         output_dir=output_dir,
         seed=_checked(doc.get("seed", 0), int, "seed"),
-        budget=_checked(doc.get("budget", DEFAULT_BUDGET), int, "budget"),
+        budget=budget,
         route_intent=_checked(doc.get("route_intent", True), bool, "route_intent"),
         settings=ToolSettings(**settings_doc),
         raw=doc,

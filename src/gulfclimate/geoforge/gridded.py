@@ -3,34 +3,37 @@
 Format (``gridded-fixture v1``): the line ``# gridded-fixture v1``, a header
 of ``key: value`` lines (variable, unit, cadence, source, retrieved, grid
 axes), a ``---`` separator, then the body. Rows are date-keyed, so ``cadence``
-must be ``daily``; a ``resolution_deg`` line is accepted and ignored. Lines
+must be ``daily``; ``lats`` and ``lons`` are comma-separated numbers as
+``float`` reads them; a ``resolution_deg`` line is accepted and ignored. Lines
 end at ``\n``, ``\r\n`` or ``\r`` only. Each body line is stripped of
 surrounding whitespace; blank lines and lines starting with ``#`` are skipped,
-and every other line is one row ``date,i,j,value`` with exactly three commas:
+and every other line is one row ``date,i,j,value``. A row is checked in this
+order, and the first check it fails names the error:
 
-- ``date`` is anything ``date.fromisoformat`` reads, such as ``2022-01-31``;
-- ``i`` and ``j`` are integers as ``int`` reads them, with ``0 <= i < len(lats)``
-  and ``0 <= j < len(lons)``;
-- ``value`` is empty, an explicitly missing timestep, or anything ``float``
-  reads as a finite number.
+1. field count: exactly three commas;
+2. date: anything ``date.fromisoformat`` reads, such as ``2022-01-31``;
+3. cell index: ``i``, then ``j``, integers as ``int`` reads them;
+4. cell range: ``0 <= i < len(lats)`` and ``0 <= j < len(lons)``;
+5. value: empty, an explicitly missing timestep, or anything ``float`` reads;
+6. finiteness: a non-empty value is a finite number.
 
 Rows may come in any order; where a cell has two rows for one day, the later
 row wins. Every row of every cell is checked at load, and the first bad row
 raises :class:`GriddedFormatError` naming its 1-based file line. The body is
 read ``BLOCK_LINES`` lines at a time and parsed column by column, so only one
-block's lines are held as strings. The extraction math is identical whatever
-product the file stands in for.
+block's lines are held as strings; the same parser, run on each line of a
+block that fails, finds the bad line. The extraction math is identical
+whatever product the file stands in for.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Iterator
 
 import numpy as np
 
@@ -112,10 +115,13 @@ class GriddedProduct:
                 raise GriddedFormatError(f"missing header field {required!r}")
         if header["cadence"] != "daily":
             raise GriddedFormatError(f"unsupported cadence {header['cadence']!r}")
-        grid = GridSpec(
-            lats=tuple(float(v) for v in header["lats"].split(",")),
-            lons=tuple(float(v) for v in header["lons"].split(",")),
-        )
+        axes = {}
+        for axis in ("lats", "lons"):
+            try:
+                axes[axis] = tuple(map(float, header[axis].split(",")))
+            except ValueError:
+                raise GriddedFormatError(f"bad header field {axis!r}: {header[axis]!r}") from None
+        grid = GridSpec(**axes)
         cells = _cells(*_read_body(lines, lineno, len(grid.lats), len(grid.lons)), len(grid.lons))
         retrieved = header.get("retrieved", "1970-01-01T00:00:00Z")
         return cls(
@@ -138,25 +144,35 @@ def _read_body(lines: Iterator[str], lineno: int, n_lats: int, n_lons: int) -> t
     """The day, cell-id and value columns of the body rows after line ``lineno``.
 
     Lines are read ``BLOCK_LINES`` at a time, and each distinct date or index
-    string is converted once for the whole file.
+    string is converted once for the whole file. A block that fails is parsed
+    again one line at a time, and the first line that fails names the error.
     """
     day_of: dict[str, int] = {}
     index_of: dict[str, int] = {}
     blocks = [_NO_ROWS]
     while block := list(islice(lines, BLOCK_LINES)):
-        columns = _block_columns(block, day_of, index_of, n_lats, n_lons)
-        if columns is None:
-            _raise_first_bad_row(block, lineno, n_lats, n_lons)
-        blocks.append(columns)
+        try:
+            blocks.append(_block_columns(block, day_of, index_of, n_lats, n_lons))
+        except GriddedFormatError:
+            for lineno, line in enumerate(block, start=lineno + 1):
+                try:
+                    _block_columns([line], day_of, index_of, n_lats, n_lons)
+                except GriddedFormatError as exc:
+                    raise GriddedFormatError(f"line {lineno}: {exc}") from None
+            raise
         lineno += len(block)
     days, cell_ids, values = (np.concatenate(column) for column in zip(*blocks))
     return days.view("datetime64[D]"), cell_ids, values
 
 
 def _block_columns(block: list[str], day_of: dict, index_of: dict,
-                   n_lats: int, n_lons: int) -> tuple | None:
-    """Days since the epoch, cell ids and values of the rows in ``block``, or
-    None when any row fails a check of :func:`_row_problem`."""
+                   n_lats: int, n_lons: int) -> tuple:
+    """Days since the epoch, cell ids and values of the rows in ``block``.
+
+    Raises :class:`GriddedFormatError` naming the first check, in the order
+    of the module docstring, that a row fails; for a one-line block that row's
+    first bad field.
+    """
     rows = list(filter(None, map(str.strip, block)))
     text = ",".join(rows)
     if "#" in text:  # a comment line; a '#' inside a row fails a later check
@@ -165,69 +181,45 @@ def _block_columns(block: list[str], day_of: dict, index_of: dict,
     if not rows:
         return _NO_ROWS
     if set(map(str.count, rows, repeat(","))) != {3}:
-        return None
+        raise GriddedFormatError("expected date,i,j,value")
     n = len(rows)
     fields = text.split(",")
     dates, i_keys, j_keys, raw = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    for key in set(dates).difference(day_of):
+        try:
+            day_of[key] = date.fromisoformat(key).toordinal() - _EPOCH_ORDINAL
+        except ValueError:
+            raise GriddedFormatError(f"bad date {key!r}") from None
     i_set, j_set = set(i_keys), set(j_keys)
+    for keys in (i_set, j_set):  # i before j, so a row names its first bad index
+        for key in keys.difference(index_of):
+            try:
+                index_of[key] = int(key)
+            except ValueError:
+                raise GriddedFormatError(f"bad cell index {key!r}") from None
+    if not (all(0 <= index_of[key] < n_lats for key in i_set)
+            and all(0 <= index_of[key] < n_lons for key in j_set)):
+        i, j = next((i, j) for i, j in zip(map(index_of.get, i_keys), map(index_of.get, j_keys))
+                    if not (0 <= i < n_lats and 0 <= j < n_lons))
+        raise GriddedFormatError(f"cell ({i}, {j}) outside grid")
     n_empty = raw.count("")
     try:
-        for key in set(dates).difference(day_of):
-            day_of[key] = date.fromisoformat(key).toordinal() - _EPOCH_ORDINAL
-        for key in (i_set | j_set).difference(index_of):
-            index_of[key] = int(key)
         values = np.fromiter(map(float, [v or "nan" for v in raw] if n_empty else raw),
                              np.float64, n)
     except ValueError:
-        return None
-    if not (all(0 <= index_of[key] < n_lats for key in i_set)
-            and all(0 <= index_of[key] < n_lons for key in j_set)):
-        return None
+        for value in filter(None, raw):
+            try:
+                float(value)
+            except ValueError:
+                raise GriddedFormatError(f"bad value {value!r}") from None
+        raise
     # Every empty value is NaN, so one NaN more means a non-empty "nan".
     if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != n_empty:
-        return None
+        value = next(v for v, finite in zip(raw, np.isfinite(values).tolist()) if v and not finite)
+        raise GriddedFormatError(f"non-finite value {value!r}")
     cell_ids = (np.fromiter(map(index_of.__getitem__, i_keys), np.int64, n) * n_lons
                 + np.fromiter(map(index_of.__getitem__, j_keys), np.int64, n))
     return np.fromiter(map(day_of.__getitem__, dates), np.int64, n), cell_ids, values
-
-
-def _raise_first_bad_row(block: list[str], lineno: int, n_lats: int, n_lons: int) -> NoReturn:
-    """Raise the error of the first row in ``block``, which follows line
-    ``lineno``, that fails a check."""
-    for lineno, line in enumerate(block, start=lineno + 1):
-        row = line.strip()
-        if row and not row.startswith("#") and (problem := _row_problem(row, n_lats, n_lons)):
-            raise GriddedFormatError(f"line {lineno}: {problem}")
-    raise AssertionError("a block was rejected but none of its rows fails a check")
-
-
-def _row_problem(row: str, n_lats: int, n_lons: int) -> str | None:
-    """What is wrong with one stripped body row, or None if it is valid."""
-    parts = row.split(",")
-    if len(parts) != 4:
-        return "expected date,i,j,value"
-    day, *index_keys, value = parts
-    try:
-        date.fromisoformat(day)
-    except ValueError:
-        return f"bad date {day!r}"
-    cell = []
-    for key in index_keys:
-        try:
-            cell.append(int(key))
-        except ValueError:
-            return f"bad cell index {key!r}"
-    i, j = cell
-    if not (0 <= i < n_lats and 0 <= j < n_lons):
-        return f"cell ({i}, {j}) outside grid"
-    if value:
-        try:
-            number = float(value)
-        except ValueError:
-            return f"bad value {value!r}"
-        if not math.isfinite(number):
-            return f"non-finite value {value!r}"
-    return None
 
 
 def _cells(days: np.ndarray, cell_ids: np.ndarray, values: np.ndarray, n_lons: int) -> dict:

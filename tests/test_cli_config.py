@@ -37,6 +37,7 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
     ({"route_intent": "false"}, "route_intent: expected bool, got 'false'"),
     ({"budget": 2.9}, "budget: expected int, got 2.9"),
     ({"budget": True}, "budget: expected int, got True"),
+    ({"budget": 0}, "budget: expected at least 1, got 0"),
     ({"seed": "3"}, "seed: expected int, got '3'"),
     ({"tool_settings": {"search_top_k": "5"}}, "tool_settings.search_top_k: expected int, got '5'"),
     ({"tool_settings": {"z_threshold": "3"}}, "tool_settings.z_threshold: expected float, got '3'"),

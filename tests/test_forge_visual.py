@@ -123,7 +123,7 @@ def test_malformed_emission_drops_only_its_window(tmp_path):
     (("anomaly", "anomaly"), ("mcq",), VisualQAError, "repeated categories"),
 ], ids=["unknown_format", "repeated_format", "repeated_category"])
 def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(
-        tmp_path, categories, formats, error, match):
+        tmp_path, capsys, categories, formats, error, match):
     out = tmp_path / "out"
     with pytest.raises(error, match=match):
         forge_visual(GRIDDED, "Doha", "temperature", out,
@@ -131,11 +131,13 @@ def test_an_unknown_format_is_a_configuration_error_before_any_file_is_written(
     assert not out.exists()
 
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
+    config.write_text(json.dumps({"provider": {"fixture_root": str(ROOT / "fixtures")},
+                                  "output_dir": str(out)}), encoding="utf-8")
     argv = ["forge", "visual", "--config", str(config), "--gridded", str(GRIDDED),
             "--city", "Doha", "--variable", "temperature",
             "--categories", ",".join(categories), "--formats", ",".join(formats)]
     assert cli_main(argv) == EXIT_CONFIG
+    assert match in capsys.readouterr().err
     assert not out.exists()
 
 
