@@ -44,7 +44,7 @@ class ScriptedBackend:
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read replay file {path}: {exc}") from exc
         emissions = doc.get("emissions")
         if not isinstance(emissions, list):

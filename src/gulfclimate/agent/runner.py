@@ -12,7 +12,7 @@ from ..toolkit.types import CallFormatError, FinalAnswer, Observation, Observati
 from ..core import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
 from .intent import route_intent
-from .serialization import observation_message, render_observation, shown_part
+from .serialization import observation_message, render_observation
 from .trajectory import Trajectory
 
 _CITATION_RE = re.compile(r"\[step\s+(\d+)\]")
@@ -64,12 +64,29 @@ Available tools:
 {tools}"""
 
 
-def system_prompt(registry: ToolRegistry, categories: tuple[str, ...] | None) -> str:
-    """The system message of a run over ``registry``: the call grammar and the
-    tools, only those of ``categories`` when given."""
+def opening_messages(query: str, registry: ToolRegistry,
+                     categories: tuple[str, ...] | None) -> list[dict[str, str]]:
+    """The messages a run of ``query`` over ``registry`` opens with: the
+    system message (the call grammar and the tools, only those of
+    ``categories`` when given), then the query."""
     tools = render_tool_prompt(registry, categories=categories)
-    return _SYSTEM_TEMPLATE.format(fence_open=FENCE_OPEN, fence_close=FENCE_CLOSE,
-                                   tools=tools)
+    system = _SYSTEM_TEMPLATE.format(fence_open=FENCE_OPEN, fence_close=FENCE_CLOSE,
+                                     tools=tools)
+    return [{"role": "system", "content": system}, {"role": "user", "content": query}]
+
+
+def show_observation(observation: Observation, index: int,
+                     refs: dict[str, Any]) -> tuple[str, str]:
+    """What the model is shown of step ``index``'s executed ``observation``,
+    in the agent loop and in step mode's gold context alike: its
+    ``observation[obs_N]`` line, and the part of its encoded body that the
+    line shows, which grounding checks claims against. An ok payload is kept
+    in ``refs`` as ``obs_N`` for later calls to refer to.
+    """
+    line, shown = observation_message(render_observation(observation), index)
+    if observation.status.is_ok:
+        refs[f"obs_{index}"] = observation.payload
+    return line, shown
 
 
 def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
@@ -86,10 +103,7 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
     trajectory = Trajectory(query=query, budget=settings.budget)
 
     categories = route_intent(query, backend) if settings.route else None
-    messages: list[dict[str, str]] = [
-        {"role": "system", "content": system_prompt(registry, categories)},
-        {"role": "user", "content": query},
-    ]
+    messages = opening_messages(query, registry, categories)
     refs: dict[str, Any] = {}
     bodies: dict[int, str] = {}
     consecutive_failures = 0
@@ -119,11 +133,9 @@ def run(query: str, registry: ToolRegistry, backend: LLMBackend, *,
         else:
             action, observation = parsed, execute(parsed, registry, refs=refs)
         step = trajectory.append(action=action, observation=observation, emission=emission)
-        body = render_observation(observation)
-        line = observation_message(body, step.index)
+        line, shown = show_observation(observation, step.index, refs)
         if observation.status.is_ok:
-            refs[f"obs_{step.index}"] = observation.payload
-            bodies[step.index] = shown_part(line, body)
+            bodies[step.index] = shown
         if observation.status.code in _INVALID_EMISSION_CODES:
             consecutive_failures += 1
         else:
@@ -156,16 +168,12 @@ def synthesize(trajectory: Trajectory, bodies: Mapping[int, str], *,
         return AgentAnswer(text="No answer: the run produced no usable observations.",
                            incomplete=True)
 
-    if trajectory.finished:
-        text = trajectory.steps[-1].action.text
-        incomplete = False
+    incomplete = not trajectory.finished
+    if incomplete:
+        digest = "; ".join(f"step {s.index} ({s.observation.tool})" for s in ok_steps)
+        text = f"No final answer within the step budget. Usable observations: {digest}."
     else:
-        digest = "; ".join(
-            f"step {s.index} ({s.observation.tool})" for s in ok_steps
-        )
-        text = (f"No final answer within the step budget. "
-                f"Usable observations: {digest}.")
-        incomplete = True
+        text = trajectory.steps[-1].action.text
 
     cited = _citations(text, trajectory)
     pool_steps = cited if cited else tuple(s.index for s in ok_steps)

@@ -78,27 +78,23 @@ def render_observation(obs: Observation) -> str:
     return json.dumps(observation_to_jsonable(obs), sort_keys=True, ensure_ascii=False)
 
 
-def observation_message(body: str, index: int) -> str:
-    """``body`` as the ``observation[obs_N]`` line shown to the model.
+def observation_message(body: str, index: int) -> tuple[str, str]:
+    """``body`` as the ``observation[obs_N]`` line shown to the model, and the
+    part of ``body`` that the line shows.
 
     A line above ``OBSERVATION_BYTE_CAP`` bytes is truncated with a
-    deterministic note so the conversation state stays bounded.
+    deterministic note so the conversation state stays bounded; the shown
+    part then ends at the cut and leaves out the note, whose numbers are the
+    program's own.
     """
-    text = f"observation[obs_{index}] {body}"
+    prefix = f"observation[obs_{index}] "
+    text = prefix + body
     encoded = text.encode("utf-8")
-    if len(encoded) > OBSERVATION_BYTE_CAP:
-        keep = encoded[:OBSERVATION_BYTE_CAP].decode("utf-8", errors="ignore")
-        text = f"{keep} …[truncated {len(encoded) - OBSERVATION_BYTE_CAP} bytes]"
-    return text
-
-
-def shown_part(line: str, body: str) -> str:
-    """The part of ``body`` that its :func:`observation_message` ``line``
-    shows: the line without its ``observation[obs_N] `` prefix and any
-    truncation note, whose numbers are the program's own and ground no claim."""
-    if line.endswith(body):
-        return body
-    return line[line.index("] ") + 2:line.rindex(" …[truncated ")]
+    if len(encoded) <= OBSERVATION_BYTE_CAP:
+        return text, body
+    keep = encoded[:OBSERVATION_BYTE_CAP].decode("utf-8", errors="ignore")
+    note = f" …[truncated {len(encoded) - OBSERVATION_BYTE_CAP} bytes]"
+    return keep + note, keep[len(prefix):]
 
 
 def dumps_stable(obj: Any) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -114,13 +115,14 @@ def load_config(path: str | Path) -> RunConfig:
     any level, a malformed value, a string-typed key or a ``timeout_s``,
     ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
     does not have its type (an int passes for a float, and only ``true`` or
-    ``false`` for a boolean) or a ``budget`` or ``forecast_default_horizon``
-    below 1 raises :class:`ConfigError`.
+    ``false`` for a boolean), a ``budget`` or ``forecast_default_horizon``
+    below 1, a ``timeout_s`` that is not a finite number above 0 or a file
+    that is not UTF-8 raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     base = path.parent
     _object(doc, "config", _CONFIG_KEYS, "config keys")
@@ -130,10 +132,14 @@ def load_config(path: str | Path) -> RunConfig:
     fixture_root = _optional_str(provider_doc, "fixture_root")
     if fixture_root is not None and not Path(fixture_root).is_absolute():
         fixture_root = (base / fixture_root).resolve()
+    timeout_s = provider_doc.get("timeout_s", 30.0)
+    # NaN fails both tests; an int too large for a float fails the second.
+    if _matches(timeout_s, float) and not 0 < timeout_s <= sys.float_info.max:
+        raise ConfigError(f"timeout_s: expected a finite number above 0, got {timeout_s!r}")
     provider = ProviderConfig(
         kind=provider_doc.get("mode", provider_doc.get("kind", "fixture")),
         fixture_root=Path(fixture_root) if fixture_root else None,
-        timeout_s=_checked(provider_doc.get("timeout_s", 30.0), float, "timeout_s"),
+        timeout_s=_checked(timeout_s, float, "timeout_s"),
     )
 
     backend = None

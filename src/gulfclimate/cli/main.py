@@ -126,8 +126,11 @@ def cmd_forge_text(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if config.backend is None:
         raise ConfigError("forge text requires a scripted or remote backend")
-    seeds = [s.strip() for s in Path(args.seeds).read_text(encoding="utf-8").splitlines()
-             if s.strip()]
+    try:
+        text = Path(args.seeds).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"seeds file {args.seeds} is not UTF-8: {exc}") from exc
+    seeds = [s.strip() for s in text.splitlines() if s.strip()]
     constraints = [(args.country, args.city)] if (args.country or args.city) else [(None, None)]
     result = forge_text(
         seeds=seeds,

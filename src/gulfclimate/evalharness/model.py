@@ -128,11 +128,10 @@ def _flag(doc: dict, key: str, default: bool) -> bool:
 
 
 def load_instances(path: str | Path) -> list[BenchmarkInstance]:
-    """Read a line-delimited benchmark instance file; a record that is not an
-    instance raises :class:`InstanceError` naming its line."""
+    """Read a line-delimited benchmark instance file; a record that is not
+    UTF-8 or not an instance raises :class:`InstanceError` naming its line."""
     instances = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:

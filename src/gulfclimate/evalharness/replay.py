@@ -23,7 +23,7 @@ class BenchReplay:
     def load(cls, path: str | Path) -> "BenchReplay":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read bench replay {path}: {exc}") from exc
         runs = doc.get("runs")
         if not isinstance(runs, dict):

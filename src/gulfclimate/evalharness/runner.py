@@ -14,8 +14,9 @@ except ImportError:  # no per-thread resource usage on this platform
     RUSAGE_THREAD = getrusage = None
 
 from ..agent.backend import BackendFailure, LLMBackend
-from ..agent.runner import DEFAULT_BUDGET, AgentSettings, run as agent_run, system_prompt
-from ..agent.serialization import observation_message, render_observation
+from ..agent.runner import (DEFAULT_BUDGET, AgentSettings, opening_messages, run as agent_run,
+                            show_observation)
+from ..agent.serialization import observation_message
 from ..toolkit.grammar import parse_call, serialize_call
 from ..toolkit.registry import ToolRegistry, execute, validate_call
 from ..toolkit.types import ToolCall
@@ -116,8 +117,10 @@ def _map_instances(instances: Sequence[BenchmarkInstance], factory: BackendFacto
     fits under the ceiling, and a backend that never waits never starts a
     thread.
     A ``BaseException`` in a helper is raised here once the calling thread
-    is done.
+    is done. An empty ``instances`` raises :class:`InstanceError`.
     """
+    if not instances:
+        raise InstanceError("instance list must be non-empty")
     results: list[Any] = [None] * len(instances)
     queue = deque(sorted(range(len(instances)), key=lambda k: -len(instances[k].gold_trace)))
     pool: ThreadPoolExecutor | None = None
@@ -193,27 +196,23 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
                   registry: ToolRegistry) -> MetricReport:
     """Teacher-forced evaluation of every gold step.
 
-    The system message is the one an e2e run of the instance sees: the
-    agent's :func:`~gulfclimate.agent.runner.system_prompt` over the
-    instance's allowed tools, unrouted. At step t the context holds the gold
-    prefix (gold calls and their real tool outputs, an ``obs_N`` argument
-    resolved to gold step N's payload); the backend emits the step action
-    and, after seeing the real output, a one-line step summary. Per-instance
-    failures are recorded, never raised.
+    The model sees what an e2e run of the instance would show it. The
+    opening messages are the agent's own
+    :func:`~gulfclimate.agent.runner.opening_messages` over the instance's
+    allowed tools, unrouted. At step t the context holds the gold prefix:
+    each gold call and its real tool output, built by the agent loop's own
+    observation function :func:`~gulfclimate.agent.runner.show_observation`,
+    so a reference argument resolves to the earlier gold step's payload
+    exactly as in the loop. The backend emits the step action and, after
+    seeing the real output, a one-line step summary. Per-instance failures
+    are recorded, never raised.
 
     ``factory`` is called once per instance, and the backend it returns
-    serves that instance alone. Instances start longest gold trace first. The
-    calling thread runs them until the backend wait it has measured reaches
-    a third of wall time, checked after each of its backend calls; from then
-    on as many threads as the measured wait calls for, the calling one
-    included, run the instances left, never more than those instances and
-    never more than the resource ceiling ``MAX_WORKERS`` (see
-    :func:`_map_instances`). So factories, backends and tool executors may
-    be called from several threads at once. Rows come out in instance order
-    whatever order instances start or finish in.
+    serves that instance alone. Once the backend wait dominates, instances
+    run on several threads at once (see :func:`_map_instances`), so
+    factories, backends and tool executors may be called concurrently. Rows
+    come out in instance order whatever order instances start or finish in.
     """
-    if not instances:
-        raise InstanceError("instance list must be non-empty")
     report = MetricReport(mode="step")
     outcomes = _map_instances(instances, factory, lambda instance, backend:
                               _step_mode_instance(instance, backend, registry))
@@ -232,12 +231,9 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
 def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
                         registry: ToolRegistry) -> list[StepRow]:
     sub = registry.subset(instance.allowed_tools)
-    messages = [
-        {"role": "system", "content": system_prompt(sub, None)},
-        {"role": "user", "content": instance.query},
-    ]
+    messages = opening_messages(instance.query, sub, None)
     rows: list[StepRow] = []
-    refs: dict[str, Any] = {}  # gold step payloads by obs_N id
+    refs: dict[str, Any] = {}  # gold step payloads, as show_observation stores them
     for t, gold in enumerate(instance.gold_trace):
         try:
             emission = backend.complete(messages)
@@ -250,10 +246,9 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
 
         # Teacher forcing: the context continues from the GOLD call and its
         # real output, regardless of what the model predicted.
-        observation_text = _gold_observation_text(gold, sub, t, refs)
-        messages.append({"role": "user", "content": observation_text})
+        messages.append({"role": "user",
+                         "content": _gold_observation_text(gold, sub, t + 1, refs)})
 
-        summary = ""
         try:
             summary = backend.complete(messages + [
                 {"role": "user", "content": "Summarize this step's result in one line."},
@@ -269,20 +264,16 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
 
 def _gold_observation_text(gold: GoldStep, registry: ToolRegistry, index: int,
                            refs: dict[str, Any]) -> str:
-    """Execute gold step ``index`` and render its observation.
-
-    An ``obs_N`` reference argument resolves through ``refs`` to gold step
-    N's payload; an ok payload of this step is stored there as
-    ``obs_{index + 1}``.
+    """Execute gold step ``index`` (1-based) and return what the model is
+    shown of it: the call, then the line of the agent loop's own
+    :func:`~gulfclimate.agent.runner.show_observation`, which also keeps an
+    ok payload in ``refs`` for later gold steps to refer to.
     """
     if gold.arg_values is None:
-        return f"observation[obs_{index + 1}] (gold output unavailable)"
+        return observation_message("(gold output unavailable)", index)[0]
     call = ToolCall(tool=gold.tool, args=gold.arg_values)
-    observation = execute(call, registry, refs=refs)
-    if observation.status.is_ok:
-        refs[f"obs_{index + 1}"] = observation.payload
-    return (f"Gold step executed: {serialize_call(call)}\n"
-            + observation_message(render_observation(observation), index + 1))
+    line, _ = show_observation(execute(call, registry, refs=refs), index, refs)
+    return f"Gold step executed: {serialize_call(call)}\n{line}"
 
 
 def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory,
@@ -294,14 +285,9 @@ def run_e2e_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactory
     answer; with images enabled, chart-requiring instances additionally need
     an emitted chart whose metadata variable matches a gold fact label.
 
-    Scheduling is as in :func:`run_step_mode`: one ``factory`` call per
-    instance, the longest gold trace first, backends possibly used from
-    worker threads once the measured wait is a third of wall time (as many
-    as that wait calls for, capped by the instances left and by
-    ``MAX_WORKERS``), and rows in instance order.
+    ``factory`` is called and instances are scheduled as in
+    :func:`run_step_mode`.
     """
-    if not instances:
-        raise InstanceError("instance list must be non-empty")
     report = MetricReport(mode="e2e")
     outcomes = _map_instances(instances, factory, lambda instance, backend:
                               _e2e_instance(instance, backend, registry, images_enabled, budget))
@@ -329,14 +315,10 @@ def _e2e_instance(instance: BenchmarkInstance, backend: LLMBackend,
     answered = 1 if not missed else 0
 
     chart_ok: bool | None = None
-    answered_i: int | None = None
-    if images_enabled:
-        if instance.requires_chart:
-            chart_ok = any(_chart_matches(c, instance) for c in answer.charts)
-            answered_i = 1 if (answered and chart_ok) else 0
-        else:
-            chart_ok = None
-            answered_i = answered
+    answered_i = answered if images_enabled else None
+    if images_enabled and instance.requires_chart:
+        chart_ok = any(_chart_matches(c, instance) for c in answer.charts)
+        answered_i = 1 if (answered and chart_ok) else 0
     return InstanceRow(instance_id=instance.id, answered=answered,
                        answered_with_images=answered_i, chart_ok=chart_ok,
                        missed_facts=missed)

@@ -89,8 +89,11 @@ class GriddedProduct:
     @classmethod
     def from_file(cls, path: str | Path) -> "GriddedProduct":
         path = Path(path)
-        with path.open(encoding="utf-8") as lines:
-            return cls._from_lines(lines, path.stem)
+        try:
+            with path.open(encoding="utf-8") as lines:
+                return cls._from_lines(lines, path.stem)
+        except UnicodeDecodeError as exc:
+            raise GriddedFormatError(f"{path}: not UTF-8: {exc}") from exc
 
     @classmethod
     def _from_lines(cls, lines: Iterator[str], source_name: str) -> "GriddedProduct":

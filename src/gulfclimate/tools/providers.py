@@ -83,7 +83,7 @@ class FixtureStore:
                 raise ProviderFailure(f"no fixture file for {name!r} under {self.root}")
             try:
                 self._cache[name] = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON is UTF-8
                 raise ProviderFailure(f"fixture {path} is not valid JSON: {exc}") from exc
         return self._cache[name]
 

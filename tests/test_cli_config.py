@@ -34,6 +34,15 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
     ({"seed": "seven"}, "seed: expected int, got 'seven'"),
     ({"budget": [8]}, "budget: expected int, got [8]"),
     ({"provider": {"timeout_s": "soon"}}, "timeout_s: expected float, got 'soon'"),
+    ({"provider": {"timeout_s": -1}}, "timeout_s: expected a finite number above 0, got -1"),
+    ({"provider": {"timeout_s": 0}}, "timeout_s: expected a finite number above 0, got 0"),
+    ({"provider": {"timeout_s": float("nan")}},
+     "timeout_s: expected a finite number above 0, got nan"),
+    ({"provider": {"timeout_s": float("inf")}},
+     "timeout_s: expected a finite number above 0, got inf"),
+    pytest.param({"provider": {"timeout_s": 10**400}},
+                 f"timeout_s: expected a finite number above 0, got {10**400}",
+                 id="timeout_s_beyond_the_float_range"),
     ({"route_intent": "false"}, "route_intent: expected bool, got 'false'"),
     ({"budget": 2.9}, "budget: expected int, got 2.9"),
     ({"budget": True}, "budget: expected int, got True"),

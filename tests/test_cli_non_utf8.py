@@ -1,0 +1,92 @@
+"""An input file that is not UTF-8 ends the CLI with its one-line error."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from gulfclimate.cli.main import EXIT_CONFIG, EXIT_FLAGGED, main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+LATIN_1 = "# café\n".encode("latin-1")  # é is one byte, 0xE9, which UTF-8 rejects
+
+
+def _write_config(tmp_path: Path, **backend) -> Path:
+    config = tmp_path / "config.json"
+    doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
+           "output_dir": str(tmp_path / "out")}
+    if backend:
+        doc["backend"] = {"kind": "scripted", **backend}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return config
+
+
+def _bad_copy(tmp_path: Path, source: Path) -> Path:
+    """``source`` with a Latin-1 line added at its end."""
+    path = tmp_path / f"bad{source.suffix}"
+    path.write_bytes(source.read_bytes() + LATIN_1)
+    return path
+
+
+def tools_list_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({"output_dir": "café"}, ensure_ascii=False).encode("latin-1"))
+    return ["tools", "list", "--config", str(config)]
+
+
+def forge_visual_grid(tmp_path):
+    grid = _bad_copy(tmp_path, FIXTURES / "gridded_temperature.txt")
+    return ["forge", "visual", "--config", str(_write_config(tmp_path)), "--gridded", str(grid),
+            "--city", "Doha", "--variable", "temperature"]
+
+
+def bench_instances(tmp_path):
+    config = _write_config(tmp_path, replay=str(ROOT / "replays" / "bench_gold.json"))
+    instances = _bad_copy(tmp_path, ROOT / "benchmarks" / "smoke_instances.jsonl")
+    return ["bench", str(instances), "--config", str(config)]
+
+
+def bench_replay(tmp_path):
+    replay = _bad_copy(tmp_path, ROOT / "replays" / "bench_gold.json")
+    return ["bench", str(ROOT / "benchmarks" / "smoke_instances.jsonl"),
+            "--config", str(_write_config(tmp_path, replay=str(replay)))]
+
+
+def ask_replay(tmp_path):
+    replay = _bad_copy(tmp_path, ROOT / "replays" / "doha_rain.json")
+    return ["ask", "How much rain fell in Doha?",
+            "--config", str(_write_config(tmp_path, replay=str(replay)))]
+
+
+def forge_text_seeds(tmp_path):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_bytes("heat\n".encode() + LATIN_1)
+    config = _write_config(tmp_path, replay=str(ROOT / "replays" / "doha_rain.json"))
+    return ["forge", "text", "--config", str(config), "--seeds", str(seeds)]
+
+
+@pytest.mark.parametrize("argv", [tools_list_config, forge_visual_grid, bench_instances,
+                                  bench_replay, ask_replay, forge_text_seeds],
+                         ids=lambda case: case.__name__)
+def test_a_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith(("error: ", "configuration error: "))
+    assert err.count("\n") == 1 and "'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in out + err
+
+
+def test_a_fixture_that_is_not_utf8_is_a_provider_failure(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "rain_inquiry.json").write_bytes(b'{"rows": []}' + LATIN_1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "fixture",
+                                               "fixture_root": str(fixtures)}}))
+    args = '{"lat": 25.2854, "lon": 51.531, "date": "2023-04-15"}'
+    assert main(["tools", "call", "rain_inquiry", "--args-json", args,
+                 "--config", str(config)]) == EXIT_FLAGGED
+    observation = json.loads(capsys.readouterr().out)
+    assert observation["error_code"] == "provider_failure"
+    assert "is not valid JSON: 'utf-8' codec can't decode" in observation["error_message"]

@@ -3,7 +3,8 @@
 ``observation_message`` cuts a line above ``OBSERVATION_BYTE_CAP`` bytes, and
 grounding checks claims only against the part that was shown, so a tool whose
 observation is cut hides part of its own result from the model. Each line
-here is built uncut, as ``observation[obs_N] <body>``.
+here is built by the agent loop's own functions, and the part it shows must
+be the whole encoded body.
 """
 
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from gulfclimate.agent.serialization import OBSERVATION_BYTE_CAP, render_observation
+from gulfclimate.agent.runner import show_observation
+from gulfclimate.agent.serialization import observation_message, render_observation
 from gulfclimate.cli.config import load_config
 from gulfclimate.evalharness import load_instances
 from gulfclimate.toolkit import ToolCall, execute, parse_call
@@ -22,15 +24,15 @@ from test_tools_golden import _observations
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def observation_lines(calls, registry):
-    """The uncut observation line of each call, the calls run in order as one
-    trajectory so that ``obs_N`` references resolve."""
+def shown_and_bodies(calls, registry):
+    """The shown part and the encoded body of each call's observation, the
+    calls run in order as one trajectory so that ``obs_N`` references
+    resolve."""
     refs = {}
     for index, call in enumerate(calls, start=1):
         observation = execute(call, registry, refs=refs)
-        if observation.status.is_ok:
-            refs[f"obs_{index}"] = observation.payload
-        yield f"observation[obs_{index}] {render_observation(observation)}"
+        _, shown = show_observation(observation, index, refs)
+        yield shown, render_observation(observation)
 
 
 def gold_calls(instance):
@@ -38,23 +40,24 @@ def gold_calls(instance):
             if step.arg_values is not None]
 
 
-def over_cap(named_lines):
-    return [(name, size) for name, line in named_lines
-            if (size := len(line.encode("utf-8"))) > OBSERVATION_BYTE_CAP]
+def cut(named):
+    """The names whose observation line does not show its whole body."""
+    return [name for name, (shown, body) in named if shown != body]
 
 
 def test_smoke_suite_gold_observations_fit_under_the_cap():
     registry = build_registry(ProviderConfig(kind="fixture", fixture_root=ROOT / "fixtures"))
     instances = load_instances(ROOT / "benchmarks" / "smoke_instances.jsonl")
-    assert over_cap((instance.id, line) for instance in instances
-                    for line in observation_lines(gold_calls(instance), registry)) == []
+    assert cut((instance.id, pair) for instance in instances
+               for pair in shown_and_bodies(gold_calls(instance), registry)) == []
 
 
 def test_tools_golden_observations_fit_under_the_cap():
-    lines = {label: f"observation[obs_{index}] "
-                    + json.dumps(obs, sort_keys=True, ensure_ascii=False)
-             for index, (label, obs) in enumerate(_observations().items(), start=1)}
-    assert over_cap(lines.items()) == []
+    named = []
+    for index, (label, obs) in enumerate(_observations().items(), start=1):
+        body = json.dumps(obs, sort_keys=True, ensure_ascii=False)
+        named.append((label, (observation_message(body, index)[1], body)))
+    assert cut(named) == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -64,12 +67,12 @@ def test_benchmark_suite_observations_fit_under_the_cap(tmp_path, seed):
     registry = build_registry(config.provider, settings=config.settings)
     named = []
     for instance in load_instances(tmp_path / "instances.jsonl"):
-        named += [(instance.id, line)
-                  for line in observation_lines(gold_calls(instance), registry)]
+        named += [(instance.id, pair)
+                  for pair in shown_and_bodies(gold_calls(instance), registry)]
     runs = json.loads((tmp_path / "replay.json").read_text(encoding="utf-8"))["runs"]
     for run_id, run in runs.items():  # gold and corrupted replayed calls
         calls = [parse_call(step["action"]) for step in run["steps"]]
         assert all(isinstance(call, ToolCall) for call in calls)
-        named += [(run_id, line) for line in observation_lines(calls, registry)]
+        named += [(run_id, pair) for pair in shown_and_bodies(calls, registry)]
     assert any("aqi_analysis" in name for name, _ in named)
-    assert over_cap(named) == []
+    assert cut(named) == []
