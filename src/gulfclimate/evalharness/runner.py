@@ -204,8 +204,11 @@ def run_step_mode(instances: Sequence[BenchmarkInstance], factory: BackendFactor
     observation function :func:`~gulfclimate.agent.runner.show_observation`,
     so a reference argument resolves to the earlier gold step's payload
     exactly as in the loop. The backend emits the step action and, after
-    seeing the real output, a one-line step summary. Per-instance failures
-    are recorded, never raised.
+    seeing the real output, a one-line step summary. A backend failure on
+    the action scores the step ``na`` and makes no summary call; the gold
+    step still joins the context, after an empty assistant turn, and its
+    summary turn is empty too. Per-instance failures are recorded, never
+    raised.
 
     ``factory`` is called once per instance, and the backend it returns
     serves that instance alone. Once the backend wait dominates, instances
@@ -238,17 +241,21 @@ def _step_mode_instance(instance: BenchmarkInstance, backend: LLMBackend,
         try:
             emission = backend.complete(messages)
         except BackendFailure:
-            rows.append(StepRow(instance.id, t, 0, 0, 0, 0, "na"))
-            continue
-        parsed = parse_call(emission)
-        verdict = validate_call(parsed, sub) if isinstance(parsed, ToolCall) else None
-        messages.append({"role": "assistant", "content": emission})
+            emission = None
+        messages.append({"role": "assistant", "content": emission or ""})
 
         # Teacher forcing: the context continues from the GOLD call and its
-        # real output, regardless of what the model predicted.
+        # real output, regardless of what the model predicted, or whether it
+        # answered at all.
         messages.append({"role": "user",
                          "content": _gold_observation_text(gold, sub, t + 1, refs)})
+        if emission is None:
+            rows.append(StepRow(instance.id, t, 0, 0, 0, 0, "na"))
+            messages.append({"role": "assistant", "content": ""})
+            continue
 
+        parsed = parse_call(emission)
+        verdict = validate_call(parsed, sub) if isinstance(parsed, ToolCall) else None
         try:
             summary = backend.complete(messages + [
                 {"role": "user", "content": "Summarize this step's result in one line."},

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
@@ -177,10 +177,9 @@ def synthesize_visual_qa(artifact: ChartArtifact, category: str,
         chart, tolerance, entries = _perturbed_entries(artifact, series, category, formats, seed)
     fact = _chart_fact(chart)
     candidates = [item for fmt, batch in zip(formats, entries)
-                  for item in qa_items(batch, fmt, (fact.fact_id,), "visual")]
-    items = [replace(item, chart_ref=chart.chart_id, answer_tolerance=tolerance)
-             for item in validate_items(candidates, counters=counters)]
-    return items, chart, fact
+                  for item in qa_items(batch, fmt, (fact.fact_id,), "visual",
+                                       chart_ref=chart.chart_id, answer_tolerance=tolerance)]
+    return validate_items(candidates, counters=counters), chart, fact
 
 
 def _perturbed_entries(artifact, base_series, category, formats, seed):

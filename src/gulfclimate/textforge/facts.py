@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
+from hashlib import sha256
 
 from ..core import Provenance
 from .chunking import Chunk
@@ -32,8 +32,16 @@ class AtomicFact:
 
     @property
     def fact_id(self) -> str:
-        digest = hashlib.sha256(f"{self.chunk.chunk_id}|{self.statement}".encode()).hexdigest()
-        return f"fact:{digest[:16]}"
+        """``fact:`` and the first 16 hex digits of the sha256 of the chunk id
+        and the statement, computed once per fact and kept with it."""
+        # Kept in the instance __dict__, which a frozen dataclass still
+        # allows, as CanonicalSeries.timestamp_text is: the forge's evidence
+        # table and each QA format read it.
+        fact_id = self.__dict__.get("_fact_id")
+        if fact_id is None:
+            digest = sha256(f"{self.chunk.chunk_id}|{self.statement}".encode()).hexdigest()
+            fact_id = self.__dict__["_fact_id"] = f"fact:{digest[:16]}"
+        return fact_id
 
 
 def passes_structural_checks(statement: str) -> bool:

@@ -79,10 +79,11 @@ class _Extractor(HTMLParser):
         elif tag == "a":
             self._link_depth = max(0, self._link_depth - 1)
         elif tag in _HEADING_TAGS and self._heading is not None:
-            heading = " ".join(" ".join(self._heading).split())
-            if heading:
+            words = " ".join(self._heading).split()
+            if words:
                 self.breaks.append(self._tokens)
-                self._append(_HEADING_MARKER + heading)
+                # The marker is one more token.
+                self._append(_HEADING_MARKER + " ".join(words), 1 + len(words))
             self._heading = None
         elif tag in _BLOCK_TAGS:
             self._flush()
@@ -98,21 +99,28 @@ class _Extractor(HTMLParser):
             self._link_chars += len(data.strip())
 
     def _flush(self):
-        text = " ".join(" ".join(self._text).split())
-        chars = len(text)
-        if chars:
-            if self._link_chars / max(chars, 1) <= LINK_DENSITY_LIMIT:
-                self._append(text)
+        # One split gives both the normalised block and its token count.
+        words = " ".join(self._text).split()
+        if words:
+            text = " ".join(words)
+            if self._link_chars / len(text) <= LINK_DENSITY_LIMIT:
+                self._append(text, len(words))
         self._text = []
         self._link_chars = 0
 
-    def _append(self, block: str) -> None:
+    def _append(self, block: str, tokens: int) -> None:
+        """Keep ``block``, which is ``tokens`` whitespace tokens long."""
         self.blocks.append(block)
-        self._tokens += len(block.split())
+        self._tokens += tokens
 
     def close(self):
         self._flush()
         super().close()
+
+    def updatepos(self, i, j):
+        # The base class counts lines and columns here, for getpos() alone,
+        # on every tag and text run; nothing here reads them.
+        return j
 
 
 def parse_document(raw: bytes) -> tuple[str, list[int]]:

@@ -6,10 +6,11 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..core import format_timestamp
+from ..core import Provenance, format_timestamp
 from ..errors import GulfClimateError
 from .facts import AtomicFact
 
@@ -94,9 +95,11 @@ def decode_qa_emission(emission: str) -> list:
 
 
 def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
-             split: str) -> list[QAItem]:
+             split: str, *, chart_ref: str | None = None,
+             answer_tolerance: float | None = None) -> list[QAItem]:
     """Build the candidate items (not yet validated) of entries in the shape of
-    ``format``; an entry that is not an object is skipped.
+    ``format``; an entry that is not an object is skipped. Every item carries
+    ``evidence``, ``split``, ``chart_ref`` and ``answer_tolerance``.
 
     Entry shapes:
       mcq:  {"question", "answer", "options": [...]}; ``options`` that are
@@ -119,7 +122,8 @@ def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
                 statement = str(entry.get(key, "")).strip()
                 if statement:
                     items.append(QAItem(format="tf", question=statement, answer=answer,
-                                        evidence=evidence, split=split))
+                                        evidence=evidence, split=split, chart_ref=chart_ref,
+                                        answer_tolerance=answer_tolerance))
         else:
             options = entry.get("options") if format == "mcq" else None
             items.append(QAItem(
@@ -127,7 +131,8 @@ def qa_items(entries: Iterable, format: str, evidence: Sequence[str],
                 question=str(entry.get("question", "")),
                 answer=str(entry.get("answer", "")),
                 options=tuple(str(o) for o in options) if isinstance(options, list) else (),
-                evidence=evidence, split=split,
+                evidence=evidence, split=split, chart_ref=chart_ref,
+                answer_tolerance=answer_tolerance,
             ))
     return items
 
@@ -180,10 +185,13 @@ def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact]) -> list[d
 
     Raises :class:`BrokenEvidenceChain` when the item has no refs, cites an
     unknown fact, or when a fact's provenance has neither a URL nor a title.
+    Facts with equal provenance (every fact of one document) share one
+    provenance record, built once.
     """
     if not item.evidence:
         raise BrokenEvidenceChain(f"{item.item_id} has no evidence refs")
     resolved = []
+    records: dict[Provenance, dict] = {}
     for fact_id in item.evidence:
         fact = facts_by_id.get(fact_id)
         if fact is None:
@@ -191,19 +199,22 @@ def resolve_evidence(item: QAItem, facts_by_id: dict[str, AtomicFact]) -> list[d
         prov = fact.provenance
         if prov.url is None and prov.title is None:
             raise BrokenEvidenceChain(f"{item.item_id}: provenance lacks url/title")
-        resolved.append({
-            "fact_id": fact_id,
-            "statement": fact.statement,
-            "chunk_id": fact.chunk.chunk_id,
-            "doc_id": fact.chunk.doc_id,
-            "provenance": {
+        record = records.get(prov)
+        if record is None:
+            record = records[prov] = {
                 "url": prov.url,
                 "title": prov.title,
                 "organization": prov.organization,
                 "published": prov.published,
                 "query": prov.query,
                 "retrieved_at": format_timestamp(prov.retrieved_at),
-            },
+            }
+        resolved.append({
+            "fact_id": fact_id,
+            "statement": fact.statement,
+            "chunk_id": fact.chunk.chunk_id,
+            "doc_id": fact.chunk.doc_id,
+            "provenance": record,
         })
     return resolved
 
@@ -221,13 +232,18 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
     ``answer``, ``answer_tolerance`` and ``chart_ref`` (when set),
     ``evidence`` (the records of :func:`resolve_evidence`), ``format``,
     ``id``, ``options`` (when non-empty), ``question``, ``review_flag`` and
-    ``split``. ``facts_by_id`` is the one table needed: a record's chunk id,
-    doc id and provenance come from the cited fact's own chunk. Items often
-    share an evidence tuple (every item of a document cites all its facts),
-    so each distinct tuple is resolved and encoded once per call. The first
-    item whose chain is broken raises :class:`BrokenEvidenceChain`, and then
-    no file is written.
+    ``split``. Each line is one f-string template with the keys in that
+    order: strings are encoded by ``json.encoder.encode_basestring``, as the
+    encoder does with ``ensure_ascii=False``, and ``answer_tolerance`` by the
+    encoder itself, so NaN and ±inf read as ``json.dumps`` writes them.
+    ``facts_by_id`` is the one table needed: a record's chunk id, doc id and
+    provenance come from the cited fact's own chunk. Items often share an
+    evidence tuple (every item of a document cites all its facts), so each
+    distinct tuple is resolved and encoded once per call. The first item
+    whose chain is broken raises :class:`BrokenEvidenceChain`, and then no
+    file is written.
     """
+    string = encode_basestring
     evidence_json: dict[tuple[str, ...], str] = {}
     lines = []
     for item in items:
@@ -235,16 +251,16 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
         if evidence is None:
             evidence = evidence_json[item.evidence] = _encode(
                 resolve_evidence(item, facts_by_id))
-        # The keys that sort before "evidence", then those that sort after it.
-        head = {"answer": item.answer}
-        if item.answer_tolerance is not None:
-            head["answer_tolerance"] = item.answer_tolerance
-        if item.chart_ref is not None:
-            head["chart_ref"] = item.chart_ref
-        tail = {"format": item.format, "id": item.item_id, "question": item.question,
-                "review_flag": item.review_flag, "split": item.split}
-        if item.options:
-            tail["options"] = list(item.options)
-        lines.append(f'{_encode(head)[:-1]}, "evidence": {evidence}, {_encode(tail)[1:]}')
+        tolerance = ("" if item.answer_tolerance is None
+                     else f'"answer_tolerance": {_encode(item.answer_tolerance)}, ')
+        chart = "" if item.chart_ref is None else f'"chart_ref": {string(item.chart_ref)}, '
+        options = (f'"options": [{", ".join(map(string, item.options))}], ' if item.options
+                   else "")
+        lines.append(
+            f'{{"answer": {string(item.answer)}, {tolerance}{chart}"evidence": {evidence}, '
+            f'"format": {string(item.format)}, "id": {string(item.item_id)}, {options}'
+            f'"question": {string(item.question)}, '
+            f'"review_flag": {"true" if item.review_flag else "false"}, '
+            f'"split": {string(item.split)}}}')
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return len(lines)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from gulfclimate.agent import ScriptedBackend
+from gulfclimate.agent.backend import BackendFailure
 from gulfclimate.cli.main import EXIT_OK, main as cli_main
 from gulfclimate.evalharness import load_instances, run_e2e_mode, run_step_mode
 from gulfclimate.evalharness import runner as runner_module
@@ -500,13 +501,19 @@ class MessageLog:
         return self.inner.complete(messages)
 
 
-def test_step_mode_resolves_a_gold_reference_to_the_earlier_gold_payload(registry):
+def _ndvi_chain():
+    """A satellite image, then NDVI on it through ``obs_1``."""
     image = GoldStep("get_satellite_image", frozenset({"lat", "lon", "date"}),
                      {"lat": 25.29, "lon": 51.53, "date": "2020-01-15"})
     ndvi = GoldStep("calculate_ndvi", frozenset({"image"}), {"image": "obs_1"})
     instance = BenchmarkInstance(id="doha-ndvi", query="How green was Doha in January 2020?",
                                  allowed_tools=("get_satellite_image", "calculate_ndvi"),
                                  gold_trace=(image, ndvi))
+    return instance, image, ndvi
+
+
+def test_step_mode_resolves_a_gold_reference_to_the_earlier_gold_payload(registry):
+    instance, image, ndvi = _ndvi_chain()
     backend = MessageLog([serialize_call(ToolCall("get_satellite_image", image.arg_values)),
                           "Image retrieved.",
                           serialize_call(ToolCall("calculate_ndvi", ndvi.arg_values)),
@@ -514,6 +521,34 @@ def test_step_mode_resolves_a_gold_reference_to_the_earlier_gold_payload(registr
     report = run_step_mode([instance], lambda _instance: backend, registry)
     assert backend.inner.remaining == 0
     assert report.instance_rows == []
+    gold_ndvi = backend.calls[-1][-2]["content"]
+    assert "\nobservation[obs_2] {" in gold_ndvi
+    assert '"index_name": "ndvi"' in gold_ndvi
+    assert "unresolvable_reference" not in gold_ndvi
+
+
+class FailsFirstCall(MessageLog):
+    """A message log whose backend raises ``BackendFailure`` on its first call."""
+
+    def complete(self, messages):
+        if not self.calls:
+            self.calls.append([dict(m) for m in messages])
+            raise BackendFailure("first call fails")
+        return super().complete(messages)
+
+
+def test_step_mode_keeps_a_gold_step_whose_action_call_failed(registry):
+    instance, _image, ndvi = _ndvi_chain()
+    backend = FailsFirstCall([serialize_call(ToolCall("calculate_ndvi", ndvi.arg_values)),
+                              "NDVI computed."])
+    report = run_step_mode([instance], lambda _instance: backend, registry)
+    assert backend.inner.remaining == 0
+    assert len(backend.calls) == 3  # no summary call after the failed action
+    assert [row.error_class for row in report.step_rows] == ["na", "none"]
+    step2 = backend.calls[1]
+    assert [m["role"] for m in step2[2:]] == ["assistant", "user", "assistant"]
+    assert step2[2]["content"] == step2[4]["content"] == ""
+    assert step2[3]["content"].startswith("Gold step executed: ")
     gold_ndvi = backend.calls[-1][-2]["content"]
     assert "\nobservation[obs_2] {" in gold_ndvi
     assert '"index_name": "ndvi"' in gold_ndvi

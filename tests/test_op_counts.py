@@ -22,7 +22,7 @@ from gulfclimate.agent import serialization  # noqa: E402
 from gulfclimate.cli.config import load_config  # noqa: E402
 from gulfclimate.core import timeutil  # noqa: E402
 from gulfclimate.evalharness.replay import BenchReplay  # noqa: E402
-from gulfclimate.textforge import parsing  # noqa: E402
+from gulfclimate.textforge import facts, parsing, qa  # noqa: E402
 from gulfclimate.toolkit import registry as registry_module  # noqa: E402
 from gulfclimate.tools import build_registry  # noqa: E402
 from perfbench import gen  # noqa: E402
@@ -103,6 +103,8 @@ def text_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     backend = PromptKeyedBackend.from_file(workdir / "backend.json")
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "parse_document", parsing, "parse_document")
+    count_calls(monkeypatch, counts, "json_encodes", qa, "_encode")
+    count_calls(monkeypatch, counts, "fact_id_digests", facts, "sha256")
     for k, job in enumerate(meta["jobs"]):
         result = pipelines.forge_text(
             seeds=job["seeds"], constraints=[tuple(job["constraint"])], backend=backend,
