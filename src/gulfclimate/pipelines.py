@@ -31,7 +31,7 @@ from .geoforge.gridmatch import nearest_grid_cell
 from .geoforge.inventory import CityInventory
 from .geoforge.visualqa import VisualQAError, check_categories, synthesize_visual_qa
 from .geoforge.windows import segment_windows, window_slice
-from .textforge.chunking import chunk, tokenize
+from .textforge.chunking import chunk
 from .textforge.facts import induce_facts
 from .textforge.keywords import KeywordIndex, expand_keywords
 from .textforge.parsing import EmptyAfterCleaning, parse_document
@@ -73,9 +73,9 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
 
     Returns summary counts; writes ``qa_text.jsonl`` (items with resolved
     provenance) and the persisted keyword index under ``out_dir``. Each page
-    is parsed once, by :func:`parse_document`, into its cleaned text and the
-    token indices where its sections start; the text is chunked, and the
-    section starts only steer where chunk starts snap.
+    is parsed once, by :func:`parse_document`, into the word tokens of its
+    content and the token indices where its sections start; the tokens are
+    chunked, and the section starts only steer where chunk starts snap.
 
     One bad input drops only its own part of the job, counted under
     ``dropped``: a keyword whose query or page has no recording
@@ -113,12 +113,11 @@ def forge_text(seeds: list[str], constraints: list[tuple[str | None, str | None]
     n_chunks = 0
     for url, doc in docs_by_url.items():
         try:
-            text, breaks = parse_document(doc.raw)
+            tokens, breaks = parse_document(doc.text)
         except EmptyAfterCleaning:
             counters["documents_empty_after_cleaning"] += 1
             continue
-        doc_chunks = chunk(tokenize(text), doc_id=url, provenance=doc.provenance,
-                           breaks=breaks)
+        doc_chunks = chunk(tokens, doc_id=url, provenance=doc.provenance, breaks=breaks)
         n_chunks += len(doc_chunks)
         doc_facts = []
         for c in doc_chunks:

@@ -1,10 +1,11 @@
 """Overlapping token-window chunking with boundary snapping.
 
-Every document is cut the same way: windows of ``WINDOW_TOKENS`` tokens whose
-raw starts are ``STRIDE_TOKENS`` apart, so neighbours overlap by 128 tokens.
-A raw start snaps back to a section break at most ``SNAP_WINDOW`` tokens
-before it. The breaks are the ones :func:`.parsing.parse_document` returns;
-they only steer where chunk starts snap, and a chunk records no section.
+Every document's word tokens, as :func:`.parsing.parse_document` returns them
+with its section breaks, are cut the same way: windows of ``WINDOW_TOKENS``
+tokens whose raw starts are ``STRIDE_TOKENS`` apart, so neighbours overlap by
+128 tokens. A raw start snaps back to a section break at most ``SNAP_WINDOW``
+tokens before it; the breaks only steer where chunk starts snap, and a chunk
+records no section.
 """
 
 from __future__ import annotations

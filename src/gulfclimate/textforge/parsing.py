@@ -1,12 +1,12 @@
-"""HTML page parsing into clean text and section breaks.
+"""HTML page parsing into word tokens and section breaks.
 
 The recorded search corpus holds HTML pages only, so HTML is the one input
-kind. :func:`parse_document` returns two things: the page's content blocks
-joined by blank lines, each heading written as a ``## `` line, and the token
-index at which each heading starts. Only heading tags make breaks; a
-paragraph whose text starts with ``## `` does not. The breaks only steer
-where chunk starts snap (see :mod:`.chunking`); no heading is kept apart from
-the text.
+kind. :func:`parse_document` returns two things: the whitespace word tokens
+of the page's content blocks, in page order, each heading led by one ``##``
+token, and the token index at which each heading starts. Only heading tags
+make breaks; a paragraph whose text starts with ``## `` does not. The breaks
+only steer where chunk starts snap (see :mod:`.chunking`); no heading is kept
+apart from the tokens.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ _BOILERPLATE_TAGS = frozenset(
 )
 _BLOCK_TAGS = frozenset({"p", "li", "td", "th", "blockquote", "pre", "div", "article", "section"})
 _HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
-_HEADING_MARKER = "## "
+_HEADING_MARKER = "##"
 # Tags that may sit in a page's head. Outside boilerplate, any other start
 # tag, or ``</head>``, ends a ``<title>`` left open, so an unclosed title
 # cannot swallow the body.
@@ -40,9 +40,8 @@ class EmptyAfterCleaning(GulfClimateError, ValueError):
 class _Extractor(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.blocks: list[str] = []
-        self.breaks: list[int] = []  # token index of each heading block
-        self._tokens = 0
+        self.tokens: list[str] = []
+        self.breaks: list[int] = []  # token index of each heading's marker
         self._boilerplate_depth = 0
         self._link_depth = 0
         self._heading: list[str] | None = None
@@ -81,9 +80,9 @@ class _Extractor(HTMLParser):
         elif tag in _HEADING_TAGS and self._heading is not None:
             words = " ".join(self._heading).split()
             if words:
-                self.breaks.append(self._tokens)
-                # The marker is one more token.
-                self._append(_HEADING_MARKER + " ".join(words), 1 + len(words))
+                self.breaks.append(len(self.tokens))
+                self.tokens.append(_HEADING_MARKER)
+                self.tokens.extend(words)
             self._heading = None
         elif tag in _BLOCK_TAGS:
             self._flush()
@@ -99,19 +98,14 @@ class _Extractor(HTMLParser):
             self._link_chars += len(data.strip())
 
     def _flush(self):
-        # One split gives both the normalised block and its token count.
         words = " ".join(self._text).split()
         if words:
-            text = " ".join(words)
-            if self._link_chars / len(text) <= LINK_DENSITY_LIMIT:
-                self._append(text, len(words))
+            # The block's length with its words joined by single spaces.
+            chars = sum(map(len, words)) + len(words) - 1
+            if self._link_chars / chars <= LINK_DENSITY_LIMIT:
+                self.tokens.extend(words)
         self._text = []
         self._link_chars = 0
-
-    def _append(self, block: str, tokens: int) -> None:
-        """Keep ``block``, which is ``tokens`` whitespace tokens long."""
-        self.blocks.append(block)
-        self._tokens += tokens
 
     def close(self):
         self._flush()
@@ -123,18 +117,18 @@ class _Extractor(HTMLParser):
         return j
 
 
-def parse_document(raw: bytes) -> tuple[str, list[int]]:
-    """The page's main content and the token index of each section start.
+def parse_document(page: str) -> tuple[list[str], list[int]]:
+    """The page's main content as word tokens, and the token index of each
+    section start.
 
-    Blocks are kept or dropped by tag and by link density; headings become
-    ``## `` lines, and the text is the blocks joined by blank lines. Each
-    heading tag's block is a section break at the index of its first
-    whitespace token, so the breaks index ``text.split()``. Raises
-    :class:`EmptyAfterCleaning` when no content block is left.
+    Blocks are kept or dropped by tag and by link density; a kept block adds
+    its whitespace tokens, and a heading adds one ``##`` token before its
+    words. Each heading tag is a section break at the index of its ``##``
+    token. Raises :class:`EmptyAfterCleaning` when no content block is left.
     """
     extractor = _Extractor()
-    extractor.feed(raw.decode("utf-8", errors="replace"))
+    extractor.feed(page)
     extractor.close()
-    if not extractor.blocks:
+    if not extractor.tokens:
         raise EmptyAfterCleaning("no content blocks after boilerplate removal")
-    return "\n\n".join(extractor.blocks), extractor.breaks
+    return extractor.tokens, extractor.breaks

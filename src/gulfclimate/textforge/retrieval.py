@@ -33,7 +33,7 @@ class NoRelevantResults(GulfClimateError):
 @dataclass(frozen=True)
 class RetrievedDoc:
     url: str
-    raw: bytes
+    text: str
     provenance: Provenance
 
 
@@ -70,24 +70,22 @@ def retrieve_documents(keyword: Keyword, search: FixtureSearch,
         chain.append(query)
         accepted = [result for result in search.search(query) if on_domain(query, result)]
         if accepted:
-            docs = []
             query_chain = " -> ".join(chain)
-            for result in accepted:
-                raw = search.page(result["url"])
-                retrieved_at = result.get("retrieved_at") or search.retrieved_at(query)
-                docs.append(RetrievedDoc(
+            retrieved_at = parse_utc(search.retrieved_at(query) or "1970-01-01T00:00:00Z")
+            return [
+                RetrievedDoc(
                     url=result["url"],
-                    raw=raw,
+                    text=search.page(result["url"]),
                     provenance=Provenance(
-                        retrieved_at=parse_utc(retrieved_at) if retrieved_at
-                        else parse_utc("1970-01-01T00:00:00Z"),
+                        retrieved_at=retrieved_at,
                         query=query_chain,
                         url=result["url"],
                         title=result.get("title"),
                         organization=urlparse(result["url"]).netloc or None,
                     ),
-                ))
-            return docs
+                )
+                for result in accepted
+            ]
         refined = backend.complete([
             {"role": "user", "content": _REFINE_PROMPT.format(query=query)},
         ]).strip().strip('"')

@@ -29,6 +29,8 @@ INVALID_CALL_CODES = frozenset({"unknown_tool", "arg_error"})
 
 _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# ``date.fromisoformat`` alone also takes ``20230415`` from Python 3.11 on.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class RegistryError(GulfClimateError, ValueError):
@@ -117,10 +119,12 @@ def _coerce(value: Any, spec: ParamSpec) -> Any:
             return value
         if not isinstance(value, str):
             raise ValueError(f"expected an ISO date, got {value!r}")
-        try:
-            return date.fromisoformat(value.strip())
-        except ValueError:
-            raise ValueError(f"expected an ISO date (YYYY-MM-DD), got {value!r}") from None
+        if _DATE_RE.fullmatch(value.strip()):
+            try:
+                return date.fromisoformat(value.strip())
+            except ValueError:  # a month or day out of range
+                pass
+        raise ValueError(f"expected an ISO date (YYYY-MM-DD), got {value!r}")
     elif spec.type in REF_TYPES:
         # References stay opaque here; resolution happens at execution time.
         return value

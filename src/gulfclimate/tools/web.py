@@ -28,12 +28,12 @@ class FixtureSearch:
             raise ProviderFailure(f"no recorded results for query {query!r}")
         return list(entry["results"])
 
-    def page(self, url: str) -> bytes:
+    def page(self, url: str) -> str:
         pages = self.store.document("online_search").get("pages", {})
         entry = pages.get(url)
         if entry is None:
             raise ProviderFailure(f"no recorded page for {url!r}")
-        return entry["text"].encode("utf-8")
+        return entry["text"]
 
     def retrieved_at(self, query: str) -> str | None:
         entry = self.store.document("online_search").get("queries", {}).get(query_key(query))

@@ -11,8 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from gulfclimate.agent import ScriptedBackend  # noqa: E402
 from gulfclimate.errors import ConfigError  # noqa: E402
 from gulfclimate.pipelines import forge_text  # noqa: E402
+from gulfclimate.tools.web import query_key  # noqa: E402
 from perfbench import gen  # noqa: E402
 from perfbench.fakes import PromptKeyedBackend  # noqa: E402
 
@@ -93,6 +95,34 @@ def test_a_page_with_no_content_after_cleaning_is_dropped(tmp_path):
     assert result["dropped"]["documents_empty_after_cleaning"] == 1
     assert result["documents"] == job["documents"]
     assert result["items_written"] == job["items"] - gen.QA_ITEMS_PER_DOC
+
+
+def test_a_page_holding_a_lone_surrogate_is_parsed(tmp_path):
+    # JSON may escape a lone surrogate; the page reaches the parser as the
+    # str the fixture holds, never encoded on the way.
+    query, url = "heatwave plan Doha", "https://example.org/plan"
+    search = {
+        "queries": {query_key(query): {
+            "query": query, "retrieved_at": "2024-06-01T00:00:00Z",
+            "results": [{"title": "Heatwave plan for Doha", "url": url, "snippet": ""}]}},
+        "pages": {url: {"content_type": "html",
+                        "text": "<h1>Plan \ud83d</h1><p>Doha adopted a heatwave plan.</p>"}},
+    }
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "online_search.json").write_text(json.dumps(search), encoding="utf-8")
+    backend = ScriptedBackend([
+        query,
+        "Doha adopted a national heatwave plan.",
+        json.dumps([{"entailed": "Doha adopted a heatwave plan.",
+                     "contradicted": "Doha rejected a heatwave plan."}]),
+    ])
+    result = forge_text(seeds=["heat"], constraints=[("Qatar", "Doha")], backend=backend,
+                        fixture_root=fixtures, out_dir=tmp_path / "out", formats=("tf",))
+    assert backend.remaining == 0
+    assert (result["documents"], result["chunks"], result["facts"]) == (1, 1, 1)
+    assert result["items_written"] == 2
+    assert result["dropped"] == {}
 
 
 class _MalformedFirstMcq:

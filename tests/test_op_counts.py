@@ -20,11 +20,12 @@ if str(ROOT) not in sys.path:
 from gulfclimate import evalharness, pipelines  # noqa: E402
 from gulfclimate.agent import serialization  # noqa: E402
 from gulfclimate.cli.config import load_config  # noqa: E402
-from gulfclimate.core import timeutil  # noqa: E402
+from gulfclimate.core import CanonicalSeries, timeutil  # noqa: E402
 from gulfclimate.evalharness.replay import BenchReplay  # noqa: E402
 from gulfclimate.textforge import facts, parsing, qa  # noqa: E402
 from gulfclimate.toolkit import registry as registry_module  # noqa: E402
 from gulfclimate.tools import build_registry  # noqa: E402
+from gulfclimate.tools.providers import FixtureStore  # noqa: E402
 from perfbench import gen  # noqa: E402
 from perfbench.fakes import PromptKeyedBackend  # noqa: E402
 from perfbench.workloads import generate  # noqa: E402
@@ -50,6 +51,18 @@ def count_calls(monkeypatch, counts: Counter, key: str, module, name: str, size=
             monkeypatch.setattr(holder, name, counting)
 
 
+def count_constructions(monkeypatch, counts: Counter, key: str, cls, hook: str) -> None:
+    """Add one to ``counts[key]`` per instance of ``cls`` built, however it
+    is built, by wrapping its ``hook`` (``__init__`` or ``__post_init__``)."""
+    original = getattr(cls, hook)
+
+    def counting(self, *args, **kwargs):
+        counts[key] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, hook, counting)
+
+
 class CountingBackend:
     def __init__(self, inner, counts: Counter):
         self.inner = inner
@@ -70,6 +83,7 @@ def bench_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     count_calls(monkeypatch, counts, "execute", registry_module, "execute")
     count_calls(monkeypatch, counts, "render_tool_prompt", registry_module, "render_tool_prompt")
     count_calls(monkeypatch, counts, "render_observation", serialization, "render_observation")
+    count_constructions(monkeypatch, counts, "series", CanonicalSeries, "__post_init__")
     out: dict[str, int] = {}
     modes = (("step", evalharness.run_step_mode, replay.step_backend, {}),
              ("e2e", evalharness.run_e2e_mode, replay.e2e_backend,
@@ -88,6 +102,7 @@ def visual_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "format_timestamps", timeutil, "format_timestamps",
                 size=len)
+    count_constructions(monkeypatch, counts, "series", CanonicalSeries, "__post_init__")
     out = workdir / "out"
     result = pipelines.forge_visual(
         gridded_path=Path(meta["grid"]), city=meta["city"], variable=meta["variable"],
@@ -105,6 +120,7 @@ def text_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     count_calls(monkeypatch, counts, "parse_document", parsing, "parse_document")
     count_calls(monkeypatch, counts, "json_encodes", qa, "_encode")
     count_calls(monkeypatch, counts, "fact_id_digests", facts, "sha256")
+    count_constructions(monkeypatch, counts, "fixture_stores", FixtureStore, "__init__")
     for k, job in enumerate(meta["jobs"]):
         result = pipelines.forge_text(
             seeds=job["seeds"], constraints=[tuple(job["constraint"])], backend=backend,

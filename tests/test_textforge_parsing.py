@@ -1,9 +1,11 @@
-"""``parse_document`` returns the text and section breaks of the reference.
+"""``parse_document`` returns the tokens and section breaks of the reference.
 
 The reference is the earlier two-pass design: an extractor that also captured
-the page's title, ``<meta>`` and ``<link>`` tags, then a second pass that
-re-split the cleaned text into lines to find the ``## `` headings. The
-one-pass ``parse_document`` must give the same text and the same breaks.
+the page's title, ``<meta>`` and ``<link>`` tags and decoded the page from
+bytes, then a second pass that re-split the cleaned text into lines to find
+the ``## `` headings. The one-pass ``parse_document`` takes the page as a
+``str`` and must give the tokens of the reference's text (its ``split()``)
+and the same breaks.
 
 Two differences are intended. First, the reference reads everything after a
 ``<title>`` left open as title text, so such a page loses its body;
@@ -25,7 +27,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gulfclimate.textforge.chunking import tokenize
 from gulfclimate.textforge.parsing import EmptyAfterCleaning, parse_document
 from gulfclimate.tools.providers import FixtureStore
 from gulfclimate.tools.web import FixtureSearch
@@ -179,30 +180,35 @@ _TITLE_ENDS = re.compile(
     r"(?=<(?!(?:base|link|meta|noscript|script|style|template|title)\b)[a-z]|</head>)")
 
 
-def close_titles(raw: bytes) -> bytes:
-    """``raw`` with ``</title>`` before every place an open title ends.
+def close_titles(page: str) -> str:
+    """``page`` with ``</title>`` before every place an open title ends.
 
     The reference ignores an end tag inside boilerplate and treats one
     outside a title as a no-op, so only a title left open changes.
     """
-    return _TITLE_ENDS.sub("</title>", raw.decode("utf-8")).encode("utf-8")
+    return _TITLE_ENDS.sub("</title>", page)
 
 
-def outcome(parse, raw: bytes):
+def outcome(parse, page):
     try:
-        return parse(raw)
+        return parse(page)
     except EmptyAfterCleaning:
         return "empty"
 
 
-def assert_parses_as_reference(raw: bytes, reference_raw: bytes) -> None:
-    """``parse_document(raw)`` is ``tag_breaks_only(reference_raw)``, and every
-    break indexes a ``##`` token."""
-    got = outcome(parse_document, raw)
-    assert got == outcome(tag_breaks_only, reference_raw)
+def reference_tokens(page: str):
+    """:func:`tag_breaks_only` of ``page``, its text split into tokens."""
+    got = outcome(tag_breaks_only, page.encode("utf-8"))
+    return got if got == "empty" else (got[0].split(), got[1])
+
+
+def assert_parses_as_reference(page: str, reference_page: str) -> None:
+    """``parse_document(page)`` is the reference's tokens and breaks for
+    ``reference_page``, and every break indexes a ``##`` token."""
+    got = outcome(parse_document, page)
+    assert got == reference_tokens(reference_page)
     if got != "empty":
-        text, breaks = got
-        tokens = tokenize(text)
+        tokens, breaks = got
         assert all(tokens[b] == "##" for b in breaks)
 
 
@@ -252,52 +258,51 @@ def pages(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(page=pages())
 def test_generated_pages_parse_as_the_reference(page):
-    raw = page.encode("utf-8")
-    assert_parses_as_reference(raw, close_titles(raw))
+    assert_parses_as_reference(page, close_titles(page))
 
 
 @settings(max_examples=100, deadline=None)
 @given(chrome=st.sampled_from(["nav", "header", "footer", "aside"]),
        inner=st.lists(fragment, max_size=4), head=st.lists(head_tag, max_size=4))
 def test_boilerplate_only_pages_are_empty_after_cleaning(chrome, inner, head):
-    raw = (f"<html><head>{''.join(head)}</head><body>"
-           f"<{chrome}>{''.join(inner)}</{chrome}></body></html>").encode("utf-8")
+    page = (f"<html><head>{''.join(head)}</head><body>"
+            f"<{chrome}>{''.join(inner)}</{chrome}></body></html>")
     with pytest.raises(EmptyAfterCleaning):
-        parse_document(raw)
+        parse_document(page)
     with pytest.raises(EmptyAfterCleaning):
-        reference_parse(raw)
+        reference_parse(page.encode("utf-8"))
 
 
 def test_an_unclosed_title_ends_at_the_head_or_the_body():
-    raw = (b"<html><head><title>Rain brief</head><body><h1>Rain</h1>"
-           b"<p>12 mm fell in Doha.</p></body></html>")
-    assert parse_document(raw) == ("## Rain\n\n12 mm fell in Doha.", [0])
-    assert outcome(reference_parse, raw) == "empty"
-    body_only = b"<title>Rain brief<h1>Rain</h1><p>12 mm fell in Doha.</p>"
-    assert parse_document(body_only) == parse_document(raw)
-    assert parse_document(b"<title>Rain brief</head>12 mm fell.") == ("12 mm fell.", [])
+    page = ("<html><head><title>Rain brief</head><body><h1>Rain</h1>"
+            "<p>12 mm fell in Doha.</p></body></html>")
+    assert parse_document(page) == ("## Rain 12 mm fell in Doha.".split(), [0])
+    assert outcome(reference_parse, page.encode("utf-8")) == "empty"
+    body_only = "<title>Rain brief<h1>Rain</h1><p>12 mm fell in Doha.</p>"
+    assert parse_document(body_only) == parse_document(page)
+    assert parse_document("<title>Rain brief</head>12 mm fell.") == (["12", "mm", "fell."], [])
     # Tags inside boilerplate are skipped, so they leave an open title open.
-    in_chrome = b"<title>Rain brief<noscript><p>Enable JS</p></noscript> still title"
+    in_chrome = "<title>Rain brief<noscript><p>Enable JS</p></noscript> still title"
     assert outcome(parse_document, in_chrome) == "empty"
 
 
 def test_a_fixed_page_keeps_headings_and_drops_head_and_chrome():
-    raw = ("<html><head><title>Rain brief</title>"
-           '<meta name="date" content="2023-04-15"></head><body>'
-           "<nav><h2>Menu</h2></nav><h1>Rain  in Doha</h1><p>12 mm fell.</p>"
-           "<p>## not a tag heading</p><p><a href='/'>Home page link</a> x</p>"
-           "<h2>Outlook</h2><div>More\nrain due.</div></body></html>").encode("utf-8")
-    text, breaks = parse_document(raw)
-    assert text == ("## Rain in Doha\n\n12 mm fell.\n\n## not a tag heading\n\n"
-                    "## Outlook\n\nMore rain due.")
+    page = ("<html><head><title>Rain brief</title>"
+            '<meta name="date" content="2023-04-15"></head><body>'
+            "<nav><h2>Menu</h2></nav><h1>Rain  in Doha</h1><p>12 mm fell.</p>"
+            "<p>## not a tag heading</p><p><a href='/'>Home page link</a> x</p>"
+            "<h2>Outlook</h2><div>More\nrain due.</div></body></html>")
+    tokens, breaks = parse_document(page)
+    assert tokens == ("## Rain in Doha 12 mm fell. ## not a tag heading "
+                      "## Outlook More rain due.").split()
     assert breaks == [0, 12]
-    assert reference_parse(raw)[1] == [0, 7, 12]
+    assert reference_parse(page.encode("utf-8"))[1] == [0, 7, 12]
 
 
 # -- the benchmark's generated corpus and the checked-in fixtures -----------------
 
 
-def _corpus_pages(root: Path) -> list[bytes]:
+def _corpus_pages(root: Path) -> list[str]:
     search = FixtureSearch(FixtureStore(root))
     urls = json.loads((root / "online_search.json").read_text(encoding="utf-8"))["pages"]
     return [search.page(url) for url in sorted(urls)]
@@ -306,14 +311,14 @@ def _corpus_pages(root: Path) -> list[bytes]:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_corpus_pages_parse_as_the_reference(tmp_path, seed):
     meta = generate("forge-text", tmp_path, seed)
-    raws = _corpus_pages(tmp_path / "fixtures")
-    assert len(raws) == meta["pages"] > 0
-    for raw in raws:
-        assert_parses_as_reference(raw, raw)
+    pages = _corpus_pages(tmp_path / "fixtures")
+    assert len(pages) == meta["pages"] > 0
+    for page in pages:
+        assert_parses_as_reference(page, page)
 
 
 def test_fixture_pages_parse_as_the_reference():
-    raws = _corpus_pages(ROOT / "fixtures")
-    assert raws
-    for raw in raws:
-        assert_parses_as_reference(raw, raw)
+    pages = _corpus_pages(ROOT / "fixtures")
+    assert pages
+    for page in pages:
+        assert_parses_as_reference(page, page)

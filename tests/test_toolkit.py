@@ -146,6 +146,15 @@ def test_a_non_finite_real_is_an_arg_error(registry, body):
     assert obs.status.code == "arg_error" and obs.payload is None
 
 
+# ``date.fromisoformat`` takes both from Python 3.11 on.
+@pytest.mark.parametrize("value", ["20230415", "2023-W15-6"])
+def test_a_date_not_written_yyyy_mm_dd_is_an_arg_error(registry, value):
+    verdict = validate_call(
+        ToolCall("rain_inquiry", {"lat": 25.2854, "lon": 51.531, "date": value}), registry)
+    assert verdict.kind == "arg_error"
+    assert "YYYY-MM-DD" in verdict.details[0]
+
+
 def test_validate_is_total_over_junk(registry):
     for args in ({}, {"lat": None}, {"lat": True}, {"date": 17}):
         verdict = validate_call(ToolCall("rain_inquiry", dict(args)), registry)
