@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -214,7 +215,9 @@ def _ungrounded_numbers(text: str, pool: set[float]) -> tuple[str, ...]:
     bare = _CITATION_RE.sub(" ", text)
     missing: list[str] = []
     for token, value in numeric_claims(bare):
-        if any(_close(value, p) for p in pool):
+        # A finite value is close to itself; an infinite one, such as
+        # ``1e999``, is close to nothing equal to it, so only the scan decides.
+        if value in pool and math.isfinite(value) or any(_close(value, p) for p in pool):
             continue
         if token not in missing:
             missing.append(token)

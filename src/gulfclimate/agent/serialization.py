@@ -20,6 +20,10 @@ from ..toolkit.types import Observation
 
 OBSERVATION_BYTE_CAP = 4000  # bytes of one observation line shown to the model
 
+# The field names of each dataclass type :func:`to_jsonable` has met, looked
+# up once per type. Threads may race to fill an entry with equal tuples.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
 
 def to_jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
@@ -39,9 +43,13 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {"type": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = to_jsonable(getattr(value, f.name))
+        cls = type(value)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+        out = {"type": cls.__name__}
+        for name in names:
+            out[name] = to_jsonable(getattr(value, name))
         return out
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from typing import IO, Iterable
 
 from ..errors import GulfClimateError
@@ -39,9 +40,12 @@ class CsvSchemaError(GulfClimateError, ValueError):
     """Input does not match the canonical CSV schema."""
 
 
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
+
+
 def _field(text: str) -> str:
     """``text`` as one CSV field, quoted only if it needs to be."""
-    if any(c in text for c in ',"\n\r'):
+    if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 from ..core import Provenance
+from . import has_surrogate
 from .chunking import Chunk
 
 _SENTENCE_SPLIT = re.compile(r"[.!?]+(?:\s|$)")
@@ -45,9 +46,10 @@ class AtomicFact:
 
 
 def passes_structural_checks(statement: str) -> bool:
-    """Single-sentence, not clause-joined, carries content words."""
+    """Single-sentence, not clause-joined, carries content words, holds no
+    surrogate."""
     text = statement.strip()
-    if not text:
+    if not text or has_surrogate(text):
         return False
     sentences = [s for s in _SENTENCE_SPLIT.split(text) if s.strip()]
     if len(sentences) > 1:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GulfClimateError
+from . import has_surrogate
 from .embedding import HashingEmbedder
 
 DEFAULT_TAU = 0.85
@@ -107,7 +108,8 @@ def expand_keywords(seeds: list[str], constraints: list[tuple[str | None, str | 
 
     Every returned keyword passed the similarity filter and carries the
     constraint tuple it was generated under. Candidates are embedded with a
-    :class:`HashingEmbedder` of the index's dimension.
+    :class:`HashingEmbedder` of the index's dimension; a line holding a
+    surrogate is no candidate.
     """
     if not seeds:
         raise KeywordIndexError("seed list must be non-empty")
@@ -119,7 +121,7 @@ def expand_keywords(seeds: list[str], constraints: list[tuple[str | None, str | 
         emission = backend.complete([{"role": "user", "content": prompt}])
         for line in emission.splitlines():
             text = line.strip().lstrip("-*0123456789. ").strip()
-            if not text:
+            if not text or has_surrogate(text):
                 continue
             candidate = Keyword(text=text, embedding=embedder.embed(text),
                                 country=country, city=city)

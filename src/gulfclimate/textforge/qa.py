@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 from ..core import Provenance, format_timestamp
 from ..errors import GulfClimateError
+from . import has_surrogate
 from .facts import AtomicFact
 
 FORMATS = ("mcq", "open", "tf")
@@ -53,6 +54,8 @@ def validate_item(item: QAItem) -> str | None:
         return "no_evidence"
     if item.split not in ("text", "visual"):
         return "unknown_split"
+    if has_surrogate(item.question, item.answer, *item.options):
+        return "unencodable_text"
     if item.format == "mcq":
         if len(item.options) < 3:
             return "too_few_options"

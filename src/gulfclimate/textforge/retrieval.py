@@ -15,6 +15,7 @@ from urllib.parse import urlparse
 
 from ..core import Provenance, parse_utc
 from ..errors import GulfClimateError
+from . import has_surrogate
 from .keywords import Keyword
 
 if TYPE_CHECKING:
@@ -60,7 +61,8 @@ def retrieve_documents(keyword: Keyword, search: FixtureSearch,
 
     Each round searches, gates results by domain relevance, and fetches the
     accepted ones; when nothing passes, the backend refines the query and the
-    loop repeats up to ``MAX_ROUNDS``. Every document carries provenance with
+    loop repeats up to ``MAX_ROUNDS``. A refinement that is empty, unchanged
+    or holds a surrogate ends the loop. Every document carries provenance with
     the full query chain. Raises :class:`NoRelevantResults` when all rounds
     come back off-domain.
     """
@@ -89,7 +91,7 @@ def retrieve_documents(keyword: Keyword, search: FixtureSearch,
         refined = backend.complete([
             {"role": "user", "content": _REFINE_PROMPT.format(query=query)},
         ]).strip().strip('"')
-        if not refined or refined == query:
+        if not refined or refined == query or has_surrogate(refined):
             break
         query = refined
     raise NoRelevantResults(f"no on-domain results after {len(chain)} round(s): {chain}")

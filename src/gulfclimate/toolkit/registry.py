@@ -52,6 +52,13 @@ class ToolRegistry:
     The benchmark harness runs instances on several threads once the backend
     wait dominates, so an executor may be called from several threads at
     once and must not keep per-call state on shared objects.
+
+    A registry keeps each :meth:`subset` it built, per name set, and each
+    :func:`render_tool_prompt` text, per category set, so a suite whose
+    instances share a few allowed-tool sets builds each subset and its
+    prompt once. Nothing a registry holds changes, so neither can go stale.
+    Threads may race to fill the same entry: both build equal values, and
+    a dict store is one step, so the race is harmless.
     """
 
     def __init__(self, entries: Mapping[ToolSignature, Executor]):
@@ -61,6 +68,8 @@ class ToolRegistry:
                 raise RegistryError(f"duplicate tool name {sig.name!r}")
             by_name[sig.name] = (sig, executor)
         self._by_name = dict(sorted(by_name.items()))
+        self._subsets: dict[frozenset[str], ToolRegistry] = {}
+        self._prompts: dict[frozenset[str] | None, str] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -78,12 +87,17 @@ class ToolRegistry:
         return tuple(sig for sig, _ in self._by_name.values())
 
     def subset(self, names: Collection[str]) -> "ToolRegistry":
-        """A registry exposing only the given tools; executors are shared."""
-        wanted = set(names)
-        missing = wanted - set(self._by_name)
-        if missing:
-            raise RegistryError(f"unknown tools in subset: {sorted(missing)}")
-        return ToolRegistry(dict(self._by_name[n] for n in sorted(wanted)))
+        """A registry exposing only the given tools; executors are shared.
+        Built once per distinct name set."""
+        wanted = frozenset(names)
+        sub = self._subsets.get(wanted)
+        if sub is None:
+            missing = wanted - self._by_name.keys()
+            if missing:
+                raise RegistryError(f"unknown tools in subset: {sorted(missing)}")
+            sub = self._subsets[wanted] = ToolRegistry(
+                dict(self._by_name[n] for n in sorted(wanted)))
+        return sub
 
 
 def _coerce(value: Any, spec: ParamSpec) -> Any:
@@ -252,14 +266,23 @@ def render_tool_prompt(registry: ToolRegistry,
     Categories render in their fixed interface order; tools alphabetically
     within each. ``categories`` optionally restricts the listing (used by
     intent routing); to list only some tools, render a
-    :meth:`ToolRegistry.subset`.
+    :meth:`ToolRegistry.subset`. The text is built once per registry and
+    category set and kept on the registry, which threads may share (see
+    :class:`ToolRegistry`).
     """
     if len(registry) == 0:
         raise RegistryError("cannot render an empty registry")
-    allowed_cats = set(categories) if categories is not None else None
+    key = frozenset(categories) if categories is not None else None
+    text = registry._prompts.get(key)
+    if text is None:
+        text = registry._prompts[key] = _tool_prompt_text(registry, key)
+    return text
+
+
+def _tool_prompt_text(registry: ToolRegistry, categories: frozenset[str] | None) -> str:
     lines: list[str] = []
     for category in CATEGORIES:
-        if allowed_cats is not None and category not in allowed_cats:
+        if categories is not None and category not in categories:
             continue
         sigs = [s for s in registry.signatures() if s.category == category]
         if not sigs:

@@ -1,10 +1,12 @@
 """The act-observe-reason loop on the fixture registry with scripted emissions."""
 
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gulfclimate.agent import runner as runner_module
 from gulfclimate.agent.backend import ScriptedBackend
@@ -177,3 +179,52 @@ def test_numeric_claims_reads_signed_decimal_and_exponent_tokens():
     assert numeric_claims("AQI 87, -4.5 and 1e3 on 2023-04-15") == [
         ("87", 87.0), ("-4.5", -4.5), ("1e3", 1000.0),
         ("2023", 2023.0), ("-04", -4.0), ("-15", -15.0)]
+
+
+# -- grounding: the pool membership test is only a shortcut of the scan --------
+
+def _plain_scan(text: str, pool: set[float]) -> tuple[str, ...]:
+    """Grounding as the tolerance scan alone decides it."""
+    missing: list[str] = []
+    for token, value in runner_module.numeric_claims(runner_module._CITATION_RE.sub(" ", text)):
+        if not any(runner_module._close(value, p) for p in pool) and token not in missing:
+            missing.append(token)
+    return tuple(missing)
+
+
+_EDGE_VALUES = (0.0, -0.0, 1.0, -4.0, 12.5, 2023.0, 1e-7, 1e300, math.inf, -math.inf)
+_VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGE_VALUES))
+# Multiples of the tolerance to move a claimed value by: 0.999 lands just
+# inside it, 1.001 just outside.
+_SHIFTS = st.sampled_from((0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001))
+
+
+def _token(value: float) -> str:
+    """``value`` written as the token ``numeric_claims`` reads back to it."""
+    if math.isinf(value):
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
+@st.composite
+def _texts_and_pools(draw) -> tuple[str, set[float]]:
+    values = draw(st.lists(_VALUES, min_size=1, max_size=6))
+    pool = set(draw(st.lists(_VALUES, max_size=3)))
+    for value in values:
+        if draw(st.booleans()):
+            shift = draw(_SHIFTS) * runner_module.GROUNDING_REL_TOL
+            pool.add(value + shift * max(1.0, abs(value)) if math.isfinite(value) else value)
+    words = [f"{_token(v)}{draw(st.sampled_from(('', ' mm', ' [step 1]', ',')))}"
+             for v in values]
+    return " and ".join(words), pool
+
+
+@given(_texts_and_pools())
+@example(("Heat of 1e999 [step 1].", {math.inf}))
+@example(("Heat of 1e999 [step 1].", {math.inf, 5.0}))
+@example(("-0.0 and 0", {0.0}))
+@example(("12.5", {12.5 * (1 + 0.999 * runner_module.GROUNDING_REL_TOL)}))
+@example(("12.5", {12.5 * (1 + 1.001 * runner_module.GROUNDING_REL_TOL)}))
+def test_grounding_equals_the_plain_tolerance_scan(case):
+    text, pool = case
+    assert runner_module._ungrounded_numbers(text, pool) == _plain_scan(text, pool)

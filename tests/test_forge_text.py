@@ -97,32 +97,78 @@ def test_a_page_with_no_content_after_cleaning_is_dropped(tmp_path):
     assert result["items_written"] == job["items"] - gen.QA_ITEMS_PER_DOC
 
 
-def test_a_page_holding_a_lone_surrogate_is_parsed(tmp_path):
-    # JSON may escape a lone surrogate; the page reaches the parser as the
-    # str the fixture holds, never encoded on the way.
-    query, url = "heatwave plan Doha", "https://example.org/plan"
+_QUERY, _URL = "heatwave plan Doha", "https://example.org/plan"
+_FACT = "Doha adopted a national heatwave plan."
+_TF_ENTRY = {"entailed": "Doha adopted a heatwave plan.",
+             "contradicted": "Doha rejected a heatwave plan."}
+
+
+def _forge_one_page(tmp_path: Path, emissions: list[str],
+                    page: str = "<p>Doha adopted a heatwave plan.</p>",
+                    title: str = "Heatwave plan for Doha") -> dict:
+    """``forge_text`` of tf items over a fixture with one query and one page,
+    the backend replaying ``emissions``, which it must use up."""
     search = {
-        "queries": {query_key(query): {
-            "query": query, "retrieved_at": "2024-06-01T00:00:00Z",
-            "results": [{"title": "Heatwave plan for Doha", "url": url, "snippet": ""}]}},
-        "pages": {url: {"content_type": "html",
-                        "text": "<h1>Plan \ud83d</h1><p>Doha adopted a heatwave plan.</p>"}},
+        "queries": {query_key(_QUERY): {
+            "query": _QUERY, "retrieved_at": "2024-06-01T00:00:00Z",
+            "results": [{"title": title, "url": _URL, "snippet": ""}]}},
+        "pages": {_URL: {"content_type": "html", "text": page}},
     }
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     (fixtures / "online_search.json").write_text(json.dumps(search), encoding="utf-8")
-    backend = ScriptedBackend([
-        query,
-        "Doha adopted a national heatwave plan.",
-        json.dumps([{"entailed": "Doha adopted a heatwave plan.",
-                     "contradicted": "Doha rejected a heatwave plan."}]),
-    ])
+    backend = ScriptedBackend(emissions)
     result = forge_text(seeds=["heat"], constraints=[("Qatar", "Doha")], backend=backend,
                         fixture_root=fixtures, out_dir=tmp_path / "out", formats=("tf",))
     assert backend.remaining == 0
+    return result
+
+
+def test_a_page_holding_a_lone_surrogate_is_parsed(tmp_path):
+    # JSON may escape a lone surrogate; the page reaches the parser as the
+    # str the fixture holds, never encoded on the way.
+    result = _forge_one_page(tmp_path, [_QUERY, _FACT, json.dumps([_TF_ENTRY])],
+                             page="<h1>Plan \ud83d</h1><p>Doha adopted a heatwave plan.</p>")
     assert (result["documents"], result["chunks"], result["facts"]) == (1, 1, 1)
     assert result["items_written"] == 2
     assert result["dropped"] == {}
+
+
+# A backend emission may hold a lone surrogate too. The keyword, statement or
+# item that holds it is dropped, and the rest of the job goes on.
+
+def test_a_keyword_holding_a_lone_surrogate_is_not_kept(tmp_path):
+    result = _forge_one_page(tmp_path, [f"{_QUERY}\nheat \ud83d plan", _FACT,
+                                        json.dumps([_TF_ENTRY])])
+    assert result["keywords_kept"] == 1
+    assert (result["documents"], result["facts"], result["items_written"]) == (1, 1, 2)
+    assert json.loads((tmp_path / "out" / "keyword_index.jsonl").read_text(
+        encoding="utf-8").splitlines()[1])["text"] == _QUERY
+
+
+def test_a_fact_statement_holding_a_lone_surrogate_fails_the_structural_checks(tmp_path):
+    result = _forge_one_page(tmp_path, [_QUERY, f"Doha \ud83d built a cooling plan.\n{_FACT}",
+                                        json.dumps([_TF_ENTRY])])
+    assert (result["facts"], result["items_written"]) == (1, 2)
+    dataset = (tmp_path / "out" / "qa_text.jsonl").read_text(encoding="utf-8")
+    assert {ev["statement"] for line in dataset.splitlines()
+            for ev in json.loads(line)["evidence"]} == {_FACT}
+
+
+def test_a_refined_query_holding_a_lone_surrogate_ends_its_keyword(tmp_path):
+    result = _forge_one_page(tmp_path, [_QUERY, "heat \ud83d plan"], title="Football scores")
+    assert (result["keywords_kept"], result["keywords_skipped"]) == (1, 1)
+    assert (result["documents"], result["items_written"], result["dropped"]) == (0, 0, {})
+
+
+def test_a_tf_entry_holding_a_lone_surrogate_drops_only_its_item(tmp_path):
+    entry = {**_TF_ENTRY, "contradicted": "Doha rejected a \ud83d heatwave plan."}
+    result = _forge_one_page(tmp_path, [_QUERY, _FACT, json.dumps([entry])])
+    assert result["items_written"] == 1
+    assert result["dropped"] == {"dropped_unencodable_text": 1}
+    (line,) = (tmp_path / "out" / "qa_text.jsonl").read_text(encoding="utf-8").splitlines()
+    assert (json.loads(line)["question"], json.loads(line)["answer"]) == (
+        _TF_ENTRY["entailed"], "true")
 
 
 class _MalformedFirstMcq:

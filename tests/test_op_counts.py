@@ -74,21 +74,27 @@ class CountingBackend:
 
 
 def bench_counts(monkeypatch, workdir: Path) -> dict[str, int]:
+    """Counts of each mode as ``gulfclimate bench --mode`` runs it, on a
+    registry of its own, so the subsets and tool prompts a registry keeps
+    are counted in each mode."""
     generate("bench-cpu", workdir, SEED, tiny=True)
     config = load_config(workdir / "config.json")
-    registry = build_registry(config.provider, settings=config.settings)
+    registries = [build_registry(config.provider, settings=config.settings) for _ in range(2)]
     instances = evalharness.load_instances(workdir / "instances.jsonl")
     replay = BenchReplay.load(config.backend.replay)
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "execute", registry_module, "execute")
     count_calls(monkeypatch, counts, "render_tool_prompt", registry_module, "render_tool_prompt")
+    count_calls(monkeypatch, counts, "tool_prompts_built", registry_module, "_tool_prompt_text")
     count_calls(monkeypatch, counts, "render_observation", serialization, "render_observation")
     count_constructions(monkeypatch, counts, "series", CanonicalSeries, "__post_init__")
+    count_constructions(monkeypatch, counts, "registries", registry_module.ToolRegistry,
+                        "__init__")
     out: dict[str, int] = {}
     modes = (("step", evalharness.run_step_mode, replay.step_backend, {}),
              ("e2e", evalharness.run_e2e_mode, replay.e2e_backend,
               {"images_enabled": True, "budget": config.budget}))
-    for mode, run, make, options in modes:
+    for (mode, run, make, options), registry in zip(modes, registries):
         report = run(instances, lambda instance: CountingBackend(make(instance), counts),
                      registry, **options)
         assert all(row.failure is None for row in report.instance_rows)

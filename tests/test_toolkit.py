@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gulfclimate.toolkit import (
+    CATEGORIES,
     CallFormatError,
     FinalAnswer,
     ParamSpec,
     SignatureError,
     ToolCall,
+    ToolRegistry,
     ToolSignature,
     execute,
     parse_call,
@@ -16,7 +18,7 @@ from gulfclimate.toolkit import (
     serialize_call,
     validate_call,
 )
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.tools import SIGNATURES, ProviderConfig, build_registry
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -221,6 +223,35 @@ def test_prompt_single_tool(registry):
 
 def test_prompt_deterministic(registry):
     assert render_tool_prompt(registry) == render_tool_prompt(registry)
+
+
+def _fresh(registry: ToolRegistry, names) -> ToolRegistry:
+    """A new registry of ``names``, with nothing kept from earlier calls."""
+    return ToolRegistry({registry.signature(n): registry.executor(n) for n in set(names)})
+
+
+_NAMES = st.lists(st.sampled_from([sig.name for sig in SIGNATURES]), min_size=1, unique=True)
+
+
+@given(_NAMES, st.data())
+def test_a_subset_and_its_prompt_ignore_name_order_and_repeats(registry, names, data):
+    reordered = data.draw(st.permutations(names + data.draw(st.lists(st.sampled_from(names)))))
+    sub = registry.subset(reordered)
+    reference = _fresh(registry, names)
+    assert sub.signatures() == reference.signatures()
+    assert [sub.executor(n) for n in sorted(names)] == \
+        [reference.executor(n) for n in sorted(names)]
+    assert render_tool_prompt(sub) == render_tool_prompt(reference)
+    assert registry.subset(names) is sub
+
+
+@given(st.lists(st.sampled_from(CATEGORIES), min_size=1, unique=True), st.data())
+def test_a_prompt_ignores_category_order_and_repeats(registry, categories, data):
+    reordered = data.draw(st.permutations(
+        categories + data.draw(st.lists(st.sampled_from(categories)))))
+    reference = _fresh(registry, [sig.name for sig in registry.signatures()])
+    assert render_tool_prompt(registry, categories=reordered) == \
+        render_tool_prompt(reference, categories=sorted(categories))
 
 
 def test_signature_rejects_duplicate_params():
