@@ -6,7 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from gulfclimate.toolkit import ToolCall, serialize_call
+from gulfclimate.toolkit.grammar import serialize_call
+from gulfclimate.toolkit.types import ToolCall
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -46,7 +46,7 @@ class ScriptedBackend:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read replay file {path}: {exc}") from exc
-        emissions = doc.get("emissions")
+        emissions = doc.get("emissions") if isinstance(doc, dict) else None
         if not isinstance(emissions, list):
             raise ConfigError(f"replay file {path} has no 'emissions' array")
         return cls(emissions)

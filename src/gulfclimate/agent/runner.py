@@ -10,7 +10,7 @@ from typing import Any, Mapping, Sequence
 from ..toolkit.grammar import FENCE_CLOSE, FENCE_OPEN, parse_call
 from ..toolkit.registry import INVALID_CALL_CODES, ToolRegistry, execute, render_tool_prompt
 from ..toolkit.types import CallFormatError, FinalAnswer, Observation, ObservationStatus, ToolCall
-from ..core import CanonicalSeries
+from ..core.records import CanonicalSeries
 from .backend import BackendFailure, LLMBackend
 from .intent import route_intent
 from .serialization import observation_message, render_observation
@@ -215,8 +215,8 @@ def _ungrounded_numbers(text: str, pool: set[float]) -> tuple[str, ...]:
     bare = _CITATION_RE.sub(" ", text)
     missing: list[str] = []
     for token, value in numeric_claims(bare):
-        # A finite value is close to itself; an infinite one, such as
-        # ``1e999``, is close to nothing equal to it, so only the scan decides.
+        # A finite value is close to itself; a non-finite one, such as
+        # ``1e999``, is close to nothing.
         if value in pool and math.isfinite(value) or any(_close(value, p) for p in pool):
             continue
         if token not in missing:
@@ -225,7 +225,10 @@ def _ungrounded_numbers(text: str, pool: set[float]) -> tuple[str, ...]:
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= GROUNDING_REL_TOL * max(1.0, abs(a), abs(b))
+    """Whether two finite values agree within ``GROUNDING_REL_TOL``; an
+    infinity would be within any relative tolerance of every finite value."""
+    return (math.isfinite(a) and math.isfinite(b)
+            and abs(a - b) <= GROUNDING_REL_TOL * max(1.0, abs(a), abs(b)))
 
 
 def _charts_for(trajectory: Trajectory, step_indices: Sequence[int]) -> tuple:

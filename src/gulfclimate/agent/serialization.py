@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from datetime import date, datetime
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..core import CanonicalSeries, GeoPoint, format_timestamp
 from ..core.csvio import series_to_csv
+from ..core.geo import GeoPoint
+from ..core.records import CanonicalSeries
+from ..core.timeutil import format_timestamp
 from ..toolkit.types import Observation
 
 OBSERVATION_BYTE_CAP = 4000  # bytes of one observation line shown to the model
@@ -107,3 +111,22 @@ def observation_message(body: str, index: int) -> tuple[str, str]:
 
 def dumps_stable(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def escape_surrogates(text: str) -> str:
+    """``text`` with each surrogate code point, which a backend emission can
+    carry but UTF-8 cannot encode, written as its JSON escape (``\\ud83d``).
+    Inside a JSON string the escape reads back to the same code point."""
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
+def write_json_text(path: str | Path, text: str) -> None:
+    """Write JSON ``text`` to ``path`` as UTF-8, each surrogate escaped."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        data = escape_surrogates(text).encode("utf-8")
+    Path(path).write_bytes(data)

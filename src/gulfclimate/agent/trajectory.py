@@ -7,7 +7,7 @@ from pathlib import Path
 
 from ..errors import GulfClimateError
 from ..toolkit.types import FinalAnswer, Observation, ToolCall
-from .serialization import dumps_stable, observation_to_jsonable
+from .serialization import dumps_stable, observation_to_jsonable, write_json_text
 
 
 class TrajectoryError(GulfClimateError, ValueError):
@@ -77,4 +77,4 @@ class Trajectory:
         return {"query": self.query, "budget": self.budget, "steps": steps}
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(dumps_stable(self.to_jsonable()), encoding="utf-8")
+        write_json_text(path, dumps_stable(self.to_jsonable()))

@@ -12,7 +12,8 @@ from typing import get_type_hints
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
 from ..agent.runner import DEFAULT_BUDGET
 from ..errors import ConfigError
-from ..tools import ProviderConfig, ToolSettings
+from ..tools.providers import ProviderConfig
+from ..tools.suite import ToolSettings
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def load_config(path: str | Path) -> RunConfig:
     - ``output_dir`` (``out`` by default, relative to the config's directory);
     - ``seed`` (0) and ``budget`` (8), integers;
     - ``route_intent`` (true), a boolean;
-    - ``tool_settings``: :class:`~gulfclimate.tools.ToolSettings` fields by
+    - ``tool_settings``: :class:`~gulfclimate.tools.suite.ToolSettings` fields by
       name.
 
     ``fixture_root``, ``replay``, ``endpoint``, ``model``, ``api_key_env``

@@ -8,23 +8,26 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..agent import AgentSettings, run as agent_run
-from ..agent.serialization import dumps_stable, observation_to_jsonable
+from ..agent.runner import AgentSettings, run as agent_run
+from ..agent.serialization import (
+    dumps_stable,
+    escape_surrogates,
+    observation_to_jsonable,
+    write_json_text,
+)
 from ..errors import ConfigError, GulfClimateError
-from ..evalharness import (
-    check_against_registry,
-    load_instances,
+from ..evalharness.model import check_against_registry, load_instances
+from ..evalharness.reporting import (
     render_report,
-    run_e2e_mode,
-    run_step_mode,
     write_instance_rows_csv,
     write_report_csv,
     write_step_rows_csv,
 )
 from ..evalharness.replay import BenchReplay
-from ..toolkit import CATEGORIES, ToolCall, execute, render_tool_prompt
-from ..toolkit.registry import INVALID_CALL_CODES
-from ..tools import build_registry
+from ..evalharness.runner import run_e2e_mode, run_step_mode
+from ..toolkit.registry import INVALID_CALL_CODES, execute, render_tool_prompt
+from ..toolkit.types import CATEGORIES, ToolCall
+from ..tools.suite import build_registry
 from .config import RunConfig, load_config
 
 EXIT_OK = 0
@@ -39,7 +42,7 @@ def _write_manifest(config: RunConfig, out_dir: Path, inputs: dict) -> None:
         "seed": config.seed,
         "inputs": inputs,
     }
-    (out_dir / "run_manifest.json").write_text(dumps_stable(manifest), encoding="utf-8")
+    write_json_text(out_dir / "run_manifest.json", dumps_stable(manifest))
 
 
 def _registry(config: RunConfig, backend=None):
@@ -66,13 +69,13 @@ def cmd_ask(args: argparse.Namespace) -> int:
         "ungrounded": list(answer.ungrounded),
         "charts": [c.chart_id for c in answer.charts],
     }
-    (out_dir / "answer.json").write_text(dumps_stable(answer_doc), encoding="utf-8")
+    write_json_text(out_dir / "answer.json", dumps_stable(answer_doc))
     for chart in answer.charts:
         (out_dir / f"{chart.chart_id}.svg").write_text(chart.svg, encoding="utf-8")
         (out_dir / f"{chart.chart_id}.csv").write_text(chart.data_csv, encoding="utf-8")
     _write_manifest(config, out_dir, {"query": args.query})
 
-    print(answer.text)
+    print(escape_surrogates(answer.text))
     if answer.citations:
         print(f"cited steps: {', '.join(str(c) for c in answer.citations)}")
     if answer.ungrounded:
@@ -198,8 +201,8 @@ def cmd_tools_call(args: argparse.Namespace) -> int:
     if status.code in INVALID_CALL_CODES:
         print(f"invalid call ({status.code}): {status.message}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(observation_to_jsonable(observation), indent=1, sort_keys=True,
-                     ensure_ascii=False))
+    print(escape_surrogates(json.dumps(observation_to_jsonable(observation), indent=1,
+                                       sort_keys=True, ensure_ascii=False)))
     return EXIT_OK if status.is_ok else EXIT_FLAGGED
 
 

@@ -1,4 +1,7 @@
-"""Regression benchmark: gold-trace step scoring, e2e scoring, error taxonomy."""
+"""Regression benchmark: gold-trace step scoring, e2e scoring, error taxonomy.
+
+perfbench imports the names below through this package root; they go when it
+imports them from their own modules."""
 
 from .model import check_against_registry, load_instances
 from .reporting import (

@@ -78,7 +78,7 @@ class GoldStep:
     def from_jsonable(cls, doc: dict) -> "GoldStep":
         return cls(
             tool=doc["tool"],
-            arg_names=frozenset(doc["arg_names"]),
+            arg_names=frozenset(_strings(doc, "arg_names")),
             arg_values=doc.get("arg_values"),
             summary_facts=tuple(KeyFact.from_jsonable(f)
                                 for f in doc.get("summary_facts", [])),
@@ -110,13 +110,21 @@ class BenchmarkInstance:
         return cls(
             id=str(doc["id"]),
             query=doc["query"],
-            allowed_tools=tuple(doc["allowed_tools"]),
+            allowed_tools=_strings(doc, "allowed_tools"),
             gold_trace=gold,
             answer_facts=tuple(KeyFact.from_jsonable(f)
                                for f in doc.get("answer_facts", [])),
             requires_chart=_flag(doc, "requires_chart", False),
             requires_tools=_flag(doc, "requires_tools", bool(gold)),
         )
+
+
+def _strings(doc: dict, key: str) -> tuple[str, ...]:
+    """``doc[key]`` if it is a JSON array of strings; a string is not one."""
+    value = doc[key]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{key} {value!r} is not an array of strings")
+    return tuple(value)
 
 
 def _flag(doc: dict, key: str, default: bool) -> bool:

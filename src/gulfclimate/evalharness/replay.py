@@ -25,7 +25,7 @@ class BenchReplay:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read bench replay {path}: {exc}") from exc
-        runs = doc.get("runs")
+        runs = doc.get("runs") if isinstance(doc, dict) else None
         if not isinstance(runs, dict):
             raise ConfigError(f"bench replay {path} has no 'runs' object")
         return cls(runs)

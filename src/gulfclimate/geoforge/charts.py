@@ -13,15 +13,9 @@ from datetime import datetime
 
 import numpy as np
 
-from ..core import (
-    CanonicalSeries,
-    Provenance,
-    elapsed_seconds,
-    format_timestamp,
-    summary_stats,
-    to_datetime64,
-    to_datetimes,
-)
+from ..core.records import CanonicalSeries, Provenance, elapsed_seconds, to_datetime64, to_datetimes
+from ..core.stats import summary_stats
+from ..core.timeutil import format_timestamp
 from ..core.csvio import series_from_csv, series_to_csv
 from ..errors import GulfClimateError
 from .windows import WindowSpec

@@ -37,14 +37,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core import (
-    TIMESTAMP_DTYPE,
-    CanonicalSeries,
-    GridSpec,
-    Provenance,
-    default_table,
-    parse_utc,
-)
+from ..core.geo import GridSpec
+from ..core.records import TIMESTAMP_DTYPE, CanonicalSeries, Provenance
+from ..core.timeutil import parse_utc
+from ..core.units import default_table
 from ..errors import GulfClimateError
 
 FORMAT_TAG = "gridded-fixture v1"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import GeoPoint, GridSpec
+from ..core.geo import GeoPoint, GridSpec
 from ..errors import GulfClimateError
 
 # Mean Earth radius in kilometres.

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from ..core import GeoPoint
+from ..core.geo import GeoPoint
 from ..errors import GulfClimateError
 
 GULF_COUNTRIES = ("Bahrain", "Kuwait", "Oman", "Qatar", "Saudi Arabia", "UAE")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import CanonicalSeries
+from ..core.records import CanonicalSeries
 from ..errors import GulfClimateError
 from ..textforge.chunking import Chunk
 from ..textforge.facts import AtomicFact

@@ -7,7 +7,7 @@ from datetime import datetime
 
 import numpy as np
 
-from ..core import CanonicalSeries, to_datetime64, to_datetimes
+from ..core.records import CanonicalSeries, to_datetime64, to_datetimes
 from ..errors import GulfClimateError
 
 DEFAULT_DELTA_DAYS = 90

@@ -22,8 +22,8 @@ import functools
 from collections import Counter
 from pathlib import Path
 
-from .core import format_timestamp
 from .core.csvio import format_row
+from .core.timeutil import format_timestamp
 from .errors import ConfigError
 from .geoforge.charts import EmptySlice, build_chart
 from .geoforge.gridded import GriddedProduct, extract_series

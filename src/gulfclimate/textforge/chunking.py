@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import Provenance
+from ..core.records import Provenance
 
 WINDOW_TOKENS = 512
 STRIDE_TOKENS = 384

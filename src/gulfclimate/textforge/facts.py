@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from hashlib import sha256
 
-from ..core import Provenance
+from ..core.records import Provenance
 from . import has_surrogate
 from .chunking import Chunk
 

@@ -10,7 +10,9 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..core import Provenance, format_timestamp
+from ..agent.serialization import write_json_text
+from ..core.records import Provenance
+from ..core.timeutil import format_timestamp
 from ..errors import GulfClimateError
 from . import has_surrogate
 from .facts import AtomicFact
@@ -231,7 +233,8 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
 
     Each line is one item as ``json.dumps(doc, sort_keys=True,
     ensure_ascii=False)`` would write it: keys in sorted order, ``", "`` and
-    ``": "`` separators, non-ASCII characters as themselves. The keys are
+    ``": "`` separators, non-ASCII characters as themselves (a lone
+    surrogate as its escape, by :func:`write_json_text`). The keys are
     ``answer``, ``answer_tolerance`` and ``chart_ref`` (when set),
     ``evidence`` (the records of :func:`resolve_evidence`), ``format``,
     ``id``, ``options`` (when non-empty), ``question``, ``review_flag`` and
@@ -265,5 +268,5 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
             f'"question": {string(item.question)}, '
             f'"review_flag": {"true" if item.review_flag else "false"}, '
             f'"split": {string(item.split)}}}')
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_json_text(path, "\n".join(lines) + ("\n" if lines else ""))
     return len(lines)

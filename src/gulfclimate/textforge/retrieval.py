@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
-from ..core import Provenance, parse_utc
+from ..core.records import Provenance
+from ..core.timeutil import parse_utc
 from ..errors import GulfClimateError
 from . import has_surrogate
 from .keywords import Keyword

@@ -7,8 +7,9 @@ import re
 from datetime import date
 from typing import Any, Callable, Collection, Mapping
 
-from ..core import GeoPoint, default_table
-from ..core import CanonicalSeries
+from ..core.geo import GeoPoint
+from ..core.records import CanonicalSeries
+from ..core.units import default_table
 from ..errors import GulfClimateError
 from .types import (
     CATEGORIES,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Mapping
 
-from ..core import GeoPoint
+from ..core.geo import GeoPoint
 from ..errors import GulfClimateError
 
 PARAM_TYPES = ("real", "integer", "string", "date", "image_ref", "audio_ref")

@@ -1,6 +1,8 @@
-"""Implementations of the 22-tool climate suite behind provider abstractions."""
+"""Implementations of the 22-tool climate suite behind provider abstractions.
 
-from .providers import ProviderConfig
-from .suite import SIGNATURES, ToolSettings, build_registry
+perfbench imports the name below through this package root; it goes when
+perfbench imports it from its own module."""
 
-__all__ = ["ProviderConfig", "SIGNATURES", "ToolSettings", "build_registry"]
+from .suite import build_registry
+
+__all__ = ["build_registry"]

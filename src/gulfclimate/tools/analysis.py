@@ -7,7 +7,8 @@ from datetime import datetime
 
 import numpy as np
 
-from ..core import CanonicalSeries, summary_stats, to_datetimes
+from ..core.records import CanonicalSeries, to_datetimes
+from ..core.stats import summary_stats
 from .errors import EmptyRange
 
 DEFAULT_Z_THRESHOLD = 3.0

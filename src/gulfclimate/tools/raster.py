@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core import GeoPoint
+from ..core.geo import GeoPoint
 from ..errors import GulfClimateError
 from .errors import MissingBand, ShapeMismatch
 

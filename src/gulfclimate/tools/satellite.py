@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..core import GeoPoint, midnight_utc
+from ..core.geo import GeoPoint
+from ..core.timeutil import midnight_utc
 from ..toolkit.types import ToolResult
 from .errors import NoImagery, UnresolvableReference
 from .providers import FixtureStore

@@ -13,10 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import (TIMESTAMP_DTYPE, CanonicalSeries, GeoPoint, RecordValidationError,
-                    default_table, midnight_utc, value_column)
+from ..core.geo import GeoPoint, GridSpec
+from ..core.records import TIMESTAMP_DTYPE, CanonicalSeries, RecordValidationError, value_column
+from ..core.timeutil import midnight_utc
+from ..core.units import default_table
 from ..geoforge.gridmatch import nearest_grid_cell
-from ..core.geo import GridSpec
 from ..toolkit.types import ToolResult, ToolSignature
 from .analysis import analyze_range
 from .errors import EmptyRange, HorizonTooLong, NoDataForDate

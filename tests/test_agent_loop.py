@@ -12,9 +12,10 @@ from gulfclimate.agent import runner as runner_module
 from gulfclimate.agent.backend import ScriptedBackend
 from gulfclimate.agent.runner import AgentSettings, run
 from gulfclimate.agent.serialization import OBSERVATION_BYTE_CAP
-from gulfclimate.toolkit import FENCE_CLOSE, FENCE_OPEN
 from gulfclimate.toolkit import registry as registry_module
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.toolkit.grammar import FENCE_CLOSE, FENCE_OPEN
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import build_registry
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -228,3 +229,11 @@ def _texts_and_pools(draw) -> tuple[str, set[float]]:
 def test_grounding_equals_the_plain_tolerance_scan(case):
     text, pool = case
     assert runner_module._ungrounded_numbers(text, pool) == _plain_scan(text, pool)
+
+
+@pytest.mark.parametrize("text, pool, ungrounded", [
+    ("It hit 1e999 [step 1].", {5.0}, ("1e999",)),
+    ("It hit 7 [step 1].", {math.inf}, ("7",)),
+])
+def test_an_infinity_neither_grounds_nor_is_grounded(text, pool, ungrounded):
+    assert runner_module._ungrounded_numbers(text, pool) == ungrounded

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from gulfclimate.agent.trajectory import Trajectory, TrajectoryError
-from gulfclimate.toolkit import FinalAnswer, ToolCall
-from gulfclimate.toolkit.types import Observation, ObservationStatus
+from gulfclimate.toolkit.types import FinalAnswer, Observation, ObservationStatus, ToolCall
 
 CALL = ToolCall("geocode_mapping", {"region": "Doha"})
 OK = Observation(tool="geocode_mapping", payload={"lat": 25.2854, "lon": 51.531},

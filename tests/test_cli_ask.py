@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,53 @@ def test_cli_ask_outputs_are_golden_and_repeatable(tmp_path, capsys, replay, exi
     assert first == (exit_code, GOLDEN[replay])
     if exit_code == EXIT_FLAGGED:
         assert "ungrounded numbers: 99.9\n" in capsys.readouterr().out
+
+
+def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
+    """``gulfclimate argv`` in a subprocess whose stdout is strict UTF-8, where
+    printing a lone surrogate raises; capsys would take any str."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gulfclimate.cli.main", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_ask_writes_a_lone_surrogate_of_the_answer_escaped(tmp_path):
+    replay = json.loads((ROOT / "replays" / "doha_rain.json").read_text(encoding="utf-8"))
+    replay["emissions"][-1] += "\ud83d"
+    (tmp_path / "replay.json").write_text(json.dumps(replay), encoding="utf-8")
+    out = tmp_path / "out"
+    (tmp_path / "config.json").write_text(json.dumps({
+        "provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
+        "backend": {"kind": "scripted", "replay": str(tmp_path / "replay.json")},
+        "output_dir": str(out),
+    }), encoding="utf-8")
+    done = _cli_subprocess(["ask", QUERY, "--config", str(tmp_path / "config.json")])
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    text = replay["emissions"][-1]
+    assert done.stdout.startswith(text[:-1] + "\\ud83d\n")
+    answer = (out / "answer.json").read_text(encoding="utf-8")
+    assert '"text": "Doha received 12.0 mm of rainfall on 2023-04-15 [step 2].\\ud83d"' in answer
+    assert json.loads(answer)["text"] == text
+    final = json.loads((out / "trajectory.json").read_text(encoding="utf-8"))["steps"][-1]
+    assert final["action"] == {"kind": "final_answer", "text": text}
+    assert final["emission"] == text
+
+
+def test_cli_tools_call_prints_a_lone_surrogate_of_a_fixture_escaped(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    species = json.loads((FIXTURES / "detect_species.json").read_text(encoding="utf-8"))
+    species["rows"][0]["candidates"][0][0] += " \ud83d"
+    (fixtures / "detect_species.json").write_text(json.dumps(species), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "fixture",
+                                               "fixture_root": str(fixtures)}}))
+    done = _cli_subprocess(["tools", "call", "detect_species", "--arg", "image=img_0001",
+                            "--config", str(config)])
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert '"ghaf tree \\ud83d"' in done.stdout
+    assert json.loads(done.stdout)["payload"][0][0] == "ghaf tree \ud83d"
 
 
 @pytest.mark.parametrize("argv, exit_code, stderr", [

@@ -1,4 +1,5 @@
-"""An input file that is not UTF-8 ends the CLI with its one-line error."""
+"""An input file that is not UTF-8, or not of the shape its loader reads,
+ends the CLI with its one-line error."""
 
 import json
 from pathlib import Path
@@ -90,3 +91,54 @@ def test_a_fixture_that_is_not_utf8_is_a_provider_failure(tmp_path, capsys):
     observation = json.loads(capsys.readouterr().out)
     assert observation["error_code"] == "provider_failure"
     assert "is not valid JSON: 'utf-8' codec can't decode" in observation["error_message"]
+
+
+def _replay_not_an_object(tmp_path: Path) -> str:
+    replay = tmp_path / "replay.json"
+    replay.write_text("3", encoding="utf-8")
+    return str(replay)
+
+
+def _instances_with(tmp_path: Path, change) -> str:
+    """The smoke instances with ``change`` applied to the first record."""
+    first, *rest = (ROOT / "benchmarks" / "smoke_instances.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    doc = json.loads(first)
+    change(doc)
+    path = tmp_path / "instances.jsonl"
+    path.write_text("\n".join([json.dumps(doc), *rest]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _bench(tmp_path: Path, instances: str, replay: str) -> list[str]:
+    return ["bench", instances, "--config", str(_write_config(tmp_path, replay=replay))]
+
+
+GOLD_REPLAY = str(ROOT / "replays" / "bench_gold.json")
+SMOKE = str(ROOT / "benchmarks" / "smoke_instances.jsonl")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (lambda tmp: ["ask", "How much rain fell in Doha?", "--config",
+                  str(_write_config(tmp, replay=_replay_not_an_object(tmp)))],
+     "configuration error: replay file {tmp}/replay.json has no 'emissions' array\n"),
+    (lambda tmp: _bench(tmp, SMOKE, _replay_not_an_object(tmp)),
+     "configuration error: bench replay {tmp}/replay.json has no 'runs' object\n"),
+    (lambda tmp: _bench(tmp, _instances_with(
+        tmp, lambda doc: doc["gold_trace"][0].update(arg_names=[None, "region"])), GOLD_REPLAY),
+     "error: {tmp}/instances.jsonl:1: bad instance record: "
+     "arg_names [None, 'region'] is not an array of strings\n"),
+    (lambda tmp: _bench(tmp, _instances_with(
+        tmp, lambda doc: doc["gold_trace"][0].update(arg_names="region")), GOLD_REPLAY),
+     "error: {tmp}/instances.jsonl:1: bad instance record: "
+     "arg_names 'region' is not an array of strings\n"),
+    (lambda tmp: _bench(tmp, _instances_with(
+        tmp, lambda doc: doc.update(allowed_tools="rain_inquiry")), GOLD_REPLAY),
+     "error: {tmp}/instances.jsonl:1: bad instance record: "
+     "allowed_tools 'rain_inquiry' is not an array of strings\n"),
+], ids=["ask_replay_not_an_object", "bench_replay_not_an_object", "gold_arg_name_null",
+        "gold_arg_names_a_string", "allowed_tools_a_string"])
+def test_a_file_of_the_wrong_shape_is_a_one_line_error(tmp_path, capsys, argv, err):
+    assert main(argv(tmp_path)) == EXIT_CONFIG
+    out, got = capsys.readouterr()
+    assert (out, got) == ("", err.format(tmp=tmp_path))

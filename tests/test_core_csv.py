@@ -9,19 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.core import (
-    CanonicalSeries,
-    GeoPoint,
-    RecordValidationError,
-    UnknownVariable,
+from gulfclimate.core import records
+from gulfclimate.core.csvio import (
+    HEADER,
+    CsvSchemaError,
+    format_row,
     series_from_csv,
     series_to_csv,
-    timestamp_column,
-    value_column,
     write_canonical_csv,
 )
-from gulfclimate.core import records
-from gulfclimate.core.csvio import HEADER, CsvSchemaError, format_row
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import (
+    CanonicalSeries,
+    RecordValidationError,
+    timestamp_column,
+    value_column,
+)
+from gulfclimate.core.units import UnknownVariable
 
 DOHA = GeoPoint(25.2854, 51.5310)
 

@@ -25,20 +25,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.core import (
-    CSV_HEADER,
+from gulfclimate.core.csvio import HEADER as CSV_HEADER, series_from_csv, series_to_csv
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import (
     CanonicalSeries,
-    GeoPoint,
     RecordValidationError,
-    default_table,
-    format_timestamp,
-    series_from_csv,
-    series_to_csv,
-    summary_stats,
     timestamp_column,
     to_datetimes,
     value_column,
 )
+from gulfclimate.core.stats import summary_stats
+from gulfclimate.core.timeutil import format_timestamp
+from gulfclimate.core.units import default_table
 from gulfclimate.core import records
 from gulfclimate.geoforge.gridded import GriddedFormatError, GriddedProduct
 from gulfclimate.geoforge.visualqa import SpanMask, SpikeInjection, inject_spike, mask_span

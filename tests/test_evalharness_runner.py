@@ -12,15 +12,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from gulfclimate.agent import ScriptedBackend
-from gulfclimate.agent.backend import BackendFailure
+from gulfclimate.agent.backend import BackendFailure, ScriptedBackend
 from gulfclimate.cli.main import EXIT_OK, main as cli_main
-from gulfclimate.evalharness import load_instances, run_e2e_mode, run_step_mode
 from gulfclimate.evalharness import runner as runner_module
-from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep, InstanceError
+from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep, InstanceError, load_instances
 from gulfclimate.evalharness.replay import BenchReplay
-from gulfclimate.toolkit import ToolCall, serialize_call
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.evalharness.runner import run_e2e_mode, run_step_mode
+from gulfclimate.toolkit.grammar import serialize_call
+from gulfclimate.toolkit.types import ToolCall
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import build_registry
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -448,17 +449,17 @@ def test_cli_bench_reports_are_golden_and_repeatable(tmp_path, replay, mode, ima
                                     "write_instance_rows_csv"])
 def test_every_report_writer_turns_an_os_error_into_a_sink_failure(tmp_path, writer,
                                                                    instances, registry):
-    from gulfclimate import evalharness
     from gulfclimate.core.csvio import SinkFailure
+    from gulfclimate.evalharness import reporting
 
     report = _run("step", instances, registry, _replay("bench_gold").step_backend)
     with pytest.raises(SinkFailure):
-        getattr(evalharness, writer)(report, tmp_path / "missing" / "report.csv")
+        getattr(reporting, writer)(report, tmp_path / "missing" / "report.csv")
 
 
 @pytest.mark.parametrize("mode", ["step", "e2e"])
 def test_an_unknown_allowed_tool_fails_its_instance(mode, instances, registry):
-    from gulfclimate.evalharness import check_against_registry
+    from gulfclimate.evalharness.model import check_against_registry
 
     first = instances[0]
     misspelled = replace(first, allowed_tools=(*first.allowed_tools, "rain_inquery"))
@@ -474,7 +475,7 @@ def test_an_unknown_allowed_tool_fails_its_instance(mode, instances, registry):
 def test_report_rows_holding_a_carriage_return_round_trip(tmp_path):
     import csv
 
-    from gulfclimate.evalharness import write_instance_rows_csv, write_step_rows_csv
+    from gulfclimate.evalharness.reporting import write_instance_rows_csv, write_step_rows_csv
     from gulfclimate.evalharness.runner import InstanceRow, MetricReport, StepRow
 
     report = MetricReport(mode="e2e", step_rows=[StepRow("doha\rrain", 0, 1, 0, 1, 0, "ok")],

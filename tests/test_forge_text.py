@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from gulfclimate.agent import ScriptedBackend  # noqa: E402
+from gulfclimate.agent.backend import ScriptedBackend  # noqa: E402
 from gulfclimate.errors import ConfigError  # noqa: E402
 from gulfclimate.pipelines import forge_text  # noqa: E402
 from gulfclimate.tools.web import query_key  # noqa: E402
@@ -132,6 +132,16 @@ def test_a_page_holding_a_lone_surrogate_is_parsed(tmp_path):
     assert (result["documents"], result["chunks"], result["facts"]) == (1, 1, 1)
     assert result["items_written"] == 2
     assert result["dropped"] == {}
+
+
+def test_a_search_title_holding_a_lone_surrogate_is_written_escaped(tmp_path):
+    title = "Heatwave plan for Doha \ud83d"
+    result = _forge_one_page(tmp_path, [_QUERY, _FACT, json.dumps([_TF_ENTRY])], title=title)
+    assert result["items_written"] == 2
+    dataset = (tmp_path / "out" / "qa_text.jsonl").read_text(encoding="utf-8")
+    assert dataset.count('"title": "Heatwave plan for Doha \\ud83d"') == 2
+    assert {ev["provenance"]["title"] for line in dataset.splitlines()
+            for ev in json.loads(line)["evidence"]} == {title}
 
 
 # A backend emission may hold a lone surrogate too. The keyword, statement or

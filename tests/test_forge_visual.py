@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from gulfclimate.agent import ScriptedBackend
+from gulfclimate.agent.backend import ScriptedBackend
 from gulfclimate.core import timeutil
 from gulfclimate.cli.main import EXIT_CONFIG, main as cli_main
 from gulfclimate.errors import ConfigError

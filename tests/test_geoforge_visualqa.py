@@ -19,15 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.agent import ScriptedBackend
-from gulfclimate.core import (
-    TIMESTAMP_DTYPE,
-    CanonicalSeries,
-    GeoPoint,
-    Provenance,
-    format_timestamps,
-    value_column,
-)
+from gulfclimate.agent.backend import ScriptedBackend
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import TIMESTAMP_DTYPE, CanonicalSeries, Provenance, value_column
+from gulfclimate.core.timeutil import format_timestamps
 from gulfclimate.core.csvio import series_from_csv
 from gulfclimate.geoforge.charts import build_chart, chart_for_series
 from gulfclimate.geoforge.gridded import GriddedProduct, extract_series

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.core import (
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import (
     CanonicalSeries,
-    GeoPoint,
     RecordValidationError,
     timestamp_column,
     to_datetimes,

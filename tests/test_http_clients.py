@@ -9,9 +9,8 @@ import pytest
 
 from gulfclimate.agent import backend as backend_module
 from gulfclimate.agent.backend import BackendFailure, RemoteChatBackend
-from gulfclimate.tools import ProviderConfig
 from gulfclimate.tools.errors import ProviderFailure
-from gulfclimate.tools.providers import HttpSession
+from gulfclimate.tools.providers import HttpSession, ProviderConfig
 
 MESSAGES = [{"role": "user", "content": "Rain in Doha on 2023-04-15?"}]
 

@@ -20,10 +20,12 @@ from unittest import mock
 
 from gulfclimate.agent import serialization
 from gulfclimate.agent.backend import ScriptedBackend
-from gulfclimate.evalharness import run_e2e_mode, run_step_mode
+from gulfclimate.evalharness.runner import run_e2e_mode, run_step_mode
 from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep
-from gulfclimate.toolkit import ToolCall, serialize_call
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.toolkit.grammar import serialize_call
+from gulfclimate.toolkit.types import ToolCall
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import build_registry
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "model_prompts_golden.json"

@@ -15,9 +15,12 @@ import pytest
 from gulfclimate.agent.runner import show_observation
 from gulfclimate.agent.serialization import observation_message, render_observation
 from gulfclimate.cli.config import load_config
-from gulfclimate.evalharness import load_instances
-from gulfclimate.toolkit import ToolCall, execute, parse_call
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.evalharness.model import load_instances
+from gulfclimate.toolkit.grammar import parse_call
+from gulfclimate.toolkit.registry import execute
+from gulfclimate.toolkit.types import ToolCall
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import build_registry
 from perfbench.gen import make_suite
 from test_tools_golden import _observations
 

@@ -17,15 +17,18 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from gulfclimate import evalharness, pipelines  # noqa: E402
+from gulfclimate import pipelines  # noqa: E402
 from gulfclimate.agent import serialization  # noqa: E402
 from gulfclimate.cli.config import load_config  # noqa: E402
-from gulfclimate.core import CanonicalSeries, timeutil  # noqa: E402
+from gulfclimate.core import timeutil  # noqa: E402
+from gulfclimate.core.records import CanonicalSeries  # noqa: E402
+from gulfclimate.evalharness.model import load_instances  # noqa: E402
 from gulfclimate.evalharness.replay import BenchReplay  # noqa: E402
+from gulfclimate.evalharness.runner import run_e2e_mode, run_step_mode  # noqa: E402
 from gulfclimate.textforge import facts, parsing, qa  # noqa: E402
 from gulfclimate.toolkit import registry as registry_module  # noqa: E402
-from gulfclimate.tools import build_registry  # noqa: E402
 from gulfclimate.tools.providers import FixtureStore  # noqa: E402
+from gulfclimate.tools.suite import build_registry  # noqa: E402
 from perfbench import gen  # noqa: E402
 from perfbench.fakes import PromptKeyedBackend  # noqa: E402
 from perfbench.workloads import generate  # noqa: E402
@@ -80,7 +83,7 @@ def bench_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     generate("bench-cpu", workdir, SEED, tiny=True)
     config = load_config(workdir / "config.json")
     registries = [build_registry(config.provider, settings=config.settings) for _ in range(2)]
-    instances = evalharness.load_instances(workdir / "instances.jsonl")
+    instances = load_instances(workdir / "instances.jsonl")
     replay = BenchReplay.load(config.backend.replay)
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "execute", registry_module, "execute")
@@ -91,8 +94,8 @@ def bench_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     count_constructions(monkeypatch, counts, "registries", registry_module.ToolRegistry,
                         "__init__")
     out: dict[str, int] = {}
-    modes = (("step", evalharness.run_step_mode, replay.step_backend, {}),
-             ("e2e", evalharness.run_e2e_mode, replay.e2e_backend,
+    modes = (("step", run_step_mode, replay.step_backend, {}),
+             ("e2e", run_e2e_mode, replay.e2e_backend,
               {"images_enabled": True, "budget": config.budget}))
     for (mode, run, make, options), registry in zip(modes, registries):
         report = run(instances, lambda instance: CountingBackend(make(instance), counts),

@@ -28,11 +28,17 @@ if str(ROOT) not in sys.path:
 
 from gulfclimate.agent.backend import BackendFailure  # noqa: E402
 from gulfclimate.cli.config import load_config  # noqa: E402
-from gulfclimate.evalharness import (check_against_registry, load_instances,  # noqa: E402
-                                     run_e2e_mode, run_step_mode)
-from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep  # noqa: E402
-from gulfclimate.toolkit import ToolCall, serialize_call  # noqa: E402
-from gulfclimate.tools import ProviderConfig, build_registry  # noqa: E402
+from gulfclimate.evalharness.model import (  # noqa: E402
+    BenchmarkInstance,
+    GoldStep,
+    check_against_registry,
+    load_instances,
+)
+from gulfclimate.evalharness.runner import run_e2e_mode, run_step_mode  # noqa: E402
+from gulfclimate.toolkit.grammar import serialize_call  # noqa: E402
+from gulfclimate.toolkit.types import ToolCall  # noqa: E402
+from gulfclimate.tools.providers import ProviderConfig  # noqa: E402
+from gulfclimate.tools.suite import build_registry  # noqa: E402
 from perfbench.workloads import generate  # noqa: E402
 
 SEEDS = (1, 2, 3)

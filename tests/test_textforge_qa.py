@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gulfclimate.core import Provenance, format_timestamp
+from gulfclimate.core.records import Provenance
+from gulfclimate.core.timeutil import format_timestamp
 from gulfclimate.textforge.chunking import Chunk
 from gulfclimate.textforge.facts import AtomicFact
 from gulfclimate.textforge.qa import (BrokenEvidenceChain, QAItem, decode_qa_emission,

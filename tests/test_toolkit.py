@@ -3,22 +3,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gulfclimate.toolkit import (
+from gulfclimate.toolkit.grammar import parse_call, serialize_call
+from gulfclimate.toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
+from gulfclimate.toolkit.types import (
     CATEGORIES,
     CallFormatError,
     FinalAnswer,
     ParamSpec,
     SignatureError,
     ToolCall,
-    ToolRegistry,
     ToolSignature,
-    execute,
-    parse_call,
-    render_tool_prompt,
-    serialize_call,
-    validate_call,
 )
-from gulfclimate.tools import SIGNATURES, ProviderConfig, build_registry
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import SIGNATURES, build_registry
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,7 +170,7 @@ def test_execute_normalizes_kelvin(registry):
 
 
 def test_execute_timeout_becomes_error_observation():
-    from gulfclimate.toolkit import ToolRegistry
+    from gulfclimate.toolkit.registry import ToolRegistry
 
     sig = ToolSignature("geocode_mapping", "geospatial",
                         (ParamSpec("region", "string"),), "geopoint", "test stub")
@@ -188,7 +185,7 @@ def test_execute_timeout_becomes_error_observation():
 
 
 def test_execute_never_crashes_on_executor_bug():
-    from gulfclimate.toolkit import ToolRegistry
+    from gulfclimate.toolkit.registry import ToolRegistry
 
     sig = ToolSignature("summarize", "web", (ParamSpec("text", "string"),), "string", "stub")
 

@@ -3,9 +3,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from gulfclimate.core import (
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import (
     CanonicalSeries,
-    GeoPoint,
     RecordValidationError,
     timestamp_column,
     to_datetimes,

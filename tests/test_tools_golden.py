@@ -12,8 +12,10 @@ import json
 from pathlib import Path
 
 from gulfclimate.agent.serialization import observation_to_jsonable
-from gulfclimate.toolkit import ToolCall, execute
-from gulfclimate.tools import ProviderConfig, build_registry
+from gulfclimate.toolkit.registry import execute
+from gulfclimate.toolkit.types import ToolCall
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import build_registry
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

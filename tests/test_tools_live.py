@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from gulfclimate.core import CanonicalSeries, GeoPoint
+from gulfclimate.core.geo import GeoPoint
+from gulfclimate.core.records import CanonicalSeries
 from gulfclimate.toolkit.types import ToolResult
-from gulfclimate.tools import ProviderConfig
 from gulfclimate.tools.errors import HorizonTooLong, NoDataForDate
-from gulfclimate.tools.providers import FixtureStore
+from gulfclimate.tools.providers import FixtureStore, ProviderConfig
 from gulfclimate.tools.suite import SIGNATURES
 from gulfclimate.tools.weather import (AIR_QUALITY, CLIMATE_TOOLS, FLOOD, POINT_METHODS,
                                        WEATHER_ARCHIVE, FixtureClimateSource,

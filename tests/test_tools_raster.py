@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from gulfclimate.core import GeoPoint
+from gulfclimate.core.geo import GeoPoint
 from gulfclimate.tools.errors import MissingBand, ShapeMismatch
 from gulfclimate.tools.raster import (
     RasterImage,

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from gulfclimate.tools import ProviderConfig, SIGNATURES, build_registry
+from gulfclimate.tools.providers import ProviderConfig
+from gulfclimate.tools.suite import SIGNATURES, build_registry
 from gulfclimate.tools.carbon import EmissionFactorTable, carbon_footprint
-from gulfclimate.toolkit import ToolCall, execute
-from gulfclimate.toolkit.types import PARAM_TYPES, REF_TYPES, RETURN_TYPES
+from gulfclimate.toolkit.registry import execute
+from gulfclimate.toolkit.types import PARAM_TYPES, REF_TYPES, RETURN_TYPES, ToolCall
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,6 +1,7 @@
 """Every name a module of ``src/`` imports, and every private name it
 defines, is used in that module; every name a package root re-exports is
-imported through that root.
+imported through that root, by perfbench alone: every other client imports
+it from its defining module.
 
 ``__init__`` modules are skipped by the first check: their imports are the
 package's re-exports, which the last check covers. An imported name counts as used when the module loads it
@@ -132,6 +133,21 @@ def test_every_re_export_of_a_package_root_is_imported_through_it():
                 unused += [f"{package}: {alias.asname or alias.name}" for alias in node.names
                            if (package, alias.asname or alias.name) not in imported]
     assert unused == []
+
+
+def test_only_perfbench_reads_a_re_export_through_its_package_root():
+    re_exports = {(_module_name(init, SRC), alias.asname or alias.name)
+                  for init in SRC.rglob("__init__.py")
+                  for node in ast.parse(init.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for client in (c for c in CLIENTS if c != "perfbench"):
+        base = SRC if client == "src" else ROOT
+        for path in sorted((ROOT / client).rglob("*.py")):
+            found += [f"{path.relative_to(ROOT)}: {origin}.{name}" for origin, name in sorted(
+                imports_through(path.read_text(encoding="utf-8"), _module_name(path, base),
+                                path.name == "__init__.py") & re_exports)]
+    assert found == []
 
 
 def test_the_re_export_checker_resolves_relative_and_attribute_imports():
