@@ -7,7 +7,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_type_hints
 
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
 from ..agent.runner import DEFAULT_BUDGET
@@ -34,8 +33,6 @@ class BackendConfig:
 
     def build(self) -> LLMBackend:
         if self.kind == "scripted":
-            if not Path(self.replay).is_file():
-                raise ConfigError(f"replay file not found: {self.replay}")
             return ScriptedBackend.from_file(self.replay)
         return RemoteChatBackend(endpoint=self.endpoint, model=self.model,
                                  api_key_env=self.api_key_env)
@@ -49,6 +46,8 @@ class RunConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     route_intent: bool = True
+    # No config key sets ``settings``; it stays at its defaults only because the
+    # benchmark's timed setup passes it to ``build_registry(settings=...)``.
     settings: ToolSettings = field(default_factory=ToolSettings)
     raw: dict = field(default_factory=dict)
 
@@ -89,42 +88,47 @@ def _object(value, where: str, keys, unknown_label: str) -> dict:
     return value
 
 
-_CONFIG_KEYS = ("provider", "backend", "output_dir", "seed", "budget", "route_intent",
-                "tool_settings")
-_PROVIDER_KEYS = ("mode", "kind", "fixture_root", "timeout_s")
+_CONFIG_KEYS = ("provider", "backend", "output_dir", "seed", "budget", "route_intent")
+_PROVIDER_KEYS = ("mode", "fixture_root", "timeout_s")
 _BACKEND_KEYS = ("kind", "replay", "endpoint", "model", "api_key_env")
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a run config: a JSON object whose keys are all optional.
 
-    - ``provider``: ``mode`` or ``kind`` (``fixture``, the default, or
-      ``live_http``), ``fixture_root`` (relative to the config's directory)
-      and ``timeout_s`` (30 by default);
-    - ``backend``: ``kind`` (``scripted``, the default, or ``remote``),
-      ``replay`` (relative to the config's directory), ``endpoint``,
-      ``model`` and ``api_key_env``; without it there is no backend;
-    - ``output_dir`` (``out`` by default, relative to the config's directory);
-    - ``seed`` (0) and ``budget`` (8), integers;
-    - ``route_intent`` (true), a boolean;
-    - ``tool_settings``: :class:`~gulfclimate.tools.suite.ToolSettings` fields by
-      name.
+    - ``provider``, an object:
+      - ``mode``: ``fixture`` (the default) or ``live_http``;
+      - ``fixture_root``: a string, relative to the config's directory; the
+        fixture mode needs it;
+      - ``timeout_s``: a finite number above 0, 30 by default.
+    - ``backend``, an object; without it there is no backend:
+      - ``kind``: ``scripted`` (the default) or ``remote``;
+      - ``replay``: a string, relative to the config's directory; the
+        scripted kind needs it;
+      - ``endpoint`` and ``model``: strings, unset by default; the remote
+        kind needs both;
+      - ``api_key_env``: a string, empty by default.
+    - ``output_dir``: a string, relative to the config's directory, ``out``
+      by default.
+    - ``seed``: an integer, 0 by default.
+    - ``budget``: an integer of at least 1, 8 by default.
+    - ``route_intent``: a boolean, true by default.
 
-    ``fixture_root``, ``replay``, ``endpoint``, ``model``, ``api_key_env``
-    and ``output_dir`` are strings. A config, ``provider``, ``backend`` or
-    ``tool_settings`` that is not a JSON object, a key not named above at
-    any level, a malformed value, a string-typed key or a ``timeout_s``,
-    ``seed``, ``budget``, ``route_intent`` or ``tool_settings`` value that
-    does not have its type (an int passes for a float, and only ``true`` or
-    ``false`` for a boolean), a ``budget`` or ``forecast_default_horizon``
-    below 1, a ``timeout_s`` that is not a finite number above 0 or a file
-    that is not UTF-8 raises :class:`ConfigError`.
+    A key not named above, a value not of its type (an int passes for a
+    number, and only ``true`` or ``false`` for a boolean), a value out of its
+    range, a file that is not UTF-8 or a string holding a lone surrogate
+    (which no output file can encode) raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"config {path} holds a lone surrogate "
+                          f"{exc.object[exc.start]!r}, which UTF-8 cannot encode") from exc
     base = path.parent
     _object(doc, "config", _CONFIG_KEYS, "config keys")
 
@@ -138,7 +142,7 @@ def load_config(path: str | Path) -> RunConfig:
     if _matches(timeout_s, float) and not 0 < timeout_s <= sys.float_info.max:
         raise ConfigError(f"timeout_s: expected a finite number above 0, got {timeout_s!r}")
     provider = ProviderConfig(
-        kind=provider_doc.get("mode", provider_doc.get("kind", "fixture")),
+        kind=provider_doc.get("mode", "fixture"),
         fixture_root=Path(fixture_root) if fixture_root else None,
         timeout_s=_checked(timeout_s, float, "timeout_s"),
     )
@@ -161,16 +165,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not output_dir.is_absolute():
         output_dir = (base / output_dir).resolve()
 
-    setting_types = get_type_hints(ToolSettings)
-    settings_doc = _object(doc.get("tool_settings", {}), "tool_settings", setting_types,
-                           "tool_settings")
-    for name, value in settings_doc.items():
-        _checked(value, setting_types[name], f"tool_settings.{name}")
-    # The default stands in for an omitted horizon, whose minimum is 1.
-    horizon = settings_doc.get("forecast_default_horizon", 1)
-    if horizon < 1:
-        raise ConfigError(f"tool_settings.forecast_default_horizon: expected at least 1, "
-                          f"got {horizon!r}")
     budget = _checked(doc.get("budget", DEFAULT_BUDGET), int, "budget")
     if budget < 1:
         raise ConfigError(f"budget: expected at least 1, got {budget!r}")
@@ -182,6 +176,5 @@ def load_config(path: str | Path) -> RunConfig:
         seed=_checked(doc.get("seed", 0), int, "seed"),
         budget=budget,
         route_intent=_checked(doc.get("route_intent", True), bool, "route_intent"),
-        settings=ToolSettings(**settings_doc),
         raw=doc,
     )

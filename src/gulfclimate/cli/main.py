@@ -45,16 +45,12 @@ def _write_manifest(config: RunConfig, out_dir: Path, inputs: dict) -> None:
     write_json_text(out_dir / "run_manifest.json", dumps_stable(manifest))
 
 
-def _registry(config: RunConfig, backend=None):
-    return build_registry(config.provider, settings=config.settings, backend=backend)
-
-
 def cmd_ask(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if config.backend is None:
         raise ConfigError("ask requires a backend section in the config")
     backend = config.backend.build()
-    registry = _registry(config, backend=backend)
+    registry = build_registry(config.provider, backend=backend)
     settings = AgentSettings(budget=config.budget, route=config.route_intent,
                              images_enabled=args.images)
     answer, trajectory = agent_run(args.query, registry, backend, settings=settings)
@@ -89,7 +85,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     instances = load_instances(args.instances)
-    registry = _registry(config)
+    registry = build_registry(config.provider)
     check_against_registry(instances, registry)
 
     if config.backend is None:
@@ -174,7 +170,7 @@ def cmd_forge_visual(args: argparse.Namespace) -> int:
 
 def cmd_tools_list(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    registry = _registry(config)
+    registry = build_registry(config.provider)
     print(render_tool_prompt(registry), end="")
     print(f"{len(registry)} tools in {len(CATEGORIES)} categories")
     return EXIT_OK
@@ -182,15 +178,8 @@ def cmd_tools_list(args: argparse.Namespace) -> int:
 
 def cmd_tools_call(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    registry = _registry(config)
+    registry = build_registry(config.provider)
     call_args: dict = {}
-    if args.args_json:
-        try:
-            call_args = json.loads(args.args_json)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--args-json must be a JSON object: {exc.msg}") from exc
-        if not isinstance(call_args, dict):
-            raise ConfigError(f"--args-json must be a JSON object, got {args.args_json!r}")
     for pair in args.arg or []:
         key, _, value = pair.partition("=")
         if not _:
@@ -259,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     tcall = tools_sub.add_parser("call", help="invoke one tool")
     tcall.add_argument("tool")
     tcall.add_argument("--config", required=True)
-    tcall.add_argument("--arg", action="append", metavar="KEY=VALUE")
-    tcall.add_argument("--args-json")
+    tcall.add_argument("--arg", action="append", metavar="KEY=VALUE",
+                       help="one argument of the call, repeatable; each value is read as "
+                            "its parameter's type: a number, an integer, a YYYY-MM-DD date, "
+                            "a string or a reference id")
     tcall.set_defaults(func=cmd_tools_call)
 
     return parser

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
+from ..agent.serialization import escape_surrogates
 from ..core.csvio import SinkFailure, format_row
 from .runner import MetricReport
 
@@ -38,9 +39,11 @@ def render_report(report: MetricReport) -> str:
 
 
 def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
+    """Write ``rows`` as UTF-8, a lone surrogate of an instance id or a fact
+    label escaped (``\\ud83d``) as in ``trajectory.json``."""
+    text = escape_surrogates("".join(map(format_row, rows)))
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(map(format_row, rows))
+        Path(path).write_bytes(text.encode("utf-8"))
     except OSError as exc:
         raise SinkFailure(str(exc)) from exc
 

@@ -22,15 +22,15 @@ def _tools_list(tmp_path, doc) -> int:
     return main(["tools", "list", "--config", str(config)])
 
 
-@pytest.mark.parametrize("key", ["kind", "mode"])
-def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
-    assert _tools_list(tmp_path, {"provider": {key: "live_http"}}) == EXIT_OK
+def test_live_provider_loads(tmp_path, capsys):
+    assert _tools_list(tmp_path, {"provider": {"mode": "live_http"}}) == EXIT_OK
     assert capsys.readouterr().out.endswith("22 tools in 7 categories\n")
     assert load_config(tmp_path / "config.json").provider.kind == "live_http"
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"tool_settings": {"timeout_s": 5}}, "unknown tool_settings: timeout_s"),
+    ({"tool_settings": {"search_top_k": 5}}, "unknown config keys: tool_settings"),
+    ({"provider": {"kind": "fixture"}}, "unknown provider keys: kind"),
     ({"seed": "seven"}, "seed: expected int, got 'seven'"),
     ({"budget": [8]}, "budget: expected int, got [8]"),
     ({"provider": {"timeout_s": "soon"}}, "timeout_s: expected float, got 'soon'"),
@@ -48,22 +48,11 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
     ({"budget": True}, "budget: expected int, got True"),
     ({"budget": 0}, "budget: expected at least 1, got 0"),
     ({"seed": "3"}, "seed: expected int, got '3'"),
-    ({"tool_settings": {"search_top_k": "5"}}, "tool_settings.search_top_k: expected int, got '5'"),
-    ({"tool_settings": {"z_threshold": "3"}}, "tool_settings.z_threshold: expected float, got '3'"),
-    ({"tool_settings": {"forecast_default_horizon": 2.5}},
-     "tool_settings.forecast_default_horizon: expected int, got 2.5"),
-    ({"tool_settings": {"rain_event_mm": True}},
-     "tool_settings.rain_event_mm: expected float, got True"),
-    ({"tool_settings": {"forecast_default_horizon": 0}},
-     "tool_settings.forecast_default_horizon: expected at least 1, got 0"),
-    ({"tool_settings": {"forecast_default_horizon": -1}},
-     "tool_settings.forecast_default_horizon: expected at least 1, got -1"),
     ({"provider": "fixture"}, "provider: expected object, got 'fixture'"),
-    ({"provider": {"kind": "fixture", "root": "fixtures"}}, "unknown provider keys: root"),
+    ({"provider": {"mode": "fixture", "root": "fixtures"}}, "unknown provider keys: root"),
     ({"backend": ["scripted"]}, "backend: expected object, got ['scripted']"),
     ({"backend": {"kind": "scripted", "replay": "r.json", "seed": 1}},
      "unknown backend keys: seed"),
-    ({"tool_settings": None}, "tool_settings: expected object, got None"),
     ({"budgte": 3}, "unknown config keys: budgte"),
     ({"output_dir": 5}, "output_dir: expected str, got 5"),
     ({"provider": {"fixture_root": 5}}, "fixture_root: expected str, got 5"),
@@ -75,7 +64,7 @@ def test_live_provider_loads_with_either_key(tmp_path, capsys, key):
     ({"backend": {"replay": "r.json", "api_key_env": 5}}, "api_key_env: expected str, got 5"),
 ])
 def test_malformed_values_are_configuration_errors(tmp_path, capsys, doc, message):
-    doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)}, **doc}
+    doc = {"provider": {"mode": "fixture", "fixture_root": str(FIXTURES)}, **doc}
     assert _tools_list(tmp_path, doc) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -99,14 +88,29 @@ def test_relative_fixture_root_resolves_against_the_config_directory(
     assert config.settings.forecast_default_horizon == 3
 
 
-def test_tool_settings_of_the_annotated_type_load(tmp_path):
+def test_a_config_string_with_a_lone_surrogate_is_a_configuration_error(tmp_path, capsys):
+    doc = {"provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
+           "output_dir": "out\ud83d"}
+    assert _tools_list(tmp_path, doc) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"configuration error: config {tmp_path / 'config.json'} holds a "
+                              f"lone surrogate '\\ud83d', which UTF-8 cannot encode\n")
+
+
+def test_ask_rejects_a_lone_surrogate_of_the_backend_model_before_the_run(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
-        "tool_settings": {"search_top_k": 7, "z_threshold": 2, "rain_event_mm": 12.5},
-    }))
-    settings = load_config(config).settings
-    assert (settings.search_top_k, settings.z_threshold, settings.rain_event_mm) == (7, 2, 12.5)
+        "provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
+        "backend": {"kind": "scripted", "replay": str(ROOT / "replays" / "doha_rain.json"),
+                    "model": "m\ud83d"},
+        "output_dir": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    assert main(["ask", "How much rain fell in Doha on 2023-04-15?",
+                 "--config", str(config)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_runs_without_runtime_warning():

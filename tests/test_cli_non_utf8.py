@@ -15,7 +15,7 @@ LATIN_1 = "# café\n".encode("latin-1")  # é is one byte, 0xE9, which UTF-8 rej
 
 def _write_config(tmp_path: Path, **backend) -> Path:
     config = tmp_path / "config.json"
-    doc = {"provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
+    doc = {"provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
            "output_dir": str(tmp_path / "out")}
     if backend:
         doc["backend"] = {"kind": "scripted", **backend}
@@ -83,11 +83,10 @@ def test_a_fixture_that_is_not_utf8_is_a_provider_failure(tmp_path, capsys):
     fixtures.mkdir()
     (fixtures / "rain_inquiry.json").write_bytes(b'{"rows": []}' + LATIN_1)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"provider": {"kind": "fixture",
+    config.write_text(json.dumps({"provider": {"mode": "fixture",
                                                "fixture_root": str(fixtures)}}))
-    args = '{"lat": 25.2854, "lon": 51.531, "date": "2023-04-15"}'
-    assert main(["tools", "call", "rain_inquiry", "--args-json", args,
-                 "--config", str(config)]) == EXIT_FLAGGED
+    assert main(["tools", "call", "rain_inquiry", "--arg", "lat=25.2854", "--arg", "lon=51.531",
+                 "--arg", "date=2023-04-15", "--config", str(config)]) == EXIT_FLAGGED
     observation = json.loads(capsys.readouterr().out)
     assert observation["error_code"] == "provider_failure"
     assert "is not valid JSON: 'utf-8' codec can't decode" in observation["error_message"]

@@ -419,7 +419,7 @@ def bench_report_digests(tmp_path: Path, replay: str, mode: str, images: bool) -
     config = tmp_path / "config.json"
     out = tmp_path / "out"
     config.write_text(json.dumps({
-        "provider": {"kind": "fixture", "fixture_root": str(FIXTURES)},
+        "provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
         "backend": {"kind": "scripted", "replay": str(ROOT / "replays" / f"{replay}.json")},
         "output_dir": str(out),
     }), encoding="utf-8")
@@ -488,6 +488,32 @@ def test_report_rows_holding_a_carriage_return_round_trip(tmp_path):
     with open(tmp_path / "instance_rows.csv", encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh))[1:] == [
             ["doha\rrain", "1", "", "1", 'a,b|say "hi"', "bad\rreply\nhere"]]
+
+
+@pytest.mark.parametrize("mode, report, row", [
+    ("step", "step_rows.csv", "doha-rain-\\ud83d,0,1,1,1,1,none\n"),
+    ("e2e", "instance_rows.csv", "doha-rain-\\ud83d,0,,,doha\\ud83d,\n"),
+], ids=["step", "e2e"])
+def test_cli_bench_writes_a_lone_surrogate_of_an_id_or_label_escaped(tmp_path, mode, report,
+                                                                      row):
+    first, *rest = INSTANCES.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(first)
+    doc["id"] = "doha-rain-\ud83d"
+    doc["answer_facts"][1]["label"] = "doha\ud83d"
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("\n".join([json.dumps(doc), *rest]) + "\n", encoding="utf-8")
+    replay = json.loads((ROOT / "replays" / "bench_gold.json").read_text(encoding="utf-8"))
+    replay["runs"][doc["id"]] = replay["runs"].pop("doha-rain")
+    (tmp_path / "replay.json").write_text(json.dumps(replay), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
+        "backend": {"kind": "scripted", "replay": str(tmp_path / "replay.json")},
+        "output_dir": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    assert cli_main(["bench", str(instances), "--config", str(config), "--mode", mode]) == EXIT_OK
+    lines = (tmp_path / "out" / report).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert row in lines
 
 
 class MessageLog:

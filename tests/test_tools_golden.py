@@ -11,7 +11,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from gulfclimate.agent.serialization import observation_to_jsonable
+from gulfclimate.cli.main import main
 from gulfclimate.toolkit.registry import execute
 from gulfclimate.toolkit.types import ToolCall
 from gulfclimate.tools.providers import ProviderConfig
@@ -73,10 +76,13 @@ def _observations() -> dict[str, dict]:
             for label, (tool, args) in CASES.items()}
 
 
+def _digest(observation: dict) -> str:
+    return hashlib.sha256(json.dumps(observation, sort_keys=True, ensure_ascii=False)
+                          .encode("utf-8")).hexdigest()
+
+
 def _digests() -> dict[str, str]:
-    return {label: hashlib.sha256(json.dumps(obs, sort_keys=True, ensure_ascii=False)
-                                  .encode("utf-8")).hexdigest()
-            for label, obs in _observations().items()}
+    return {label: _digest(obs) for label, obs in _observations().items()}
 
 
 def test_every_tool_has_a_successful_case():
@@ -99,6 +105,22 @@ def test_observations_match_the_golden_digests_twice_in_a_row():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert _digests() == golden
     assert _digests() == golden
+
+
+@pytest.mark.parametrize("label", [label for label, (_, args) in CASES.items()
+                                   if not any(str(v).startswith("obs_") for v in args.values())])
+def test_tools_call_with_one_arg_per_value_prints_the_golden_observation(tmp_path, capsys,
+                                                                         label):
+    tool, args = CASES[label]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"mode": "fixture",
+                                               "fixture_root": str(FIXTURES)}}))
+    argv = ["tools", "call", tool, "--config", str(config)]
+    for key, value in args.items():
+        argv += ["--arg", f"{key}={value}"]
+    main(argv)
+    observation = json.loads(capsys.readouterr().out)
+    assert _digest(observation) == json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[label]
 
 
 if __name__ == "__main__":
