@@ -123,8 +123,9 @@ def escape_surrogates(text: str) -> str:
     return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
 
 
-def write_json_text(path: str | Path, text: str) -> None:
-    """Write JSON ``text`` to ``path`` as UTF-8, each surrogate escaped."""
+def write_text_escaped(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, each surrogate escaped as by
+    :func:`escape_surrogates`; text without one is encoded as it is."""
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError:

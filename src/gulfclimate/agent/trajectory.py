@@ -7,7 +7,7 @@ from pathlib import Path
 
 from ..errors import GulfClimateError
 from ..toolkit.types import FinalAnswer, Observation, ToolCall
-from .serialization import dumps_stable, observation_to_jsonable, write_json_text
+from .serialization import dumps_stable, observation_to_jsonable, write_text_escaped
 
 
 class TrajectoryError(GulfClimateError, ValueError):
@@ -77,4 +77,4 @@ class Trajectory:
         return {"query": self.query, "budget": self.budget, "steps": steps}
 
     def write(self, path: str | Path) -> None:
-        write_json_text(path, dumps_stable(self.to_jsonable()))
+        write_text_escaped(path, dumps_stable(self.to_jsonable()))

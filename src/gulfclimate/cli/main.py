@@ -13,7 +13,7 @@ from ..agent.serialization import (
     dumps_stable,
     escape_surrogates,
     observation_to_jsonable,
-    write_json_text,
+    write_text_escaped,
 )
 from ..errors import ConfigError, GulfClimateError
 from ..evalharness.model import check_against_registry, load_instances
@@ -42,7 +42,7 @@ def _write_manifest(config: RunConfig, out_dir: Path, inputs: dict) -> None:
         "seed": config.seed,
         "inputs": inputs,
     }
-    write_json_text(out_dir / "run_manifest.json", dumps_stable(manifest))
+    write_text_escaped(out_dir / "run_manifest.json", dumps_stable(manifest))
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
@@ -65,7 +65,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         "ungrounded": list(answer.ungrounded),
         "charts": [c.chart_id for c in answer.charts],
     }
-    write_json_text(out_dir / "answer.json", dumps_stable(answer_doc))
+    write_text_escaped(out_dir / "answer.json", dumps_stable(answer_doc))
     for chart in answer.charts:
         (out_dir / f"{chart.chart_id}.svg").write_text(chart.svg, encoding="utf-8")
         (out_dir / f"{chart.chart_id}.csv").write_text(chart.data_csv, encoding="utf-8")
@@ -184,6 +184,8 @@ def cmd_tools_call(args: argparse.Namespace) -> int:
         key, _, value = pair.partition("=")
         if not _:
             raise ConfigError(f"--arg expects key=value, got {pair!r}")
+        if key in call_args:
+            raise ConfigError(f"--arg names {key} twice")
         call_args[key] = value
     observation = execute(ToolCall(tool=args.tool, args=call_args), registry)
     status = observation.status

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ..agent.serialization import escape_surrogates
+from ..agent.serialization import write_text_escaped
 from ..core.csvio import SinkFailure, format_row
 from .runner import MetricReport
 
@@ -40,10 +40,10 @@ def render_report(report: MetricReport) -> str:
 
 def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
     """Write ``rows`` as UTF-8, a lone surrogate of an instance id or a fact
-    label escaped (``\\ud83d``) as in ``trajectory.json``."""
-    text = escape_surrogates("".join(map(format_row, rows)))
+    label as its six-character escape (``\\ud83d``); unlike in JSON, such a
+    field does not read back to the original string."""
     try:
-        Path(path).write_bytes(text.encode("utf-8"))
+        write_text_escaped(path, "".join(map(format_row, rows)))
     except OSError as exc:
         raise SinkFailure(str(exc)) from exc
 

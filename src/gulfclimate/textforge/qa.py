@@ -10,7 +10,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..agent.serialization import write_json_text
+from ..agent.serialization import write_text_escaped
 from ..core.records import Provenance
 from ..core.timeutil import format_timestamp
 from ..errors import GulfClimateError
@@ -234,7 +234,7 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
     Each line is one item as ``json.dumps(doc, sort_keys=True,
     ensure_ascii=False)`` would write it: keys in sorted order, ``", "`` and
     ``": "`` separators, non-ASCII characters as themselves (a lone
-    surrogate as its escape, by :func:`write_json_text`). The keys are
+    surrogate as its escape, by :func:`write_text_escaped`). The keys are
     ``answer``, ``answer_tolerance`` and ``chart_ref`` (when set),
     ``evidence`` (the records of :func:`resolve_evidence`), ``format``,
     ``id``, ``options`` (when non-empty), ``question``, ``review_flag`` and
@@ -268,5 +268,5 @@ def write_dataset(items: Sequence[QAItem], facts_by_id: dict[str, AtomicFact],
             f'"question": {string(item.question)}, '
             f'"review_flag": {"true" if item.review_flag else "false"}, '
             f'"split": {string(item.split)}}}')
-    write_json_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text_escaped(path, "\n".join(lines) + ("\n" if lines else ""))
     return len(lines)

@@ -101,6 +101,8 @@ def test_cli_tools_call_prints_a_lone_surrogate_of_a_fixture_escaped(tmp_path):
      EXIT_FLAGGED, ""),
     (["rain_inquiry", "--arg", "lat=25.2854", "--arg", "lon=51.531", "--arg", "date=2023-04-15"],
      EXIT_OK, ""),
+    (["geocode_mapping", "--arg", "region=Kuwait", "--arg", "region=Doha"],
+     EXIT_CONFIG, "configuration error: --arg names region twice\n"),
 ])
 def test_cli_tools_call_reports_invalid_calls_apart_from_failed_ones(
         tmp_path, capsys, argv, exit_code, stderr):
