@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from time import sleep
@@ -10,6 +9,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from ..errors import ConfigError, GulfClimateError
 from ..httpjson import BadResponse, HttpStatusError, request_json
+from ..jsoninput import read_json
 
 Message = Mapping[str, str]
 
@@ -30,25 +30,27 @@ class LLMBackend(Protocol):
 class ScriptedBackend:
     """Replays a fixed emission sequence; deterministic by construction.
 
-    The replay file format is a JSON object with an ``emissions`` array; each
-    ``complete`` call returns the next entry regardless of the incoming
-    conversation, so a replay is only meaningful against the run it was
-    written for.
+    The replay file format is a JSON object with an ``emissions`` array of
+    strings; each ``complete`` call returns the next entry regardless of the
+    incoming conversation, so a replay is only meaningful against the run it
+    was written for. :meth:`from_file` raises :class:`ConfigError` for a file
+    of another shape, naming the first emission that is not a string.
     """
 
     def __init__(self, emissions: Sequence[str]):
-        self._emissions = tuple(str(e) for e in emissions)
+        self._emissions = tuple(emissions)
         self._cursor = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read replay file {path}: {exc}") from exc
+        doc = read_json(path, "replay file")
         emissions = doc.get("emissions") if isinstance(doc, dict) else None
         if not isinstance(emissions, list):
             raise ConfigError(f"replay file {path} has no 'emissions' array")
+        for k, emission in enumerate(emissions):
+            if not isinstance(emission, str):
+                raise ConfigError(f"replay file {path}: emissions[{k}] is not a string: "
+                                  f"{emission!r}")
         return cls(emissions)
 
     @property

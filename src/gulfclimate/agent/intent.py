@@ -37,8 +37,6 @@ def route_intent(query: str, backend: LLMBackend) -> tuple[str, ...]:
     The backend is asked once with a routing prompt; an unparseable reply or
     a backend failure routes to every category.
     """
-    if not query.strip():
-        raise ValueError("query must be non-empty")
     try:
         reply = backend.complete([
             {"role": "user", "content": _ROUTING_PROMPT.format(query=query)},

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..agent.backend import LLMBackend, RemoteChatBackend, ScriptedBackend
 from ..agent.runner import DEFAULT_BUDGET
 from ..errors import ConfigError
+from ..jsoninput import finite_number, read_json
 from ..tools.providers import ProviderConfig
 from ..tools.suite import ToolSettings
 
@@ -56,20 +56,11 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _matches(value, kind: type) -> bool:
-    """A JSON value has the annotated type; an int passes for a float, and a
-    bool only for a bool."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _checked(value, kind: type, key: str):
-    """``value`` as a ``kind``, or :class:`ConfigError` naming ``key`` when
-    it fails :func:`_matches`."""
-    if not _matches(value, kind):
+    """``value`` if it is a JSON ``kind`` (a bool only for bool), else a :class:`ConfigError`."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    return kind(value)
+    return value
 
 
 def _optional_str(doc: dict, key: str) -> str | None:
@@ -120,10 +111,7 @@ def load_config(path: str | Path) -> RunConfig:
     (which no output file can encode) raises :class:`ConfigError`.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    doc = read_json(path, "config")
     try:
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -138,13 +126,12 @@ def load_config(path: str | Path) -> RunConfig:
     if fixture_root is not None and not Path(fixture_root).is_absolute():
         fixture_root = (base / fixture_root).resolve()
     timeout_s = provider_doc.get("timeout_s", 30.0)
-    # NaN fails both tests; an int too large for a float fails the second.
-    if _matches(timeout_s, float) and not 0 < timeout_s <= sys.float_info.max:
+    if not (finite_number(timeout_s) and timeout_s > 0):
         raise ConfigError(f"timeout_s: expected a finite number above 0, got {timeout_s!r}")
     provider = ProviderConfig(
         kind=provider_doc.get("mode", "fixture"),
         fixture_root=Path(fixture_root) if fixture_root else None,
-        timeout_s=_checked(timeout_s, float, "timeout_s"),
+        timeout_s=float(timeout_s),
     )
 
     backend = None

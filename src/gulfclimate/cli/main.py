@@ -46,6 +46,8 @@ def _write_manifest(config: RunConfig, out_dir: Path, inputs: dict) -> None:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
+    if not args.query.strip():
+        raise ConfigError("query must be non-empty")
     config = load_config(args.config)
     if config.backend is None:
         raise ConfigError("ask requires a backend section in the config")

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from ..agent.runner import numeric_claims
 from ..errors import GulfClimateError
+from ..jsoninput import finite_number
 from ..toolkit.registry import ToolRegistry
 
 DEFAULT_FACT_TOLERANCE = 1e-6
@@ -44,25 +44,19 @@ class KeyFact:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "KeyFact":
-        """A fact whose ``value`` is null, a string or a finite number and whose
-        ``tolerance`` is a finite number of at least 0; else ``ValueError``."""
+        """A fact whose ``label`` is a string, whose ``value`` is null, a string
+        or a finite number and whose ``tolerance`` is a finite number of at
+        least 0; else ``ValueError``."""
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"fact label {label!r} is not a string")
         value = doc.get("value")
-        if not (value is None or isinstance(value, str) or _finite_number(value)):
+        if not (value is None or isinstance(value, str) or finite_number(value)):
             raise ValueError(f"fact value {value!r} is not null, a string or a finite number")
         tolerance = doc.get("tolerance", DEFAULT_FACT_TOLERANCE)
-        if not (_finite_number(tolerance) and tolerance >= 0):
+        if not (finite_number(tolerance) and tolerance >= 0):
             raise ValueError(f"fact tolerance {tolerance!r} is not a finite number >= 0")
-        return cls(label=doc.get("label", ""), value=value, tolerance=float(tolerance))
-
-
-def _finite_number(value: object) -> bool:
-    """Whether ``value`` is a finite JSON number; ``true`` and ``false`` are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+        return cls(label=label, value=value, tolerance=float(tolerance))
 
 
 @dataclass(frozen=True)
@@ -76,10 +70,13 @@ class GoldStep:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "GoldStep":
+        arg_values = doc.get("arg_values")
+        if not (arg_values is None or isinstance(arg_values, dict)):
+            raise ValueError(f"arg_values {arg_values!r} is not null or an object")
         return cls(
             tool=doc["tool"],
             arg_names=frozenset(_strings(doc, "arg_names")),
-            arg_values=doc.get("arg_values"),
+            arg_values=arg_values,
             summary_facts=tuple(KeyFact.from_jsonable(f)
                                 for f in doc.get("summary_facts", [])),
         )
@@ -107,9 +104,12 @@ class BenchmarkInstance:
     @classmethod
     def from_jsonable(cls, doc: dict) -> "BenchmarkInstance":
         gold = tuple(GoldStep.from_jsonable(s) for s in doc.get("gold_trace", []))
+        query = doc["query"]
+        if not (isinstance(query, str) and query.strip()):
+            raise ValueError(f"query {query!r} is not a non-empty string")
         return cls(
             id=str(doc["id"]),
-            query=doc["query"],
+            query=query,
             allowed_tools=_strings(doc, "allowed_tools"),
             gold_trace=gold,
             answer_facts=tuple(KeyFact.from_jsonable(f)
@@ -136,8 +136,22 @@ def _flag(doc: dict, key: str, default: bool) -> bool:
 
 
 def load_instances(path: str | Path) -> list[BenchmarkInstance]:
-    """Read a line-delimited benchmark instance file; a record that is not
-    UTF-8 or not an instance raises :class:`InstanceError` naming its line."""
+    """Read a line-delimited benchmark instance file.
+
+    Each non-blank line is a JSON object with:
+    - ``id``, read as a string, and ``query``, a non-empty string;
+    - ``allowed_tools``, an array of strings that names every gold tool;
+    - ``gold_trace``, an array of steps, each an object with a ``tool``,
+      ``arg_names`` (an array of strings), ``arg_values`` (null or an
+      object) and ``summary_facts``;
+    - ``answer_facts`` and each step's ``summary_facts``, arrays of facts,
+      each an object with a string ``label``, a ``value`` that is null, a
+      string or a finite number, and a ``tolerance`` that is a finite number
+      of at least 0;
+    - ``requires_chart`` and ``requires_tools``, booleans.
+
+    A record that is not UTF-8 or not of this shape raises
+    :class:`InstanceError` naming its line."""
     instances = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 from datetime import date
 from typing import Any, Callable, Collection, Mapping
@@ -11,6 +10,7 @@ from ..core.geo import GeoPoint
 from ..core.records import CanonicalSeries
 from ..core.units import default_table
 from ..errors import GulfClimateError
+from ..jsoninput import finite_number
 from .types import (
     CATEGORIES,
     CATEGORY_TITLES,
@@ -107,13 +107,14 @@ def _coerce(value: Any, spec: ParamSpec) -> Any:
         if isinstance(value, bool):
             raise ValueError("boolean is not a real number")
         if isinstance(value, (int, float)):
-            out = float(value)
+            out = value
         elif isinstance(value, str) and _NUMERIC_RE.match(value.strip()):
             out = float(value.strip())
         else:
             raise ValueError(f"expected a real number, got {value!r}")
-        if not math.isfinite(out):
+        if not finite_number(out):
             raise ValueError(f"expected a finite real number, got {value!r}")
+        out = float(out)
     elif spec.type == "integer":
         if isinstance(value, bool):
             raise ValueError("boolean is not an integer")
@@ -157,7 +158,7 @@ def validate_call(call: ToolCall, registry: ToolRegistry) -> ValidationVerdict:
 
     ``ok`` iff the tool exists, every required parameter is present, no
     unknown parameters appear, and all values coerce to their semantic types
-    (a real must be finite: ``json.loads`` reads ``NaN`` and ``Infinity``).
+    (a real must be a :func:`finite_number`; ``json.loads`` reads ``NaN``).
     ``arg_error`` lists every offending field.
     """
     if call.tool not in registry:

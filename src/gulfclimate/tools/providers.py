@@ -25,11 +25,18 @@ query is matched on, then its data:
 
 Climate rows answer the query point through :func:`nearest_row` (at most
 0.25 degrees away), imagery rows the point rounded to 0.01 degrees.
-``online_search.json`` has no rows: ``queries`` maps the ``query_key`` of a
-query to ``{"query", "results", "retrieved_at"}`` (each result a ``title``,
-``url`` and ``snippet``), and ``pages`` maps a URL to ``{"content_type",
-"text"}``. ``carbon_factors.csv`` (``country,industry,year,factor``) holds
-the emission factors.
+``online_search.json`` has no rows. It is an object whose ``queries`` object
+maps the ``query_key`` of a query to an object ``{"query", "results",
+"retrieved_at"}``, with ``results`` an array of result objects (each a
+``title``, a string ``url`` and a ``snippet``) and ``retrieved_at`` a string
+or null, and whose ``pages`` object maps a URL to an object
+``{"content_type", "text"}`` with ``text`` a string; a document, table,
+entry or field of another shape is a ``ProviderFailure`` when a search reads
+it. ``carbon_factors.csv`` holds the
+emission factors: a header naming ``country``, ``industry``, ``year`` and
+``factor``, then one row per factor, with an integer year and a number above 0
+as its factor; a file of another shape raises ``FactorTableError`` naming its
+line when the registry is built.
 """
 
 from __future__ import annotations

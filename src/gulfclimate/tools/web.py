@@ -17,27 +17,52 @@ def query_key(query: str) -> str:
 
 
 class FixtureSearch:
-    """Replays recorded result sets keyed by query hash."""
+    """Replays recorded result sets keyed by query hash, from the
+    ``online_search.json`` fixture (its format is in :mod:`.providers`). A
+    document, table or entry of another shape raises
+    :class:`ProviderFailure`."""
 
     def __init__(self, store: FixtureStore):
         self.store = store
 
+    def _entry(self, table: str, key: str) -> dict | None:
+        """Entry ``key`` of the document's ``table`` object, ``None`` when absent."""
+        doc = self.store.document("online_search")
+        entries = doc.get(table, {}) if isinstance(doc, dict) else None
+        if not isinstance(entries, dict):
+            raise ProviderFailure(f"fixture 'online_search' has no {table!r} object")
+        entry = entries.get(key)
+        if not (entry is None or isinstance(entry, dict)):
+            raise ProviderFailure(
+                f"fixture 'online_search' {table}[{key!r}] is not an object: {entry!r}")
+        return entry
+
     def search(self, query: str) -> list[dict]:
-        entry = self.store.document("online_search").get("queries", {}).get(query_key(query))
+        entry = self._entry("queries", query_key(query))
         if entry is None:
             raise ProviderFailure(f"no recorded results for query {query!r}")
-        return list(entry["results"])
+        results = entry.get("results")
+        if not (isinstance(results, list)
+                and all(isinstance(r, dict) and isinstance(r.get("url"), str) for r in results)):
+            raise ProviderFailure(f"recorded results for query {query!r} are not an array "
+                                  f"of objects with a 'url' string: {results!r}")
+        return list(results)
 
     def page(self, url: str) -> str:
-        pages = self.store.document("online_search").get("pages", {})
-        entry = pages.get(url)
+        entry = self._entry("pages", url)
         if entry is None:
             raise ProviderFailure(f"no recorded page for {url!r}")
-        return entry["text"]
+        text = entry.get("text")
+        if not isinstance(text, str):
+            raise ProviderFailure(f"recorded page {url!r} has no 'text' string")
+        return text
 
     def retrieved_at(self, query: str) -> str | None:
-        entry = self.store.document("online_search").get("queries", {}).get(query_key(query))
-        return entry.get("retrieved_at") if entry else None
+        entry = self._entry("queries", query_key(query))
+        stamp = entry.get("retrieved_at") if entry else None
+        if not (stamp is None or isinstance(stamp, str)):
+            raise ProviderFailure(f"recorded retrieved_at for query {query!r} is not a string")
+        return stamp
 
 
 def make_search_executor(search, top_k: int = 5):

@@ -55,11 +55,3 @@ def test_the_backend_is_asked_once_with_the_query():
     route_intent("Rainfall in Doha", Recording(["numerical", "textual"]))
     assert len(prompts) == 1 and len(prompts[0]) == 1
     assert prompts[0][0]["content"].endswith("Query: Rainfall in Doha")
-
-
-@pytest.mark.parametrize("query", ["", "   ", "\n\t"])
-def test_an_empty_query_is_rejected(query):
-    backend = ScriptedBackend(["numerical"])
-    with pytest.raises(ValueError, match="non-empty"):
-        route_intent(query, backend)
-    assert backend.remaining == 1

@@ -33,7 +33,8 @@ def test_live_provider_loads(tmp_path, capsys):
     ({"provider": {"kind": "fixture"}}, "unknown provider keys: kind"),
     ({"seed": "seven"}, "seed: expected int, got 'seven'"),
     ({"budget": [8]}, "budget: expected int, got [8]"),
-    ({"provider": {"timeout_s": "soon"}}, "timeout_s: expected float, got 'soon'"),
+    ({"provider": {"timeout_s": "soon"}},
+     "timeout_s: expected a finite number above 0, got 'soon'"),
     ({"provider": {"timeout_s": -1}}, "timeout_s: expected a finite number above 0, got -1"),
     ({"provider": {"timeout_s": 0}}, "timeout_s: expected a finite number above 0, got 0"),
     ({"provider": {"timeout_s": float("nan")}},

@@ -109,11 +109,36 @@ def _instances_with(tmp_path: Path, change) -> str:
     return str(path)
 
 
+def _replay_with(tmp_path: Path, name: str, change) -> str:
+    """The replay ``name`` with ``change`` applied to its document."""
+    doc = json.loads((ROOT / "replays" / f"{name}.json").read_text(encoding="utf-8"))
+    change(doc)
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(doc), encoding="utf-8")
+    return str(replay)
+
+
 def _bench(tmp_path: Path, instances: str, replay: str) -> list[str]:
     return ["bench", instances, "--config", str(_write_config(tmp_path, replay=replay))]
 
 
+def _ask(tmp_path: Path, query: str, replay: str) -> list[str]:
+    return ["ask", query, "--config", str(_write_config(tmp_path, replay=replay))]
+
+
+def _tools_list_with_factors(tmp_path: Path, text: str) -> list[str]:
+    """``tools list`` on a fixture root whose only file is ``carbon_factors.csv``."""
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "carbon_factors.csv").write_text(text, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"mode": "fixture", "fixture_root": str(fixtures)}}),
+                      encoding="utf-8")
+    return ["tools", "list", "--config", str(config)]
+
+
 GOLD_REPLAY = str(ROOT / "replays" / "bench_gold.json")
+ASK_REPLAY = str(ROOT / "replays" / "doha_rain.json")
 SMOKE = str(ROOT / "benchmarks" / "smoke_instances.jsonl")
 
 
@@ -135,8 +160,32 @@ SMOKE = str(ROOT / "benchmarks" / "smoke_instances.jsonl")
         tmp, lambda doc: doc.update(allowed_tools="rain_inquiry")), GOLD_REPLAY),
      "error: {tmp}/instances.jsonl:1: bad instance record: "
      "allowed_tools 'rain_inquiry' is not an array of strings\n"),
+    (lambda tmp: _ask(tmp, "How much rain fell in Doha?", _replay_with(
+        tmp, "doha_rain", lambda doc: doc.update(emissions=[*doc["emissions"][:3], None]))),
+     "configuration error: replay file {tmp}/replay.json: emissions[3] is not a string: None\n"),
+    (lambda tmp: _bench(tmp, SMOKE, _replay_with(
+        tmp, "bench_gold", lambda doc: doc["runs"].update({"doha-forecast": 5}))),
+     "configuration error: bench replay run 'doha-forecast' is not an object: 5\n"),
+    (lambda tmp: _bench(tmp, SMOKE, _replay_with(
+        tmp, "bench_gold", lambda doc: doc["runs"]["doha-rain"]["steps"][1].update(action=None))),
+     "configuration error: bench replay run 'doha-rain': steps[1].action is not a string: "
+     "None\n"),
+    (lambda tmp: _ask(tmp, "", ASK_REPLAY), "configuration error: query must be non-empty\n"),
+    (lambda tmp: _ask(tmp, " \n\t", ASK_REPLAY),
+     "configuration error: query must be non-empty\n"),
+    (lambda tmp: _tools_list_with_factors(tmp, "country,industry,year\nQatar,energy,2022\n"),
+     "error: {tmp}/fixtures/carbon_factors.csv:1: missing columns ['factor']\n"),
+    (lambda tmp: _tools_list_with_factors(
+        tmp, "country,industry,year,factor\nQatar,energy,2022,0.5\nQatar,water,22.5,0.1\n"),
+     "error: {tmp}/fixtures/carbon_factors.csv:3: "
+     "invalid literal for int() with base 10: '22.5'\n"),
+    (lambda tmp: _tools_list_with_factors(
+        tmp, "country,industry,year,factor\nQatar,energy,2022,inf\n"),
+     "error: factor for ('Qatar', 'energy', 2022) must be a finite number above 0\n"),
 ], ids=["ask_replay_not_an_object", "bench_replay_not_an_object", "gold_arg_name_null",
-        "gold_arg_names_a_string", "allowed_tools_a_string"])
+        "gold_arg_names_a_string", "allowed_tools_a_string", "ask_emission_null",
+        "bench_run_not_an_object", "bench_action_null", "ask_query_empty", "ask_query_blank",
+        "factor_column_missing", "factor_year_not_an_integer", "factor_infinite"])
 def test_a_file_of_the_wrong_shape_is_a_one_line_error(tmp_path, capsys, argv, err):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     out, got = capsys.readouterr()

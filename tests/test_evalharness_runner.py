@@ -106,6 +106,20 @@ def test_rows_keep_instance_order_when_instances_finish_out_of_order(
     assert sorted(last_call, key=last_call.get) != ids
 
 
+def test_a_real_beyond_the_float_range_is_an_arg_err_of_its_own_step(instances, registry):
+    gold = _replay("bench_gold")
+    run = json.loads(json.dumps(gold.runs["doha-rain"]))
+    run["steps"][1]["action"] = run["steps"][1]["action"].replace("25.2854", "4" * 400)
+    report = run_step_mode(instances, BenchReplay({**gold.runs, "doha-rain": run}).step_backend,
+                           registry)
+    clean = run_step_mode(instances, gold.step_backend, registry)
+    assert not any(row.failure for row in report.instance_rows)
+    assert len(report.step_rows) == len(clean.step_rows)
+    assert [(got.instance_id, got.step_index, got.error_class)
+            for got, gold_row in zip(report.step_rows, clean.step_rows)
+            if got != gold_row] == [("doha-rain", 1, "arg_err")]
+
+
 @pytest.mark.parametrize("mode", ["step", "e2e"])
 @pytest.mark.parametrize("delay_s", [0.0, 0.02])
 def test_failing_factory_or_instance_gives_a_failed_row(mode, delay_s, instances, registry):
@@ -603,9 +617,14 @@ def test_step_mode_shows_the_model_the_system_message_of_e2e_mode(instances, reg
     (lambda doc: doc["gold_trace"][0]["summary_facts"][0].update(value={"v": 1}), "ValueError"),
     (lambda doc: doc.update(requires_chart="false"), "ValueError"),
     (lambda doc: doc.update(requires_tools=1), "ValueError"),
+    (lambda doc: doc.update(query=12), "ValueError"),
+    (lambda doc: doc.update(query=" \n"), "ValueError"),
+    (lambda doc: doc["gold_trace"][0].update(arg_values=[29.3759, 47.9774]), "ValueError"),
+    (lambda doc: doc["answer_facts"][0].update(label=5), "ValueError"),
 ], ids=["answer_fact_not_an_object", "summary_fact_not_an_object", "tolerance_not_a_number",
         "value_a_list", "value_a_bool", "tolerance_negative", "tolerance_infinite",
-        "summary_value_an_object", "requires_chart_a_string", "requires_tools_a_number"])
+        "summary_value_an_object", "requires_chart_a_string", "requires_tools_a_number",
+        "query_a_number", "query_blank", "arg_values_a_list", "fact_label_a_number"])
 def test_a_malformed_record_is_an_instance_error_naming_its_line(tmp_path, change, cause):
     good, bad = INSTANCES.read_text(encoding="utf-8").splitlines()[:2]
     doc = json.loads(bad)

@@ -69,22 +69,41 @@ def _run(corpus: Path, job: dict, search: dict, out: Path, backend=None) -> dict
                       fixture_root=corpus / "fixtures", out_dir=out, formats=gen.QA_FORMATS)
 
 
-@pytest.mark.parametrize("missing", ["query", "page"])
-def test_a_keyword_without_a_recording_is_dropped(tmp_path, missing):
+# Each spoils the recorded query, or one page, of a keyword.
+RECORDING_FAULTS = {
+    "query": lambda search, key, url: search["queries"].pop(key),
+    "page": lambda search, key, url: search["pages"].pop(url),
+    "query_not_an_object": lambda search, key, url: search["queries"].update({key: 5}),
+    "results_not_an_array": lambda search, key, url: search["queries"][key].update(results=5),
+    "result_without_url": lambda search, key, url: search["queries"][key]["results"][0].pop("url"),
+    "retrieved_at_not_a_string": lambda search, key, url: search["queries"][key].update(
+        retrieved_at=5),
+    "page_not_an_object": lambda search, key, url: search["pages"].update({url: "<p>x</p>"}),
+    "text_not_a_string": lambda search, key, url: search["pages"][url].update(text=None),
+}
+
+
+@pytest.mark.parametrize("fault", RECORDING_FAULTS)
+def test_a_keyword_without_a_recording_is_dropped(tmp_path, fault):
     corpus, job, search = _one_job(tmp_path)
     # The pages of the second keyword: the first one needs a refined query.
     url = job["urls"][gen.PAGES_PER_KEYWORD]
-    if missing == "page":
-        del search["pages"][url]
-    else:
-        (key,) = [k for k, q in search["queries"].items()
-                  if url in {r["url"] for r in q["results"]}]
-        del search["queries"][key]
+    (key,) = [k for k, q in search["queries"].items()
+              if url in {r["url"] for r in q["results"]}]
+    RECORDING_FAULTS[fault](search, key, url)
     result = _run(corpus, job, search, tmp_path / "out")
     assert result["dropped"]["keywords_provider_failure"] == 1
     assert result["keywords_skipped"] == 0
     assert result["documents"] == job["documents"] - gen.PAGES_PER_KEYWORD
     assert result["items_written"] == job["items"] - gen.PAGES_PER_KEYWORD * gen.QA_ITEMS_PER_DOC
+
+
+def test_a_search_recording_that_is_not_an_object_drops_every_keyword(tmp_path):
+    corpus, job, _search = _one_job(tmp_path)
+    result = _run(corpus, job, [], tmp_path / "out")
+    assert result["dropped"] == {"keywords_provider_failure": result["keywords_kept"]}
+    assert result["keywords_kept"] > 0
+    assert (result["documents"], result["items_written"]) == (0, 0)
 
 
 def test_a_page_with_no_content_after_cleaning_is_dropped(tmp_path):

@@ -1,8 +1,13 @@
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gulfclimate.cli.config import load_config
+from gulfclimate.errors import ConfigError
+from gulfclimate.evalharness.model import KeyFact
 from gulfclimate.toolkit.grammar import parse_call, serialize_call
 from gulfclimate.toolkit.registry import ToolRegistry, execute, render_tool_prompt, validate_call
 from gulfclimate.toolkit.types import (
@@ -12,6 +17,7 @@ from gulfclimate.toolkit.types import (
     ParamSpec,
     SignatureError,
     ToolCall,
+    ToolResult,
     ToolSignature,
 )
 from gulfclimate.tools.providers import ProviderConfig
@@ -128,10 +134,13 @@ NON_FINITE_CALLS = [
     '{"tool": "rain_inquiry", "args": {"lat": NaN, "lon": 51.531, "date": "2023-04-15"}}',
     '{"tool": "carbon_footprint_calculation", "args": {"country": "Qatar", '
     '"industry": "energy", "year": 2022, "revenue": Infinity}}',
+    '{"tool": "rain_inquiry", "args": {"lat": ' + "4" * 400 + ', "lon": 51.531, '
+    '"date": "2023-04-15"}}',
 ]
 
 
-@pytest.mark.parametrize("body", NON_FINITE_CALLS, ids=["nan-lat", "infinite-revenue"])
+@pytest.mark.parametrize("body", NON_FINITE_CALLS,
+                         ids=["nan-lat", "infinite-revenue", "lat-beyond-the-float-range"])
 def test_a_non_finite_real_is_an_arg_error(registry, body):
     from gulfclimate.evalharness.scoring import classify_error
 
@@ -158,6 +167,49 @@ def test_validate_is_total_over_junk(registry):
     for args in ({}, {"lat": None}, {"lat": True}, {"date": 17}):
         verdict = validate_call(ToolCall("rain_inquiry", dict(args)), registry)
         assert verdict.kind in ("ok", "arg_error", "unknown_tool", "format_error")
+
+
+# JSON numbers as ``json.loads`` reads them: NaN, the infinities and integers
+# beyond the float range included.
+_NUMBERS = st.one_of(st.booleans(), st.integers(), st.floats(),
+                     st.sampled_from([0.0, -0.0, 2**1100, -2**1100]))
+_SCALARS = st.one_of(st.none(), _NUMBERS, st.text(max_size=8),
+                     st.from_regex(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,4})?", fullmatch=True))
+# A bounded real, an unbounded one, an integer, a string and a date.
+_PARAMS = [("rain_inquiry", "lat"), ("carbon_footprint_calculation", "revenue"),
+           ("carbon_footprint_calculation", "year"), ("carbon_footprint_calculation", "country"),
+           ("rain_inquiry", "date")]
+
+
+@given(st.sampled_from(_PARAMS), _SCALARS)
+def test_validate_is_total_over_json_scalars(registry, param, value):
+    tool, name = param
+    verdict = validate_call(ToolCall(tool, {name: value}), registry)
+    assert verdict.kind == "arg_error"  # the other required params are missing
+
+
+_ECHO = ToolRegistry({ToolSignature("echo", "web", (ParamSpec("x", "real"),), "real", "echo"):
+                      lambda x: ToolResult(payload=x)})
+
+
+@given(_NUMBERS)
+def test_a_real_a_fact_value_and_timeout_s_accept_the_same_numbers(value):
+    real = validate_call(ToolCall("echo", {"x": value}), _ECHO).is_ok
+    fact = timeout = True
+    try:
+        KeyFact.from_jsonable({"value": value})
+    except ValueError:
+        fact = False
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"provider": {"mode": "live_http", "timeout_s": value}}),
+                          encoding="utf-8")
+        try:
+            load_config(config)
+        except ConfigError:
+            timeout = False
+    assert fact == real
+    assert timeout == (real and value > 0)
 
 
 # -- execution -----------------------------------------------------------------
