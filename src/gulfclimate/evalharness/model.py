@@ -151,15 +151,22 @@ def load_instances(path: str | Path) -> list[BenchmarkInstance]:
     - ``requires_chart`` and ``requires_tools``, booleans.
 
     A record that is not UTF-8 or not of this shape raises
-    :class:`InstanceError` naming its line."""
+    :class:`InstanceError` naming its line, and so does a record whose ``id``
+    an earlier line holds, naming both lines."""
     instances = []
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            instances.append(BenchmarkInstance.from_jsonable(json.loads(line)))
+            instance = BenchmarkInstance.from_jsonable(json.loads(line))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InstanceError(f"{path}:{lineno}: bad instance record: {exc}") from exc
+        first = line_of.setdefault(instance.id, lineno)
+        if first != lineno:
+            raise InstanceError(
+                f"{path}:{lineno}: instance id {instance.id!r} repeats line {first}")
+        instances.append(instance)
     if not instances:
         raise InstanceError(f"{path}: no instances")
     return instances

@@ -1,28 +1,32 @@
-"""Gridded-product fixture files and per-cell series extraction.
+"""Gridded-product fixture files and the series of the grid cell nearest a place.
 
 Format (``gridded-fixture v1``): the line ``# gridded-fixture v1``, a header
 of ``key: value`` lines (variable, unit, cadence, source, retrieved, grid
 axes), a ``---`` separator, then the body. Rows are date-keyed, so ``cadence``
 must be ``daily``; ``lats`` and ``lons`` are comma-separated numbers as
-``float`` reads them; a ``resolution_deg`` line is accepted and ignored. Lines
-end at ``\n``, ``\r\n`` or ``\r`` only. Each body line is stripped of
-surrounding whitespace; blank lines and lines starting with ``#`` are skipped,
-and every other line is one row ``date,i,j,value``. A row is checked in this
-order, and the first check it fails names the error:
+``float`` reads them; ``retrieved``, if present, is an ISO-8601 time; a
+``resolution_deg`` line is accepted and ignored. Lines end at ``\n``,
+``\r\n`` or ``\r`` only. Each body line is stripped of surrounding
+whitespace; blank lines and lines starting with ``#`` are skipped, and every
+other line is one row ``date,i,j,value``. A row is checked in this order, and
+the first check it fails names the error:
 
 1. field count: exactly three commas;
 2. date: anything ``date.fromisoformat`` reads, such as ``2022-01-31``;
 3. cell index: ``i``, then ``j``, integers as ``int`` reads them;
 4. cell range: ``0 <= i < len(lats)`` and ``0 <= j < len(lons)``;
 5. value: empty, an explicitly missing timestep, or anything ``float`` reads;
-6. finiteness: a non-empty value is a finite number.
+6. range: a non-empty value is a finite number within ``MAX_MAGNITUDE``
+   (1e150) of zero, so the squares that a series' statistics sum stay finite.
 
-Rows may come in any order; where a cell has two rows for one day, the later
-row wins. Every row of every cell is checked at load, and the first bad row
-raises :class:`GriddedFormatError` naming its 1-based file line. The body is
-read ``BLOCK_LINES`` lines at a time and parsed column by column, so only one
-block's lines are held as strings; the same parser, run on each line of a
-block that fails, finds the bad line. The extraction math is identical
+A file is loaded for one place: after the header, the loader picks the grid
+cell nearest that place, and keeps only that cell's days and values. Every
+row of every cell is still checked, and the first bad row raises
+:class:`GriddedFormatError` naming its 1-based file line. Rows may come in any
+order; where the kept cell has two rows for one day, the later row wins. The
+body is read ``BLOCK_LINES`` lines at a time and parsed column by column, so
+only one block's lines are held as strings; the same parser, run on each line
+of a block that fails, finds the bad line. The extraction math is identical
 whatever product the file stands in for.
 """
 
@@ -31,17 +35,18 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from ..core.geo import GridSpec
+from ..core.geo import GeoPoint, GridSpec
 from ..core.records import TIMESTAMP_DTYPE, CanonicalSeries, Provenance
-from ..core.timeutil import parse_utc
+from ..core.timeutil import UnparseableTimestamp, parse_utc
 from ..core.units import default_table
 from ..errors import GulfClimateError
+from .gridmatch import nearest_grid_cell
 
 FORMAT_TAG = "gridded-fixture v1"
 
@@ -51,8 +56,10 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # few enough that only one block's line strings are alive at a time.
 BLOCK_LINES = 8192
 
-# The day, cell-id and value columns of a block without rows.
-_NO_ROWS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+MAX_MAGNITUDE = 1e150  # rule 6 of the module docstring
+
+# The day and value columns of a block without rows of the kept cell.
+_NO_ROWS = (np.empty(0, np.int64), np.empty(0))
 
 
 class GriddedFormatError(GulfClimateError, ValueError):
@@ -65,34 +72,38 @@ class VariableAbsent(GulfClimateError, KeyError):
 
 @dataclass(frozen=True)
 class GriddedProduct:
-    """One variable of one product on one grid, loaded fully in memory."""
+    """One variable of one product at the grid cell nearest a place."""
 
     variable: str
     unit: str
     grid: GridSpec
     source: str
     retrieved_at: datetime
-    # (i, j) -> (days, values): ``datetime64[D]`` days, strictly increasing,
-    # and float64 values in ``unit``, NaN where a row's value is empty.
+    # The (i, j) of the grid cell nearest the place the file was loaded for.
+    cell: tuple[int, int]
+    # cell -> (days, values), or empty where the file has no row of ``cell``:
+    # ``datetime64[D]`` days, strictly increasing, and float64 values in
+    # ``unit``, NaN where a row's value is empty.
     cells: dict
 
     @classmethod
-    def from_text(cls, text: str) -> "GriddedProduct":
-        """Parse a file's text; a header without ``source`` names the
-        product ``gridded-fixture``."""
-        return cls._from_lines(io.StringIO(text, newline=None), "gridded-fixture")
+    def from_text(cls, text: str, near: GeoPoint) -> "GriddedProduct":
+        """Parse a file's text for the cell nearest ``near``; a header without
+        ``source`` names the product ``gridded-fixture``."""
+        return cls._from_lines(io.StringIO(text, newline=None), "gridded-fixture", near)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "GriddedProduct":
+    def from_file(cls, path: str | Path, near: GeoPoint) -> "GriddedProduct":
         path = Path(path)
         try:
             with path.open(encoding="utf-8") as lines:
-                return cls._from_lines(lines, path.stem)
+                return cls._from_lines(lines, path.stem, near)
         except UnicodeDecodeError as exc:
             raise GriddedFormatError(f"{path}: not UTF-8: {exc}") from exc
 
     @classmethod
-    def _from_lines(cls, lines: Iterator[str], source_name: str) -> "GriddedProduct":
+    def _from_lines(cls, lines: Iterator[str], source_name: str,
+                    near: GeoPoint) -> "GriddedProduct":
         if next(lines, "").strip() != f"# {FORMAT_TAG}":
             raise GriddedFormatError(f"missing format tag '# {FORMAT_TAG}'")
         header: dict[str, str] = {}
@@ -121,26 +132,34 @@ class GriddedProduct:
             except ValueError:
                 raise GriddedFormatError(f"bad header field {axis!r}: {header[axis]!r}") from None
         grid = GridSpec(**axes)
-        cells = _cells(*_read_body(lines, lineno, len(grid.lats), len(grid.lons)), len(grid.lons))
+        cell = nearest_grid_cell(near, grid)
+        days, values = _read_body(lines, lineno, len(grid.lats), len(grid.lons), cell)
         retrieved = header.get("retrieved", "1970-01-01T00:00:00Z")
+        try:
+            retrieved_at = parse_utc(retrieved)
+        except UnparseableTimestamp:
+            raise GriddedFormatError(f"bad header field 'retrieved': {retrieved!r}") from None
         return cls(
             variable=header["variable"], unit=header["unit"], grid=grid,
             source=header.get("source", source_name),
-            retrieved_at=parse_utc(retrieved),
-            cells=cells,
+            retrieved_at=retrieved_at,
+            cell=cell,
+            cells={cell: (days, values)} if len(days) else {},
         )
 
-    def provenance(self, cell: tuple[int, int]) -> Provenance:
+    def provenance(self) -> Provenance:
         return Provenance(
             retrieved_at=self.retrieved_at,
-            query=f"{self.source}/{self.variable}/cell{cell}",
-            title=f"{self.source} {self.variable} grid cell {cell}",
+            query=f"{self.source}/{self.variable}/cell{self.cell}",
+            title=f"{self.source} {self.variable} grid cell {self.cell}",
             organization=self.source,
         )
 
 
-def _read_body(lines: Iterator[str], lineno: int, n_lats: int, n_lons: int) -> tuple:
-    """The day, cell-id and value columns of the body rows after line ``lineno``.
+def _read_body(lines: Iterator[str], lineno: int, n_lats: int, n_lons: int,
+               cell: tuple[int, int]) -> tuple:
+    """The day and value columns of ``cell``'s rows after line ``lineno``,
+    one row per day, where the later row in the file wins.
 
     Lines are read ``BLOCK_LINES`` at a time, and each distinct date or index
     string is converted once for the whole file. A block that fails is parsed
@@ -151,22 +170,24 @@ def _read_body(lines: Iterator[str], lineno: int, n_lats: int, n_lons: int) -> t
     blocks = [_NO_ROWS]
     while block := list(islice(lines, BLOCK_LINES)):
         try:
-            blocks.append(_block_columns(block, day_of, index_of, n_lats, n_lons))
+            blocks.append(_block_columns(block, day_of, index_of, n_lats, n_lons, cell))
         except GriddedFormatError:
             for lineno, line in enumerate(block, start=lineno + 1):
                 try:
-                    _block_columns([line], day_of, index_of, n_lats, n_lons)
+                    _block_columns([line], day_of, index_of, n_lats, n_lons, cell)
                 except GriddedFormatError as exc:
                     raise GriddedFormatError(f"line {lineno}: {exc}") from None
             raise
         lineno += len(block)
-    days, cell_ids, values = (np.concatenate(column) for column in zip(*blocks))
-    return days.view("datetime64[D]"), cell_ids, values
+    days, values = (np.concatenate(column)[::-1] for column in zip(*blocks))
+    # The first row of a day in reversed file order is its last row in the file.
+    days, first = np.unique(days, return_index=True)
+    return days.view("datetime64[D]"), values[first]
 
 
 def _block_columns(block: list[str], day_of: dict, index_of: dict,
-                   n_lats: int, n_lons: int) -> tuple:
-    """Days since the epoch, cell ids and values of the rows in ``block``.
+                   n_lats: int, n_lons: int, cell: tuple[int, int]) -> tuple:
+    """Days since the epoch and values of the rows of ``cell`` in ``block``.
 
     Raises :class:`GriddedFormatError` naming the first check, in the order
     of the module docstring, that a row fails; for a one-line block that row's
@@ -212,35 +233,25 @@ def _block_columns(block: list[str], day_of: dict, index_of: dict,
             except ValueError:
                 raise GriddedFormatError(f"bad value {value!r}") from None
         raise
-    # Every empty value is NaN, so one NaN more means a non-empty "nan".
-    if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != n_empty:
-        value = next(v for v, finite in zip(raw, np.isfinite(values).tolist()) if v and not finite)
-        raise GriddedFormatError(f"non-finite value {value!r}")
-    cell_ids = (np.fromiter(map(index_of.__getitem__, i_keys), np.int64, n) * n_lons
-                + np.fromiter(map(index_of.__getitem__, j_keys), np.int64, n))
-    return np.fromiter(map(day_of.__getitem__, dates), np.int64, n), cell_ids, values
+    # NaN, infinite or too large; every empty value is NaN, so one more is bad.
+    bad = ~(np.abs(values) <= MAX_MAGNITUDE)
+    if np.count_nonzero(bad) != n_empty:
+        value = next(v for v, is_bad in zip(raw, bad.tolist()) if v and is_bad)
+        if not np.isfinite(float(value)):
+            raise GriddedFormatError(f"non-finite value {value!r}")
+        raise GriddedFormatError(f"value {value!r} beyond {MAX_MAGNITUDE:g} in magnitude")
+    # The index strings that name the kept cell, such as "1", "01" and "+1".
+    i_hits = {key for key in i_set if index_of[key] == cell[0]}
+    j_hits = {key for key in j_set if index_of[key] == cell[1]}
+    kept = np.fromiter(map(i_hits.__contains__, i_keys), bool, n)
+    kept &= np.fromiter(map(j_hits.__contains__, j_keys), bool, n)
+    days = np.fromiter(map(day_of.__getitem__, compress(dates, kept.tolist())), np.int64)
+    return days, values[kept]
 
 
-def _cells(days: np.ndarray, cell_ids: np.ndarray, values: np.ndarray, n_lons: int) -> dict:
-    """Group rows, given as columns, into day and value columns per cell.
-
-    ``cell_ids`` holds ``i * n_lons + j``. Rows may come in any order; where a
-    cell has two rows for one day, the later row in the file wins.
-    """
-    if not len(days):
-        return {}
-    order = np.lexsort((days, cell_ids))  # stable: file order among equal keys
-    days, cell_ids, values = days[order], cell_ids[order], values[order]
-    cell_end = np.append(cell_ids[1:] != cell_ids[:-1], True)
-    kept = cell_end | np.append(days[1:] != days[:-1], True)  # the last row of each day
-    splits = (np.flatnonzero(cell_end[kept]) + 1)[:-1]
-    return dict(zip((divmod(cell, n_lons) for cell in cell_ids[cell_end].tolist()),
-                    zip(np.split(days[kept], splits), np.split(values[kept], splits))))
-
-
-def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str,
+def extract_series(product: GriddedProduct, variable: str,
                    city: str | None = None) -> CanonicalSeries:
-    """The unit/time-normalized series at one grid cell.
+    """The unit/time-normalized series at the product's grid cell.
 
     Covers every day between the cell's first and last observations; days
     without data become explicit-missing (NaN) values so completeness
@@ -250,9 +261,9 @@ def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str
         raise VariableAbsent(
             f"product carries {product.variable!r}, not {variable!r}"
         )
-    observed = product.cells.get(tuple(cell))
+    observed = product.cells.get(product.cell)
     if observed is None:
-        raise VariableAbsent(f"cell {tuple(cell)} has no data")
+        raise VariableAbsent(f"cell {product.cell} has no data")
     days, raw = observed
     calendar = np.arange(days[0], days[-1] + 1)
     values = np.full(len(calendar), np.nan)
@@ -263,7 +274,7 @@ def extract_series(product: GriddedProduct, cell: tuple[int, int], variable: str
         values=values,
         variable=variable,
         unit=canonical_unit,
-        location=product.grid.point(cell[0], cell[1]),
+        location=product.grid.point(*product.cell),
         city=city,
         source=product.source,
     )

@@ -27,7 +27,6 @@ from .core.timeutil import format_timestamp
 from .errors import ConfigError
 from .geoforge.charts import EmptySlice, build_chart
 from .geoforge.gridded import GriddedProduct, extract_series
-from .geoforge.gridmatch import nearest_grid_cell
 from .geoforge.inventory import CityInventory
 from .geoforge.visualqa import VisualQAError, check_categories, synthesize_visual_qa
 from .geoforge.windows import segment_windows, window_slice
@@ -157,8 +156,10 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
                  backend=None, seed: int = 0, rho: float = 0.8) -> dict:
     """Run the visual-temporal pipeline over one gridded product.
 
-    Writes charts (SVG + CSV + a colocated metadata CSV) and
-    ``qa_visual.jsonl`` under ``out_dir``; returns summary counts. The charts
+    The product is loaded for the grid cell nearest ``city``: every row of
+    the file is checked, but only that cell's rows are kept. Writes charts
+    (SVG + CSV + a colocated metadata CSV) and ``qa_visual.jsonl`` under
+    ``out_dir``; returns summary counts. The charts
     are each window's chart plus the chart and evidence fact that every
     :func:`synthesize_visual_qa` call returns; they are written in one pass
     over the sorted chart ids, each chart's SVG, its CSV and its row of
@@ -174,11 +175,10 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     check_categories(categories, backend)
     _check_formats(formats)
     entry = CityInventory.default().lookup(city)
-    product = GriddedProduct.from_file(gridded_path)
-    cell = nearest_grid_cell(entry.location, product.grid)
-    series = extract_series(product, cell, variable, city=entry.city)
+    product = GriddedProduct.from_file(gridded_path, entry.location)
+    series = extract_series(product, variable, city=entry.city)
     windows = segment_windows(series, rho=rho)
-    provenance = product.provenance(cell)
+    provenance = product.provenance()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     charts_dir = out_dir / "charts"
@@ -227,7 +227,7 @@ def forge_visual(gridded_path: Path, city: str, variable: str, out_dir: Path,
     return {
         "city": entry.city,
         "variable": variable,
-        "grid_cell": list(cell),
+        "grid_cell": list(product.cell),
         "windows_kept": len(windows),
         "charts": len(charts),
         "items_written": written,

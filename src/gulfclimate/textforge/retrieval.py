@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
 from ..core.records import Provenance
-from ..core.timeutil import parse_utc
 from ..errors import GulfClimateError
 from . import has_surrogate
 from .keywords import Keyword
@@ -74,7 +73,7 @@ def retrieve_documents(keyword: Keyword, search: FixtureSearch,
         accepted = [result for result in search.search(query) if on_domain(query, result)]
         if accepted:
             query_chain = " -> ".join(chain)
-            retrieved_at = parse_utc(search.retrieved_at(query) or "1970-01-01T00:00:00Z")
+            retrieved_at = search.retrieved_at(query)
             return [
                 RetrievedDoc(
                     url=result["url"],

@@ -28,8 +28,8 @@ Climate rows answer the query point through :func:`nearest_row` (at most
 ``online_search.json`` has no rows. It is an object whose ``queries`` object
 maps the ``query_key`` of a query to an object ``{"query", "results",
 "retrieved_at"}``, with ``results`` an array of result objects (each a
-``title``, a string ``url`` and a ``snippet``) and ``retrieved_at`` a string
-or null, and whose ``pages`` object maps a URL to an object
+``title``, a string ``url`` and a ``snippet``) and ``retrieved_at`` null or
+an ISO-8601 time string, and whose ``pages`` object maps a URL to an object
 ``{"content_type", "text"}`` with ``text`` a string; a document, table,
 entry or field of another shape is a ``ProviderFailure`` when a search reads
 it. ``carbon_factors.csv`` holds the

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from datetime import datetime
 
+from ..core.timeutil import UnparseableTimestamp, parse_utc
 from ..toolkit.types import ToolResult
 from .errors import ProviderFailure
 from .providers import FixtureStore
@@ -57,12 +59,17 @@ class FixtureSearch:
             raise ProviderFailure(f"recorded page {url!r} has no 'text' string")
         return text
 
-    def retrieved_at(self, query: str) -> str | None:
+    def retrieved_at(self, query: str) -> datetime:
+        """When ``query``'s results were recorded; the epoch if not recorded."""
         entry = self._entry("queries", query_key(query))
         stamp = entry.get("retrieved_at") if entry else None
         if not (stamp is None or isinstance(stamp, str)):
             raise ProviderFailure(f"recorded retrieved_at for query {query!r} is not a string")
-        return stamp
+        try:
+            return parse_utc(stamp or "1970-01-01T00:00:00Z")
+        except UnparseableTimestamp as exc:
+            raise ProviderFailure(f"recorded retrieved_at for query {query!r} is not an "
+                                  f"ISO-8601 time: {stamp!r}") from exc
 
 
 def make_search_executor(search, top_k: int = 5):

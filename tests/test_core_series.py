@@ -409,16 +409,20 @@ lons: 51.4,51.5
 
 
 def test_gridded_rows_group_by_cell_and_reject_non_finite_values():
-    product = GriddedProduct.from_text(GRID + "2022-01-03,1,0,300.5\n2022-01-01,0,0,\n"
-                                       "2022-01-01,1,0,299.0\n2022-01-03,1,0,301.0\n")
-    assert sorted(product.cells) == [(0, 0), (1, 0)]
+    text = GRID + ("2022-01-03,1,0,300.5\n2022-01-01,0,0,\n"
+                   "2022-01-01,1,0,299.0\n2022-01-03,1,0,301.0\n")
+    product = GriddedProduct.from_text(text, GeoPoint(25.3, 51.4))
+    assert product.cell == (1, 0) and list(product.cells) == [(1, 0)]
     days, values = product.cells[(1, 0)]
     assert days.astype(str).tolist() == ["2022-01-01", "2022-01-03"]
     assert values.tolist() == [299.0, 301.0]  # the later row for a day wins
-    assert np.isnan(product.cells[(0, 0)][1]).all()
+    product = GriddedProduct.from_text(text, GeoPoint(25.2, 51.4))
+    assert list(product.cells) == [(0, 0)] and np.isnan(product.cells[(0, 0)][1]).all()
+    assert GriddedProduct.from_text(text, GeoPoint(25.2, 51.5)).cells == {}
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(GriddedFormatError, match="line 9: non-finite"):
-            GriddedProduct.from_text(GRID + f"2022-01-01,0,0,1.0\n2022-01-02,0,0,{bad}\n")
+            GriddedProduct.from_text(GRID + f"2022-01-01,0,0,1.0\n2022-01-02,0,0,{bad}\n",
+                                     GeoPoint(25.3, 51.5))
     for bad_row, message in [("2022-02-30,0,0,1.0", "bad date '2022-02-30'"),
                              ("2022-01-02,x,0,1.0", "bad cell index 'x'"),
                              ("2022-01-02,0,1.5,1.0", "bad cell index '1.5'"),
@@ -427,4 +431,5 @@ def test_gridded_rows_group_by_cell_and_reject_non_finite_values():
                              ("2022-01-02,0,0", "expected date,i,j,value")]:
         with pytest.raises(GriddedFormatError, match=re.escape(f"line 10: {message}")):
             GriddedProduct.from_text(GRID + f"2022-01-01,0,0,1.0\n\n{bad_row}\n"
-                                     "2022-01-03,0,0,nan\n2022-01-04,x,0,\n")
+                                     "2022-01-03,0,0,nan\n2022-01-04,x,0,\n",
+                                     GeoPoint(25.3, 51.5))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from gulfclimate.agent.backend import BackendFailure, ScriptedBackend
-from gulfclimate.cli.main import EXIT_OK, main as cli_main
+from gulfclimate.cli.main import EXIT_CONFIG, EXIT_OK, main as cli_main
 from gulfclimate.evalharness import runner as runner_module
 from gulfclimate.evalharness.model import BenchmarkInstance, GoldStep, InstanceError, load_instances
 from gulfclimate.evalharness.replay import BenchReplay
@@ -635,6 +635,26 @@ def test_a_malformed_record_is_an_instance_error_naming_its_line(tmp_path, chang
         load_instances(path)
     assert str(raised.value).startswith(f"{path}:2: bad instance record: ")
     assert type(raised.value.__cause__).__name__ == cause
+
+
+def test_a_repeated_id_is_an_instance_error_naming_both_lines(tmp_path, capsys):
+    # Both copies would run against the one replay run of that id, and their
+    # report rows could not be told apart.
+    lines = INSTANCES.read_text(encoding="utf-8").splitlines()
+    suite = tmp_path / "instances.jsonl"
+    suite.write_text("\n".join(lines + ["", lines[0]]) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "provider": {"mode": "fixture", "fixture_root": str(FIXTURES)},
+        "backend": {"kind": "scripted", "replay": str(ROOT / "replays" / "bench_gold.json")},
+        "output_dir": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    doc_id = json.loads(lines[0])["id"]
+    assert cli_main(["bench", str(suite), "--config", str(config), "--mode", "step"]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {suite}:{len(lines) + 2}: instance id {doc_id!r} repeats line 1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_boolean_flags_and_fact_bounds_load_as_written(tmp_path):

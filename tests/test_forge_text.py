@@ -124,12 +124,13 @@ _TF_ENTRY = {"entailed": "Doha adopted a heatwave plan.",
 
 def _forge_one_page(tmp_path: Path, emissions: list[str],
                     page: str = "<p>Doha adopted a heatwave plan.</p>",
-                    title: str = "Heatwave plan for Doha") -> dict:
+                    title: str = "Heatwave plan for Doha",
+                    retrieved_at: str = "2024-06-01T00:00:00Z") -> dict:
     """``forge_text`` of tf items over a fixture with one query and one page,
     the backend replaying ``emissions``, which it must use up."""
     search = {
         "queries": {query_key(_QUERY): {
-            "query": _QUERY, "retrieved_at": "2024-06-01T00:00:00Z",
+            "query": _QUERY, "retrieved_at": retrieved_at,
             "results": [{"title": title, "url": _URL, "snippet": ""}]}},
         "pages": {_URL: {"content_type": "html", "text": page}},
     }
@@ -161,6 +162,13 @@ def test_a_search_title_holding_a_lone_surrogate_is_written_escaped(tmp_path):
     assert dataset.count('"title": "Heatwave plan for Doha \\ud83d"') == 2
     assert {ev["provenance"]["title"] for line in dataset.splitlines()
             for ev in json.loads(line)["evidence"]} == {title}
+
+
+def test_a_retrieved_at_that_is_not_a_time_drops_its_keyword(tmp_path):
+    result = _forge_one_page(tmp_path, [_QUERY], retrieved_at="yesterday")
+    assert result["keywords_kept"] == 1
+    assert result["dropped"] == {"keywords_provider_failure": 1}
+    assert (result["documents"], result["items_written"]) == (0, 0)
 
 
 # A backend emission may hold a lone surrogate too. The keyword, statement or

@@ -3,9 +3,11 @@
 The reference is the loop the package parsed gridded bodies with before it read
 them in blocks: ``splitlines`` on the whole text, then per row ``strip``,
 ``split``, ``date.fromisoformat``, two ``int`` calls and a ``float`` call. Its
-only change is that a row's bare ``ValueError`` is tagged with the row's line,
-as the package now does. The reference groups rows with a plain dict (the later
-row of a day wins), not with the package's ``_cells``.
+changes are that a row's bare ``ValueError`` is tagged with the row's line, as
+the package now does, and that a value beyond ``MAX_MAGNITUDE`` is rejected.
+The reference groups the rows of every cell with a plain dict (the later row
+of a day wins); the package, which keeps only the cell nearest the place it
+loads for, is loaded once for each cell's center.
 """
 
 import math
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gulfclimate.core.geo import GridSpec
 from gulfclimate.geoforge import gridded
 from gulfclimate.geoforge.gridded import GriddedFormatError, GriddedProduct
 from perfbench.gen import make_grid
@@ -61,6 +64,8 @@ def ref_cells(text, n_lats, n_lons):
                 raise RefRowError(lineno) from None
             if not math.isfinite(value):
                 raise RefRowError(lineno, f"non-finite value {parts[3]!r}")
+            if abs(value) > gridded.MAX_MAGNITUDE:
+                raise RefRowError(lineno, f"value {parts[3]!r} beyond 1e+150 in magnitude")
         by_cell.setdefault((i, j), {})[day] = value
     return {cell: ([d.isoformat() for d in sorted(days)], [repr(days[d]) for d in sorted(days)])
             for cell, days in by_cell.items()}
@@ -74,23 +79,40 @@ def as_ref(product):
     return out
 
 
+def grid_of(n_lats, n_lons):
+    return GridSpec(lats=tuple(25.0 + k / 10 for k in range(n_lats)),
+                    lons=tuple(51.0 + k / 10 for k in range(n_lons)))
+
+
 def header(n_lats, n_lons):
+    grid = grid_of(n_lats, n_lons)
     return ["# gridded-fixture v1", "variable: temperature", "unit: K", "cadence: daily",
-            "lats: " + ",".join(str(25.0 + k / 10) for k in range(n_lats)),
-            "lons: " + ",".join(str(51.0 + k / 10) for k in range(n_lons)), "---"]
+            "lats: " + ",".join(map(str, grid.lats)),
+            "lons: " + ",".join(map(str, grid.lons)), "---"]
+
+
+# The center of cell (0, 0) of every grid ``header`` writes.
+NEAR = grid_of(1, 1).point(0, 0)
 
 
 def assert_same(text, n_lats, n_lons):
+    """Load ``text`` for each cell's center and compare that cell, or the
+    error, with the reference."""
+    grid = grid_of(n_lats, n_lons)
     try:
         expected = ref_cells(text, n_lats, n_lons)
     except RefRowError as exc:
-        with pytest.raises(GriddedFormatError) as raised:
-            GriddedProduct.from_text(text)
-        assert int(re.match(r"line (\d+): ", str(raised.value)).group(1)) == exc.lineno
-        if exc.message is not None:
-            assert str(raised.value) == f"line {exc.lineno}: {exc.message}"
+        for cell in np.ndindex(n_lats, n_lons):
+            with pytest.raises(GriddedFormatError) as raised:
+                GriddedProduct.from_text(text, grid.point(*cell))
+            assert int(re.match(r"line (\d+): ", str(raised.value)).group(1)) == exc.lineno
+            if exc.message is not None:
+                assert str(raised.value) == f"line {exc.lineno}: {exc.message}"
         return
-    assert as_ref(GriddedProduct.from_text(text)) == expected
+    for cell in np.ndindex(n_lats, n_lons):
+        product = GriddedProduct.from_text(text, grid.point(*cell))
+        assert product.cell == cell
+        assert as_ref(product) == {key: expected[key] for key in [cell] if key in expected}
 
 
 HEADER_LINES = len(header(1, 1))
@@ -100,7 +122,7 @@ FILLER = st.sampled_from(["", "   ", "\t", "# a comment", "  # 1,2,3", "#", "#,,
 BAD_FIELDS = {
     "date": ["2022-02-30", "x", "2022-13-01", "", "2022-01-01 "],
     "index": ["x", "1.5", "", "-1", "9", "99999999999999999999"],
-    "value": ["abc", "nan", "-inf", "Infinity", "1e999", "1.0.0"],
+    "value": ["abc", "nan", "-inf", "Infinity", "1e999", "1.0.0", "1.5e150", "-1e308"],
 }
 
 
@@ -170,7 +192,7 @@ def test_rows_on_both_sides_of_a_block_boundary(extra):
         for k in (HEADER_LINES, last):
             bad_lines = lines[:k] + [bad] + lines[k + 1:]
             with pytest.raises(GriddedFormatError, match=f"line {k + 1}: "):
-                GriddedProduct.from_text("\n".join(bad_lines) + "\n")
+                GriddedProduct.from_text("\n".join(bad_lines) + "\n", NEAR)
             assert_same("\n".join(bad_lines) + "\n", 2, 2)
 
 
@@ -179,7 +201,7 @@ def test_a_short_row_and_a_long_row_do_not_make_up_two_rows():
     # checked for exactly three commas on its own.
     text = "\n".join(header(1, 1) + ["2022-01-01,0,0", "1,2022-01-02,0,0,5"])
     with pytest.raises(GriddedFormatError, match="line 8: expected date,i,j,value"):
-        GriddedProduct.from_text(text)
+        GriddedProduct.from_text(text, NEAR)
 
 
 def test_from_file_on_a_benchmark_grid_matches_the_row_loop(tmp_path):
@@ -187,8 +209,11 @@ def test_from_file_on_a_benchmark_grid_matches_the_row_loop(tmp_path):
     text = Path(meta["grid"]).read_text(encoding="utf-8")
     expected = ref_cells(text, 5, 5)
     assert len(expected) == 25
-    assert as_ref(GriddedProduct.from_file(meta["grid"])) == expected
-    assert as_ref(GriddedProduct.from_text(text)) == expected
+    grid = GriddedProduct.from_text(text, NEAR).grid
+    for cell in expected:
+        near = grid.point(*cell)
+        assert as_ref(GriddedProduct.from_file(meta["grid"], near)) == {cell: expected[cell]}
+        assert as_ref(GriddedProduct.from_text(text, near)) == {cell: expected[cell]}
 
 
 def test_only_line_feeds_and_carriage_returns_end_a_line():
@@ -196,19 +221,34 @@ def test_only_line_feeds_and_carriage_returns_end_a_line():
     # read line by line does not, so such a character stays inside its row.
     text = "\n".join(header(1, 1)) + "\n2022-01-01,0,0,1.0\x0c2022-01-02,0,0,2.0\n"
     with pytest.raises(GriddedFormatError, match="line 8: expected date,i,j,value"):
-        GriddedProduct.from_text(text)
+        GriddedProduct.from_text(text, NEAR)
     # At either end of a row it is whitespace, which ``strip`` removes.
     text = "\n".join(header(1, 1)) + "\n\x0c2022-01-01,0,0,1.0 \n"
-    assert as_ref(GriddedProduct.from_text(text)) == {(0, 0): (["2022-01-01"], ["1.0"])}
+    assert as_ref(GriddedProduct.from_text(text, NEAR)) == {(0, 0): (["2022-01-01"], ["1.0"])}
+
+
+def test_an_unreadable_retrieved_time_and_a_huge_value_are_named():
+    lines = header(1, 1)
+    for retrieved in ("", "yesterday"):
+        text = "\n".join(lines[:-1] + [f"retrieved: {retrieved}", "---"])
+        with pytest.raises(GriddedFormatError) as raised:
+            GriddedProduct.from_text(text, NEAR)
+        assert str(raised.value) == f"bad header field 'retrieved': {retrieved!r}"
+    for value in ("1.2e154", "-1.0000001e150"):
+        with pytest.raises(GriddedFormatError) as raised:
+            GriddedProduct.from_text("\n".join(lines + [f"2022-01-01,0,0,{value}"]), NEAR)
+        assert str(raised.value) == f"line 8: value {value!r} beyond 1e+150 in magnitude"
+    product = GriddedProduct.from_text("\n".join(lines + ["2022-01-01,0,0,-1e150"]), NEAR)
+    assert product.cells[(0, 0)][1].tolist() == [-1e150]
 
 
 def test_header_errors_are_unchanged():
     lines = header(1, 1)
     with pytest.raises(GriddedFormatError, match="missing format tag"):
-        GriddedProduct.from_text("")
+        GriddedProduct.from_text("", NEAR)
     with pytest.raises(GriddedFormatError, match="missing '---' separator"):
-        GriddedProduct.from_text("\n".join(lines[:-1]) + "\n")
+        GriddedProduct.from_text("\n".join(lines[:-1]) + "\n", NEAR)
     with pytest.raises(GriddedFormatError, match=re.escape("bad header line: '  no colon '")):
-        GriddedProduct.from_text("\n".join(lines[:2] + ["  no colon "] + lines[2:]))
-    product = GriddedProduct.from_text("\n".join(lines))
-    assert product.cells == {} and product.grid.lats == (25.0,)
+        GriddedProduct.from_text("\n".join(lines[:2] + ["  no colon "] + lines[2:]), NEAR)
+    product = GriddedProduct.from_text("\n".join(lines), NEAR)
+    assert product.cells == {} and product.cell == (0, 0) and product.grid.lats == (25.0,)

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from gulfclimate.cli.main import EXIT_CONFIG, main
+from gulfclimate.core.geo import GeoPoint
 from gulfclimate.geoforge.gridded import GriddedFormatError, GriddedProduct
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # A 2 x 2 grid; the first body row is line 8.
 HEADER = ["# gridded-fixture v1", "variable: temperature", "unit: K", "cadence: daily",
           "lats: 25.0,25.1", "lons: 51.0,51.1", "---"]
+NEAR = GeoPoint(25.0, 51.0)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -37,7 +39,7 @@ HEADER = ["# gridded-fixture v1", "variable: temperature", "unit: K", "cadence: 
         "nan", "inf", "range_before_value", "x_y", "y_x", "date_first"])
 def test_a_bad_row_is_named_with_its_line(row, message):
     with pytest.raises(GriddedFormatError) as raised:
-        GriddedProduct.from_text("\n".join(HEADER + [row]) + "\n")
+        GriddedProduct.from_text("\n".join(HEADER + [row]) + "\n", NEAR)
     assert str(raised.value) == f"line 8: {message}"
 
 
@@ -46,7 +48,7 @@ def test_a_row_with_two_bad_indices_names_its_first():
     # so one pair alone can pass for a parser that converts the keys as a set.
     for i, j in permutations(["x", "y", "z", "u", "v", "w"], 2):
         with pytest.raises(GriddedFormatError) as raised:
-            GriddedProduct.from_text("\n".join(HEADER + [f"2022-01-01,{i},{j},1.0"]))
+            GriddedProduct.from_text("\n".join(HEADER + [f"2022-01-01,{i},{j},1.0"]), NEAR)
         assert str(raised.value) == f"line 8: bad cell index {i!r}"
 
 
@@ -55,7 +57,7 @@ def test_a_row_with_two_bad_indices_names_its_first():
 def test_an_unreadable_header_axis_is_a_format_error(tmp_path, capsys, axis, value):
     lines = [f"{axis}: {value}" if line.startswith(f"{axis}:") else line for line in HEADER]
     with pytest.raises(GriddedFormatError) as raised:
-        GriddedProduct.from_text("\n".join(lines) + "\n")
+        GriddedProduct.from_text("\n".join(lines) + "\n", NEAR)
     message = f"bad header field {axis!r}: {value!r}"
     assert str(raised.value) == message
 

@@ -43,14 +43,15 @@ FORMATS = ("mcq", "tf", "open")
 
 @pytest.fixture(scope="module")
 def charted_windows():
-    product = GriddedProduct.from_file(GRIDDED)
-    series = extract_series(product, (1, 1), "temperature", city="Doha")
+    product = GriddedProduct.from_file(GRIDDED, GeoPoint(25.3, 51.5))  # cell (1, 1)'s center
+    assert product.cell == (1, 1)
+    series = extract_series(product, "temperature", city="Doha")
     charted = []
     for window in segment_windows(series)[:3]:
         window_series = window_slice(series, window)
         charted.append((window.index, window_series,
                         build_chart(window_series, window, "Doha", "temperature",
-                                    provenance=product.provenance((1, 1)))))
+                                    provenance=product.provenance())))
     return charted
 
 

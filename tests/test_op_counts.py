@@ -25,6 +25,7 @@ from gulfclimate.core.records import CanonicalSeries  # noqa: E402
 from gulfclimate.evalharness.model import load_instances  # noqa: E402
 from gulfclimate.evalharness.replay import BenchReplay  # noqa: E402
 from gulfclimate.evalharness.runner import run_e2e_mode, run_step_mode  # noqa: E402
+from gulfclimate.geoforge.gridded import GriddedProduct  # noqa: E402
 from gulfclimate.textforge import facts, parsing, qa  # noqa: E402
 from gulfclimate.toolkit import registry as registry_module  # noqa: E402
 from gulfclimate.tools.providers import FixtureStore  # noqa: E402
@@ -109,6 +110,14 @@ def bench_counts(monkeypatch, workdir: Path) -> dict[str, int]:
 def visual_counts(monkeypatch, workdir: Path) -> dict[str, int]:
     meta = generate("forge-visual", workdir, SEED, tiny=True)
     counts: Counter = Counter()
+    load = GriddedProduct.from_file
+
+    def counting_load(*args):
+        product = load(*args)
+        counts["grid_cells"] += len(product.cells)  # the cells the product holds
+        return product
+
+    monkeypatch.setattr(GriddedProduct, "from_file", counting_load)
     count_calls(monkeypatch, counts, "format_timestamps", timeutil, "format_timestamps",
                 size=len)
     count_constructions(monkeypatch, counts, "series", CanonicalSeries, "__post_init__")
